@@ -16,8 +16,7 @@
 
 use hotnoc_core::configs::{ChipConfigId, ChipSpec, Fidelity};
 use hotnoc_core::cosim::predicted_reduction;
-use hotnoc_core::experiment::{Fig1Row, Fig1Table};
-use hotnoc_core::report;
+use hotnoc_core::report::{self, Fig1Row, Fig1Table};
 use hotnoc_core::Chip;
 use hotnoc_reconfig::MigrationScheme;
 use hotnoc_scenario::builtin::builtin;

@@ -1,11 +1,5 @@
 //! Shared helpers for the benchmark harness and report binaries.
 
-/// Default cosim parameters used by the paper-exhibit reports: full horizon
-/// at full fidelity.
-pub fn full_params() -> hotnoc_core::CosimParams {
-    hotnoc_core::CosimParams::default()
-}
-
 /// Writes `content` to `path` and prints a note.
 ///
 /// # Errors

@@ -391,6 +391,55 @@ fn campaign_check_cross_validates_fault_axes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn custom_ldpc_chip_too_large_for_its_code_is_bad_input_exit_2() {
+    // A quick-fidelity code has 240 check nodes, so a 16x16 LDPC chip
+    // cannot be mapped: rejected up front with exit 2, never a mid-run
+    // exit 1.
+    let dir = tmp_dir("ldpc-16x16");
+    let chip = format!(
+        r#"{{"custom": {{"mesh_side": 16, "tile_weights": [{}], "base_peak_celsius": 80.0}}}}"#,
+        vec!["1.0"; 256].join(", ")
+    );
+    let scenario = dir.join("scenario.json");
+    std::fs::write(
+        &scenario,
+        format!(
+            r#"{{"name": "big", "chip": {chip}, "workload": {{"kind": "ldpc"}},
+  "policy": {{"kind": "baseline"}}, "mode": "cosim", "fidelity": "quick", "seed": 0}}"#
+        ),
+    )
+    .unwrap();
+    let campaign = dir.join("campaign.json");
+    std::fs::write(
+        &campaign,
+        format!(
+            r#"{{"schema": "hotnoc-campaign-spec-v1", "name": "big", "seed": 1,
+  "fidelity": "quick", "configs": [{chip}], "workloads": [{{"kind": "ldpc"}}],
+  "policies": ["baseline"], "seeds": [0]}}"#
+        ),
+    )
+    .unwrap();
+    let out_dir = dir.join("artifacts");
+    let mut campaign_run = hotnoc();
+    campaign_run
+        .args(["campaign", "run", "--spec"])
+        .arg(&campaign)
+        .arg("--out-dir")
+        .arg(&out_dir);
+    let mut scenario_run = hotnoc();
+    scenario_run
+        .args(["scenario", "run", "--spec"])
+        .arg(&scenario);
+    for mut cmd in [scenario_run, campaign_run] {
+        let run = cmd.output().expect("spawn");
+        assert_eq!(run.status.code(), Some(2), "stderr: {}", stderr(&run));
+        assert!(stderr(&run).contains("check nodes"), "{}", stderr(&run));
+    }
+    assert!(!out_dir.exists(), "no job may start");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Path of a committed test fixture.
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))

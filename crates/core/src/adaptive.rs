@@ -16,17 +16,15 @@
 //! configuration in advance.
 
 use crate::chip::{CalibratedPower, Chip};
-use crate::cosim::{CosimParams, TRACE_TEMP_HYSTERESIS_C, TRACE_TEMP_THRESHOLD_C};
+use crate::cosim::{migration_cost, CosimParams, TRACE_TEMP_HYSTERESIS_C, TRACE_TEMP_THRESHOLD_C};
 use crate::error::CoreError;
 use hotnoc_obs::{TraceEvent, TraceSink};
 use hotnoc_power::leakage;
-use hotnoc_reconfig::phases::PhaseCostModel;
-use hotnoc_reconfig::{MigrationPlan, MigrationScheme, OrbitDecomposition, StateSpec};
+use hotnoc_reconfig::{MigrationScheme, OrbitDecomposition};
 use hotnoc_thermal::{Integrator, ThermalTrace, ThresholdWatcher, TransientSim};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of an adaptive co-simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveResult {
     /// Static baseline peak (°C).
     pub base_peak: f64,
@@ -68,18 +66,9 @@ pub fn pick_scheme(
         // Energy tie-breaker: one migration's energy spread over a period,
         // expressed as an equivalent temperature penalty through the
         // package's shared resistance (~0.5 K/W effective).
-        let plan = MigrationPlan::plan(
-            mesh,
-            scheme,
-            &StateSpec::default(),
-            &PhaseCostModel::default(),
-        );
-        let stall_s = plan.total_cycles() as f64 / chip.noc_config().clock_hz;
-        let energy = plan.total_flit_hops() as f64 * params.e_flit_hop
-            + plan.per_tile_endpoint_flits(mesh).iter().sum::<u64>() as f64 * params.e_convert_flit
-            + stall_s * params.stall_power_fraction * current_power.iter().sum::<f64>();
+        let cost = migration_cost(chip, scheme, params, current_power.iter().sum::<f64>());
         let period_s = 100e-6; // nominal period for the tie-break weight
-        let penalty_c = 0.5 * energy / (period_s + stall_s);
+        let penalty_c = 0.5 * cost.energy_j / (period_s + cost.stall_seconds);
         let score = peak + penalty_c;
         if best.is_none_or(|(b, _)| score < b) {
             best = Some((score, scheme));
@@ -168,13 +157,8 @@ pub fn run_adaptive_cosim_traced(
                 next[mesh.node_id(dst).expect("on mesh").index()] = cur;
             }
             current = next;
-            let plan = MigrationPlan::plan(
-                mesh,
-                scheme,
-                &StateSpec::default(),
-                &PhaseCostModel::default(),
-            );
-            stall_time_total += plan.total_cycles() as f64 / clock;
+            let cost = migration_cost(chip, scheme, params, current.iter().sum::<f64>());
+            stall_time_total += cost.stall_seconds;
             if let Some(s) = sink.as_deref_mut() {
                 let cycle = (fi as f64 * params.dt * clock).round() as u64;
                 s.record(TraceEvent::PolicyDecision {
@@ -182,12 +166,7 @@ pub fn run_adaptive_cosim_traced(
                     decision: schedule.len() as u64,
                     scheme: scheme.to_string(),
                 });
-                let stall_s = plan.total_cycles() as f64 / clock;
-                let energy = plan.total_flit_hops() as f64 * params.e_flit_hop
-                    + plan.per_tile_endpoint_flits(mesh).iter().sum::<u64>() as f64
-                        * params.e_convert_flit
-                    + stall_s * params.stall_power_fraction * current.iter().sum::<f64>();
-                s.record(plan.trace_event(cycle, energy));
+                s.record(cost.plan.trace_event(cycle, cost.energy_j));
             }
         }
         let mut power = current.clone();

@@ -17,11 +17,10 @@
 //! carries one row of "significantly higher power output" (the warm band),
 //! and configuration E's hotspots sit near the centre of the die.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of one of the paper's configurations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChipConfigId {
     /// 4x4, base peak 85.44 °C.
     A,
@@ -77,7 +76,7 @@ impl fmt::Display for ChipConfigId {
 
 /// Fidelity level: full-size workload for benchmark/figure regeneration,
 /// reduced workload for fast unit/integration tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fidelity {
     /// Paper-scale code and simulation horizon.
     Full,
@@ -86,7 +85,7 @@ pub enum Fidelity {
 }
 
 /// Full description of one chip configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipSpec {
     /// Which configuration this is.
     pub id: ChipConfigId,

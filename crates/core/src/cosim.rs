@@ -14,7 +14,6 @@ use hotnoc_power::leakage;
 use hotnoc_reconfig::phases::PhaseCostModel;
 use hotnoc_reconfig::{MigrationPlan, MigrationScheme, OrbitDecomposition, StateSpec};
 use hotnoc_thermal::{Integrator, ThermalTrace, ThresholdWatcher, TransientSim};
-use serde::{Deserialize, Serialize};
 
 /// Temperature threshold watched by traced co-simulation runs, °C. Not part
 /// of [`CosimParams`] (which is serialized into artifacts) — the watcher is
@@ -25,7 +24,7 @@ pub const TRACE_TEMP_THRESHOLD_C: f64 = 70.0;
 pub const TRACE_TEMP_HYSTERESIS_C: f64 = 0.5;
 
 /// Parameters of one co-simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CosimParams {
     /// Thermal integration step, seconds.
     pub dt: f64,
@@ -79,7 +78,7 @@ impl CosimParams {
 }
 
 /// The outcome of one co-simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CosimResult {
     /// Scheme simulated (`None` = static baseline).
     pub scheme: Option<MigrationScheme>,
@@ -111,6 +110,48 @@ impl CosimResult {
     /// Average-temperature increase attributable to migration energy (°C).
     pub fn mean_temp_increase(&self) -> f64 {
         self.mean_temp - self.base_mean_temp
+    }
+}
+
+/// One migration's §2.1–2.2 cost: the congestion-free plan of a scheme on
+/// the chip's mesh, the stall it imposes and the energy it consumes.
+#[derive(Debug, Clone)]
+pub struct MigrationCost {
+    /// The phased plan (default [`StateSpec`] and [`PhaseCostModel`]).
+    pub plan: MigrationPlan,
+    /// Stall time at the NoC clock, seconds.
+    pub stall_seconds: f64,
+    /// Energy per migration event, joules.
+    pub energy_j: f64,
+}
+
+/// Plans one migration of `chip` under `scheme` and prices it: the energy
+/// is the state-transfer traffic, the endpoint conversion/copy work, plus
+/// the clock/control power (`stall_power_fraction` of `chip_power` watts)
+/// the halted chip keeps burning for the stall. The co-simulation, the
+/// adaptive controller and the plan-cost scenarios all price migrations
+/// here.
+pub fn migration_cost(
+    chip: &Chip,
+    scheme: MigrationScheme,
+    params: &CosimParams,
+    chip_power: f64,
+) -> MigrationCost {
+    let mesh = chip.mesh();
+    let plan = MigrationPlan::plan(
+        mesh,
+        scheme,
+        &StateSpec::default(),
+        &PhaseCostModel::default(),
+    );
+    let stall_seconds = plan.total_cycles() as f64 / chip.noc_config().clock_hz;
+    let energy_j = plan.total_flit_hops() as f64 * params.e_flit_hop
+        + plan.per_tile_endpoint_flits(mesh).iter().sum::<u64>() as f64 * params.e_convert_flit
+        + stall_seconds * params.stall_power_fraction * chip_power;
+    MigrationCost {
+        plan,
+        stall_seconds,
+        energy_j,
     }
 }
 
@@ -175,24 +216,15 @@ pub fn run_cosim_traced(
     };
 
     let mesh = chip.mesh();
-    let plan = MigrationPlan::plan(
-        mesh,
-        scheme,
-        &StateSpec::default(),
-        &PhaseCostModel::default(),
-    );
-    let stall_s = plan.total_cycles() as f64 / clock;
+    let MigrationCost {
+        plan,
+        stall_seconds: stall_s,
+        energy_j: migration_energy,
+    } = migration_cost(chip, scheme, params, cal.total_dynamic);
     let period_s = cal.block_seconds * params.period_blocks as f64;
     let super_s = period_s + stall_s;
-    // Energy spent per migration event: state-transfer traffic, endpoint
-    // conversion/copy work, plus the clock/control power the halted chip
-    // keeps burning for the stall.
     let per_tile_hops = plan.per_tile_flit_hops(mesh);
     let per_tile_endpoints = plan.per_tile_endpoint_flits(mesh);
-    let transfer_energy = plan.total_flit_hops() as f64 * params.e_flit_hop
-        + per_tile_endpoints.iter().sum::<u64>() as f64 * params.e_convert_flit;
-    let migration_energy =
-        transfer_energy + stall_s * params.stall_power_fraction * cal.total_dynamic;
 
     // Power maps for every migration state (the permutation cycles with the
     // scheme's group order).

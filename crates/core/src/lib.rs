@@ -13,16 +13,22 @@
 //!    migration (`hotnoc-reconfig`), including migration state-transfer
 //!    energy — "our simulations also include the energy consumed during the
 //!    migration operation".
-//! 4. [`experiment`] packages the paper's exhibits: Figure 1 (peak-
-//!    temperature reductions), the migration-period sweep, and the migration
-//!    cost table; [`report`] renders them.
+//! 4. [`adaptive`] re-selects the migration scheme at every migration point
+//!    (§2.3's runtime-alterable migration function).
+//! 5. [`report`] holds the paper's exhibit tables — Figure 1 (peak-
+//!    temperature reductions), the migration-period sweep and the migration
+//!    cost table — and renders them. The tables are filled from the
+//!    built-in campaigns of `hotnoc-scenario`.
 //!
 //! ```no_run
-//! use hotnoc_core::configs::ChipConfigId;
-//! use hotnoc_core::experiment::quick_demo;
+//! use hotnoc_core::configs::{ChipConfigId, Fidelity};
+//! use hotnoc_core::{run_cosim, Chip, ChipSpec, CosimParams};
+//! use hotnoc_reconfig::MigrationScheme;
 //!
-//! let outcome = quick_demo(ChipConfigId::A)?;
-//! println!("config A base peak: {:.2} C", outcome.base_peak_celsius);
+//! let mut chip = Chip::build(ChipSpec::of(ChipConfigId::A, Fidelity::Quick))?;
+//! let cal = chip.calibrate()?;
+//! let r = run_cosim(&chip, &cal, Some(MigrationScheme::XYShift), &CosimParams::quick())?;
+//! println!("config A base peak: {:.2} C", r.base_peak);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -34,7 +40,6 @@ pub mod chip;
 pub mod configs;
 pub mod cosim;
 pub mod error;
-pub mod experiment;
 pub mod report;
 
 pub use adaptive::{run_adaptive_cosim, run_adaptive_cosim_traced, AdaptiveResult};

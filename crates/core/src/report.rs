@@ -1,8 +1,90 @@
-//! Rendering of experiment results as ASCII tables, CSV and heatmaps.
+//! The paper's exhibit tables and their rendering as ASCII tables, CSV and
+//! heatmaps. The tables are filled from campaign records by
+//! `hotnoc_scenario::exhibits`.
 
-use crate::experiment::{Fig1Table, MigrationCostRow, PeriodTable};
+use crate::configs::ChipConfigId;
+use crate::cosim::CosimResult;
 use hotnoc_reconfig::MigrationScheme;
 use std::fmt::Write as _;
+
+/// One configuration's row of Figure 1.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Fig1Row {
+    /// The configuration.
+    pub config: ChipConfigId,
+    /// Its base (static) peak temperature, °C.
+    pub base_peak: f64,
+    /// Results per scheme, in [`MigrationScheme::FIGURE1`] order.
+    pub results: Vec<CosimResult>,
+}
+
+/// The regenerated Figure 1.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Fig1Table {
+    /// One row per configuration A–E.
+    pub rows: Vec<Fig1Row>,
+}
+
+impl Fig1Table {
+    /// Mean peak-temperature reduction per scheme across configurations
+    /// (the §3 ranking: X-Y shift 4.62 °C, rotation 4.15 °C in the paper).
+    pub fn average_reductions(&self) -> Vec<f64> {
+        let k = MigrationScheme::FIGURE1.len();
+        let mut avg = vec![0.0; k];
+        for row in &self.rows {
+            for (i, r) in row.results.iter().enumerate() {
+                avg[i] += r.reduction;
+            }
+        }
+        for a in avg.iter_mut() {
+            *a /= self.rows.len() as f64;
+        }
+        avg
+    }
+}
+
+/// One row of the migration-period sweep.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PeriodRow {
+    /// Period in decoded blocks.
+    pub period_blocks: u64,
+    /// Period in microseconds (measured block time × blocks).
+    pub period_us: f64,
+    /// Throughput penalty in percent.
+    pub penalty_pct: f64,
+    /// Peak temperature under migration, °C.
+    pub peak: f64,
+    /// Peak-temperature reduction vs the static base, °C.
+    pub reduction: f64,
+}
+
+/// The §3 period sweep for one configuration and scheme.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PeriodTable {
+    /// Configuration swept.
+    pub config: ChipConfigId,
+    /// Migration scheme used.
+    pub scheme: MigrationScheme,
+    /// One row per period.
+    pub rows: Vec<PeriodRow>,
+}
+
+/// Migration cost of one scheme on one chip.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MigrationCostRow {
+    /// The scheme.
+    pub scheme: MigrationScheme,
+    /// Congestion-free phases.
+    pub phases: usize,
+    /// Stall time, µs.
+    pub stall_us: f64,
+    /// State-transfer flit-hops.
+    pub flit_hops: u64,
+    /// Energy per migration, µJ.
+    pub energy_uj: f64,
+    /// PEs moved.
+    pub moves: usize,
+}
 
 /// Renders the regenerated Figure 1 as an ASCII table (reductions in °C).
 pub fn fig1_ascii(table: &Fig1Table) -> String {
@@ -154,9 +236,6 @@ pub fn heatmap_ascii(values: &[f64], width: usize, height: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::configs::ChipConfigId;
-    use crate::cosim::CosimResult;
-    use crate::experiment::Fig1Row;
 
     fn dummy_result(scheme: MigrationScheme, reduction: f64) -> CosimResult {
         CosimResult {
@@ -225,6 +304,11 @@ mod tests {
         let t = dummy_table();
         let avg = t.average_reductions();
         assert_eq!(avg, vec![0.0, 1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(t.best_scheme(), MigrationScheme::XYShift);
+        // The best average belongs to X-Y shift, the last Figure 1 scheme.
+        let best = avg.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1));
+        assert_eq!(
+            MigrationScheme::FIGURE1[best.unwrap().0],
+            MigrationScheme::XYShift
+        );
     }
 }

@@ -15,10 +15,9 @@ use crate::error::LdpcError;
 use crate::mapping::ClusterMapping;
 use crate::schedule::{phase_traffic, IterPhase, MessageParams, PhaseTraffic};
 use hotnoc_noc::{ActivitySnapshot, Network, NocError, NodeId, Packet, PacketClass};
-use serde::{Deserialize, Serialize};
 
 /// Compute-model parameters of a PE.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComputeModel {
     /// Edge operations retired per cycle by one PE (datapath parallelism).
     pub edges_per_cycle: u32,
@@ -36,7 +35,7 @@ impl Default for ComputeModel {
 }
 
 /// Measured results of one decoded block on the NoC.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockRun {
     /// Total cycles from block start to completion.
     pub cycles: u64,

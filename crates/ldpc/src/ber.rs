@@ -12,10 +12,9 @@ use crate::encoder::Encoder;
 use crate::error::LdpcError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One operating point of a waterfall curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BerPoint {
     /// Eb/N0 in dB.
     pub snr_db: f64,

@@ -11,10 +11,9 @@ use crate::matrix::SparseBinMatrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// An LDPC code: a sparse parity-check matrix with construction metadata.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LdpcCode {
     h: SparseBinMatrix,
     wc: usize,

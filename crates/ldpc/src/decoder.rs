@@ -29,7 +29,6 @@
 
 use crate::code::LdpcCode;
 use crate::error::LdpcError;
-use serde::{Deserialize, Serialize};
 
 /// Result of a decoding attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -219,7 +218,7 @@ impl DecoderWorkspace {
 
 /// Normalized min-sum decoder (the hardware-friendly choice used by
 /// NoC LDPC implementations such as the paper's reference design).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MinSumDecoder {
     /// Maximum iterations per block.
     pub max_iters: usize,
@@ -295,7 +294,7 @@ impl MinSumDecoder {
 
 /// Sum-product (belief propagation) decoder: slightly better waterfall
 /// performance at higher per-edge cost.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SumProductDecoder {
     /// Maximum iterations per block.
     pub max_iters: usize,

@@ -9,10 +9,9 @@
 use crate::code::LdpcCode;
 use crate::decoder::{min_sum_check, DecodeOutcome, DecodeStatus, DecoderWorkspace};
 use crate::error::LdpcError;
-use serde::{Deserialize, Serialize};
 
 /// Layered normalized-min-sum decoder.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayeredMinSumDecoder {
     /// Maximum full sweeps over the check nodes.
     pub max_iters: usize,

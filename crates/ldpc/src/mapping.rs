@@ -8,11 +8,10 @@
 
 use crate::code::LdpcCode;
 use crate::error::LdpcError;
-use serde::{Deserialize, Serialize};
 
 /// Assignment of every variable and check node to one of `n_clusters`
 /// PE clusters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterMapping {
     n_clusters: usize,
     var_cluster: Vec<usize>,

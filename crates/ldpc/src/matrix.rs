@@ -1,11 +1,9 @@
 //! Sparse binary (GF(2)) matrices with row and column adjacency.
 
-use serde::{Deserialize, Serialize};
-
 /// A sparse binary matrix stored as row and column adjacency lists; the
 /// natural representation of an LDPC parity-check matrix (rows = checks,
 /// columns = variables).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SparseBinMatrix {
     rows: usize,
     cols: usize,

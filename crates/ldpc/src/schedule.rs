@@ -6,10 +6,9 @@
 
 use crate::code::LdpcCode;
 use crate::mapping::ClusterMapping;
-use serde::{Deserialize, Serialize};
 
 /// Quantization/packetization parameters for decoder messages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MessageParams {
     /// Bits per LLR message (hardware decoders quantize to 6-8 bits).
     pub bits_per_message: u32,
@@ -30,7 +29,7 @@ impl Default for MessageParams {
 }
 
 /// One iteration phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IterPhase {
     /// Variables send extrinsic LLRs to checks.
     VarToCheck,
@@ -39,7 +38,7 @@ pub enum IterPhase {
 }
 
 /// An aggregated inter-cluster transfer within one phase.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Transfer {
     /// Source cluster index.
     pub src_cluster: usize,
@@ -59,7 +58,7 @@ impl Transfer {
 }
 
 /// All inter-cluster transfers of one phase.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseTraffic {
     /// Which phase this describes.
     pub phase: IterPhase,

@@ -1,14 +1,13 @@
 //! Simulator configuration.
 
 use crate::error::NocError;
-use serde::{Deserialize, Serialize};
 
 /// Microarchitectural parameters of the routers and links.
 ///
 /// The defaults model the paper's 160 nm LDPC-decoder NoC: 64-bit links, two
 /// virtual channels (one for data, one for reconfiguration traffic), 4-flit
 /// input buffers and single-cycle links at 500 MHz.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NocConfig {
     /// Number of virtual channels per input port (1..=8).
     pub num_vcs: u8,

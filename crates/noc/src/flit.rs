@@ -5,13 +5,10 @@
 //! switching lets the body follow the path the head reserves.
 
 use crate::topology::NodeId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Globally unique packet identifier (unique within one [`crate::Network`]).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct PacketId(pub u64);
 
 impl fmt::Display for PacketId {
@@ -23,7 +20,7 @@ impl fmt::Display for PacketId {
 /// Traffic class of a packet. The class selects the virtual channel used,
 /// keeping reconfiguration traffic (configuration and PE state, §2.1 of the
 /// paper) separated from application data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PacketClass {
     /// Application data (LDPC messages in the paper's workload).
     Data,
@@ -62,7 +59,7 @@ impl fmt::Display for PacketClass {
 }
 
 /// A network packet prior to serialization into flits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
     /// Unique id (assigned by the creator; the network checks uniqueness only
     /// in debug builds).
@@ -96,7 +93,7 @@ impl Packet {
 }
 
 /// Position of a flit inside its packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlitKind {
     /// First flit of a multi-flit packet; carries the route.
     Head,
@@ -109,7 +106,7 @@ pub enum FlitKind {
 }
 
 /// A flow-control digit: the unit moved per link per cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
     /// Owning packet.
     pub packet: PacketId,

@@ -2071,151 +2071,3 @@ mod tests {
         assert!(p50 <= p99);
     }
 }
-
-#[cfg(test)]
-mod fault_debug {
-    use super::*;
-    use crate::fault::FaultPlan;
-    use crate::traffic::{TrafficGenerator, TrafficPattern};
-
-    struct Rng(u64);
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 ^= self.0 << 13;
-            self.0 ^= self.0 >> 7;
-            self.0 ^= self.0 << 17;
-            self.0
-        }
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-    }
-
-    #[test]
-    #[ignore]
-    fn hunt_midflight_deadlock() {
-        for case in 0..400u64 {
-            let mut rng = Rng(0x9E3779B97F4A7C15 ^ (case + 1));
-            let side = 4 + rng.below(4) as usize;
-            let mesh = Mesh::square(side).unwrap();
-            let nr = rng.below(3) as usize;
-            let nl = rng.below(3) as usize;
-            let routers: Vec<Coord> = (0..nr)
-                .map(|_| Coord::new(rng.below(side as u64) as u8, rng.below(side as u64) as u8))
-                .collect();
-            let links: Vec<(Coord, Coord)> = (0..nl)
-                .map(|_| {
-                    let x = rng.below(side as u64 - 1) as u8;
-                    let y = rng.below(side as u64 - 1) as u8;
-                    if rng.below(2) == 1 {
-                        (Coord::new(x, y), Coord::new(x, y + 1))
-                    } else {
-                        (Coord::new(x, y), Coord::new(x + 1, y))
-                    }
-                })
-                .collect();
-            let fail_at = 1 + rng.below(149);
-            let repair_after = 1 + rng.below(199);
-            let mut plan = FaultPlan::new();
-            for &c in &routers {
-                plan = plan.fail_router(fail_at, c);
-            }
-            for &(a, b) in &links {
-                plan = plan.fail_link(fail_at, a, b);
-            }
-            if let Some(&c) = routers.first() {
-                plan = plan.repair_router(fail_at + repair_after, c);
-            }
-            let mut net = Network::new(mesh, NocConfig::default());
-            net.set_par_threshold(1);
-            net.install_fault_plan(plan).unwrap();
-            let mut gen =
-                TrafficGenerator::new(mesh, TrafficPattern::UniformRandom, 0.12, 4, 0xC0DE + case);
-            for _ in 0..250 {
-                gen.tick(&mut net);
-                net.step();
-            }
-            if net.run_until_idle(20_000).is_err() {
-                // Give repairs a chance, then check again.
-                net.run(repair_after + 300);
-                if net.run_until_idle(20_000).is_ok() {
-                    continue;
-                }
-                eprintln!(
-                    "case {case}: side {side} routers {routers:?} links {links:?} \
-                     fail_at {fail_at} repair_after {repair_after} stuck={}",
-                    net.in_flight()
-                );
-                dump_stuck(&net);
-                panic!("deadlock reproduced in case {case}");
-            }
-        }
-    }
-
-    fn dump_stuck(net: &Network) {
-        let n = net.mesh.len();
-        for r in 0..n {
-            let router = &net.routers[r];
-            let mut lines = Vec::new();
-            for p in 0..5 {
-                for vc in 0..net.cfg.num_vcs as usize {
-                    let ivc = &router.inputs[p].vcs[vc];
-                    if !ivc.buf.is_empty() || !matches!(ivc.state, VcState::Idle) {
-                        let fronts: Vec<String> = ivc
-                            .buf
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "p{}#{} dst{} dp{}",
-                                    f.packet,
-                                    f.seq,
-                                    f.dst.index(),
-                                    f.down_phase
-                                )
-                            })
-                            .collect();
-                        lines.push(format!(
-                            "  in[{p}][{vc}] state={:?} buf={:?}",
-                            ivc.state, fronts
-                        ));
-                    }
-                }
-            }
-            for d in 0..4 {
-                let out = &router.outputs[d];
-                let owners: Vec<_> = out.vc_owner.iter().collect();
-                let credits: Vec<_> = out.credits.iter().collect();
-                if out.vc_owner.iter().any(Option::is_some)
-                    || out.credits.iter().any(|&c| c != net.cfg.buffer_depth)
-                    || !out.credit_queue.is_empty()
-                {
-                    lines.push(format!(
-                        "  out[{d}] owner={owners:?} credits={credits:?} cq={}",
-                        out.credit_queue.len()
-                    ));
-                }
-                if !net.links[r][d].is_empty() {
-                    lines.push(format!("  link[{d}] {} flits", net.links[r][d].len()));
-                }
-            }
-            if !net.nics[r].inject_queue.is_empty() {
-                lines.push(format!("  nicq {} flits", net.nics[r].inject_queue.len()));
-            }
-            if !lines.is_empty() {
-                let ok = net
-                    .faults
-                    .as_ref()
-                    .map(|d| d.state.router_enabled(r))
-                    .unwrap_or(true);
-                eprintln!(
-                    "router {r} ({:?}) live={ok} work={}",
-                    net.mesh.coord(NodeId::new(r as u16)),
-                    net.work[r]
-                );
-                for l in lines {
-                    eprintln!("{l}");
-                }
-            }
-        }
-    }
-}

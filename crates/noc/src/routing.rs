@@ -5,7 +5,6 @@
 //! congestion free and deterministic in time.
 
 use crate::topology::{Coord, Direction, Mesh};
-use serde::{Deserialize, Serialize};
 
 /// A deterministic routing algorithm for 2-D meshes.
 pub trait Routing {
@@ -18,7 +17,7 @@ pub trait Routing {
 }
 
 /// Dimension-order X-then-Y routing (deadlock free on meshes).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct XyRouting;
 
 impl Routing for XyRouting {
@@ -42,7 +41,7 @@ impl Routing for XyRouting {
 }
 
 /// Dimension-order Y-then-X routing (also deadlock free).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct YxRouting;
 
 impl Routing for YxRouting {
@@ -70,7 +69,7 @@ impl Routing for YxRouting {
 /// staircase keyed on the current coordinate's parity, which spreads load
 /// over multiple minimal paths while honouring the west-first turn
 /// restrictions — deadlock-free without virtual-channel escape paths.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WestFirstRouting;
 
 impl Routing for WestFirstRouting {
@@ -111,7 +110,7 @@ impl Routing for WestFirstRouting {
 
 /// Enumerable routing algorithm choice (object-safe alternative to generics
 /// for configuration files).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum RoutingKind {
     /// X-then-Y dimension order routing.
     #[default]

@@ -4,7 +4,6 @@
 //! switching rates observed in the cycle-accurate simulation; these counters
 //! are the interface between the NoC simulator and the power model.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, Sub};
 
 /// Per-router event counters for one simulation interval.
@@ -13,7 +12,7 @@ use std::ops::{Add, Sub};
 /// router (buffer write, buffer read, crossbar traversal, arbitration,
 /// outbound link flit). `RouterActivity` forms a commutative monoid under
 /// `+` and supports windowed deltas via `-`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouterActivity {
     /// Flits written into input buffers.
     pub buffer_writes: u64,
@@ -93,7 +92,7 @@ impl Sub for RouterActivity {
 
 /// A power-of-two-bucketed latency histogram: bucket `i` counts latencies
 /// in `[2^i, 2^(i+1))` cycles (bucket 0 covers latency 1).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LatencyHistogram {
     buckets: Vec<u64>,
     count: u64,
@@ -153,7 +152,7 @@ impl LatencyHistogram {
 }
 
 /// Network-wide aggregate statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NetworkStats {
     /// Packets injected into the network.
     pub packets_injected: u64,
@@ -228,7 +227,7 @@ impl NetworkStats {
 ///
 /// Snapshots are cheap (a few hundred words) and subtractable, which is how
 /// the co-simulation extracts per-window activity for the power model.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ActivitySnapshot {
     /// Cycle at which the snapshot was taken.
     pub cycle: u64,

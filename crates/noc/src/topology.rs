@@ -5,14 +5,13 @@
 //! to 64 PEs with 3-bit-per-dimension operands, and we keep headroom).
 
 use crate::error::NocError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum mesh side length supported by the simulator.
 pub const MAX_DIM: usize = 64;
 
 /// A tile coordinate in the mesh. `x` grows eastwards, `y` grows northwards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Coord {
     /// Column index (0 = west edge).
     pub x: u8,
@@ -48,7 +47,7 @@ impl fmt::Display for Coord {
 
 /// One of the five router ports: the four mesh directions plus the local
 /// (PE-facing) port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Towards larger `y`.
     North,
@@ -117,9 +116,7 @@ impl fmt::Display for Direction {
 }
 
 /// Dense identifier of a mesh node (router + attached PE).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct NodeId(u16);
 
 impl NodeId {
@@ -150,7 +147,7 @@ impl From<NodeId> for usize {
 ///
 /// `Mesh` is a lightweight value type (two bytes); it is freely copied into
 /// routers, traffic generators and placement code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Mesh {
     width: u8,
     height: u8,

@@ -9,10 +9,9 @@ use crate::network::Network;
 use crate::topology::{Coord, Mesh, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A classical synthetic destination pattern.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TrafficPattern {
     /// Destination chosen uniformly at random (excluding the source).
     UniformRandom,

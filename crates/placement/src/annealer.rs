@@ -3,11 +3,10 @@
 use crate::cost::PlacementCost;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Simulated-annealing parameters. The defaults anneal a 25-tile problem in
 /// well under a second with the thermal objective.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Annealer {
     /// Total proposed moves.
     pub iters: usize,

@@ -4,11 +4,10 @@
 //! co-simulation layer converts `hotnoc_noc::RouterActivity` snapshots into
 //! these records (one per tile per window).
 
-use serde::{Deserialize, Serialize};
 use std::ops::Add;
 
 /// Switching activity of one tile (router + PE) over one window.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TileActivity {
     /// Flits written into the router's input buffers.
     pub buffer_writes: u64,
@@ -65,7 +64,7 @@ impl TileActivity {
 }
 
 /// Activity of every tile over one window of `cycles` cycles.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ActivityFrame {
     /// Window length in cycles.
     pub cycles: u64,

@@ -6,10 +6,8 @@
 //! base temperatures (DESIGN.md §5), so the *distribution* across events is
 //! what matters here.
 
-use serde::{Deserialize, Serialize};
-
 /// Energy-per-event and static-power parameters of a process + cell library.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TechParams {
     /// Human-readable name.
     pub name: String,

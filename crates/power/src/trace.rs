@@ -1,9 +1,7 @@
 //! Power breakdowns and traces.
 
-use serde::{Deserialize, Serialize};
-
 /// Power of one tile, split by component.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PowerBreakdown {
     /// Router dynamic power (W).
     pub router: f64,
@@ -31,7 +29,7 @@ impl PowerBreakdown {
 
 /// A per-block power trace at a fixed frame period; the input to
 /// `hotnoc_thermal::TransientSim`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerTrace {
     dt: f64,
     n_blocks: usize,

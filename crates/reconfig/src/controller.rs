@@ -12,10 +12,9 @@ use crate::phases::{MigrationPlan, PhaseCostModel};
 use crate::state_transfer::StateSpec;
 use crate::transform::MigrationScheme;
 use hotnoc_noc::Mesh;
-use serde::{Deserialize, Serialize};
 
 /// A migration that must now be executed by the platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MigrationEvent {
     /// 1-based index of this migration.
     pub index: u64,
@@ -30,7 +29,7 @@ pub struct MigrationEvent {
 }
 
 /// Periodic migration controller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReconfigController {
     mesh: Mesh,
     scheme: MigrationScheme,

@@ -7,11 +7,10 @@
 
 use crate::transform::MigrationScheme;
 use hotnoc_noc::{AddressMap, Coord, Mesh};
-use serde::{Deserialize, Serialize};
 
 /// Composition of every migration applied so far: a bijection
 /// logical → physical.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CumulativeMap {
     mesh: Mesh,
     /// `log2phys[logical node index] = physical node index`.

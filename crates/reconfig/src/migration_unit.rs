@@ -10,11 +10,10 @@
 
 use crate::transform::MigrationScheme;
 use hotnoc_noc::{Coord, Mesh};
-use serde::{Deserialize, Serialize};
 
 /// The migration unit: a tiny arithmetic block computing the transformation
 /// functions, plus its cost model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MigrationUnit {
     mesh: Mesh,
     scheme: MigrationScheme,

@@ -15,11 +15,10 @@ use crate::state_transfer::StateSpec;
 use crate::transform::MigrationScheme;
 use hotnoc_noc::routing::{route_path, XyRouting};
 use hotnoc_noc::{Coord, Direction, Mesh};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// One PE's state transfer: its workload moves `from -> to`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Move {
     /// Current physical tile.
     pub from: Coord,
@@ -32,7 +31,7 @@ pub struct Move {
 }
 
 /// A group of link-disjoint moves executed simultaneously.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Phase {
     /// The moves in this phase.
     pub moves: Vec<Move>,
@@ -44,7 +43,7 @@ pub struct Phase {
 }
 
 /// Cost-model constants for phase timing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseCostModel {
     /// Cycles per hop of pipeline fill (router + link latency).
     pub cycles_per_hop: u32,
@@ -65,7 +64,7 @@ impl Default for PhaseCostModel {
 }
 
 /// A complete, deterministic migration plan for one application of a scheme.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MigrationPlan {
     /// The scheme this plan implements.
     pub scheme: MigrationScheme,

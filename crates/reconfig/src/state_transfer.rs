@@ -7,10 +7,8 @@
 //! minimize the state that must be moved; what remains is the PE's
 //! configuration stream plus its resident working set.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-PE migration payload sizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StateSpec {
     /// Configuration stream bits per PE (routing tables, node assignments,
     /// schedule microcode).

@@ -6,7 +6,6 @@
 //! schemes; all are provided here, plus Y-translation for completeness.
 
 use hotnoc_noc::{Coord, Mesh};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A migration function: a bijection of the mesh applied at every
@@ -14,7 +13,7 @@ use std::fmt;
 ///
 /// Coordinates follow the paper's Table 1 with `N` the mesh side length
 /// (square meshes; translations also work on rectangles).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MigrationScheme {
     /// 90° rotation: `(X, Y) -> (N-1-Y, X)`.
     Rotation,

@@ -31,13 +31,12 @@ use crate::spec::{
 use hotnoc_core::configs::Fidelity;
 use hotnoc_noc::Coord;
 use hotnoc_reconfig::MigrationScheme;
-use serde::{Deserialize, Serialize};
 
 /// Schema tag of campaign spec documents.
 pub const SPEC_SCHEMA: &str = "hotnoc-campaign-spec-v1";
 
 /// One entry of the policy axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyAxis {
     /// Static placement (no migration).
     Baseline,
@@ -67,7 +66,7 @@ impl PolicyAxis {
 }
 
 /// A declarative sweep over scenario axes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSpec {
     /// Campaign name; names the artifacts (`CAMPAIGN_<name>.json`), so it
     /// is restricted to `[A-Za-z0-9._-]`.

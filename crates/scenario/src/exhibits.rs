@@ -1,14 +1,15 @@
 //! Reassembles the paper's exhibit tables from campaign results, so the
 //! `report_*` binaries are thin wrappers over the engine: run (or resume) a
-//! built-in campaign, then project its records onto the legacy
-//! `hotnoc-core` table types for rendering.
+//! built-in campaign, then project its records onto the
+//! `hotnoc_core::report` tables for rendering. This is the only path to
+//! each exhibit.
 
 use crate::outcome::ScenarioOutcome;
 use crate::runner::JobRecord;
 use crate::spec::{ChipKind, Policy, Workload};
 use crate::stats::{GroupKey, SummaryStats};
 use hotnoc_core::configs::ChipConfigId;
-use hotnoc_core::experiment::{Fig1Row, Fig1Table, MigrationCostRow, PeriodRow, PeriodTable};
+use hotnoc_core::report::{Fig1Row, Fig1Table, MigrationCostRow, PeriodRow, PeriodTable};
 use hotnoc_reconfig::MigrationScheme;
 use std::fmt::Write as _;
 
@@ -282,8 +283,6 @@ mod tests {
     use crate::builtin::builtin;
     use crate::runner::{run_campaign, RunnerOptions};
     use hotnoc_core::configs::Fidelity;
-    use hotnoc_core::cosim::CosimParams;
-    use hotnoc_core::experiment::run_migration_cost;
 
     #[test]
     fn latency_load_campaign_produces_a_monotone_saturation_curve() {
@@ -320,37 +319,6 @@ mod tests {
         let table = render_latency_load(&curves).expect("2+ points");
         assert!(table.contains("latency vs offered load"), "{table}");
         assert!(table.contains("0.02"), "{table}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn migration_cost_campaign_matches_the_direct_experiment() {
-        let dir = std::env::temp_dir().join(format!("hotnoc-exhibit-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let spec = builtin("migration-cost", Fidelity::Quick).unwrap();
-        let run = run_campaign(
-            &spec,
-            &RunnerOptions {
-                threads: 2,
-                out_dir: dir.clone(),
-                ..RunnerOptions::default()
-            },
-        )
-        .expect("campaign runs");
-        for id in [ChipConfigId::A, ChipConfigId::E] {
-            let via_engine = migration_cost_rows(&run.completed, id).expect("rows");
-            let direct =
-                run_migration_cost(id, Fidelity::Quick, &CosimParams::quick()).expect("direct");
-            assert_eq!(via_engine.len(), direct.len());
-            for (a, b) in via_engine.iter().zip(&direct) {
-                assert_eq!(a.scheme, b.scheme);
-                assert_eq!(a.phases, b.phases);
-                assert_eq!(a.flit_hops, b.flit_hops);
-                assert_eq!(a.moves, b.moves);
-                assert!((a.stall_us - b.stall_us).abs() < 1e-9);
-                assert!((a.energy_uj - b.energy_uj).abs() < 1e-9);
-            }
-        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -20,8 +20,8 @@
 //! * [`builtin`] names the paper's exhibits (Figure 1, the period sweep,
 //!   migration cost, adaptive comparison, the latency-vs-load saturation
 //!   curve) as ready-made campaigns; [`exhibits`] projects campaign
-//!   results back onto the legacy report tables (and renders the
-//!   latency-load curve).
+//!   results onto the `hotnoc_core::report` exhibit tables (and renders
+//!   the latency-load curve).
 //! * [`stats`] collapses records across the seed axis into per-group
 //!   summary statistics (mean / std-dev / min / max / median / p95 /
 //!   t-based 95% CI) and serializes them as the

@@ -10,11 +10,10 @@ use crate::json::Json;
 use crate::spec::{scheme_from_name, scheme_name};
 use hotnoc_core::CosimResult;
 use hotnoc_reconfig::MigrationScheme;
-use serde::{Deserialize, Serialize};
 
 /// Thermal co-simulation metrics (LDPC workload, baseline or periodic
 /// policy). Mirrors [`CosimResult`] minus the scheme (the spec carries it).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CosimMetrics {
     /// Steady-state peak of the static placement, °C.
     pub base_peak: f64,
@@ -79,7 +78,7 @@ impl CosimMetrics {
 }
 
 /// Adaptive co-simulation metrics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveMetrics {
     /// Static baseline peak, °C.
     pub base_peak: f64,
@@ -95,7 +94,7 @@ pub struct AdaptiveMetrics {
 }
 
 /// Migration-plan cost metrics (plan-cost mode; no transient solve).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanCostMetrics {
     /// Congestion-free phases.
     pub phases: u64,
@@ -110,7 +109,7 @@ pub struct PlanCostMetrics {
 }
 
 /// Synthetic-traffic metrics (bare NoC, no thermal model).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficMetrics {
     /// Packets offered by the generator.
     pub offered: u64,
@@ -152,7 +151,7 @@ fn opt_u64(j: &Json, key: &str) -> Result<u64, String> {
 }
 
 /// The result of one scenario run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioOutcome {
     /// Thermal co-simulation (baseline or periodic policy).
     Cosim(CosimMetrics),

@@ -13,12 +13,10 @@ use crate::outcome::{
 use crate::spec::{fidelity_name, ChipKind, Mode, Policy, ScenarioSpec, Workload};
 use hotnoc_core::adaptive::run_adaptive_cosim_traced;
 use hotnoc_core::configs::Fidelity;
-use hotnoc_core::cosim::run_cosim_traced;
+use hotnoc_core::cosim::{migration_cost, run_cosim_traced};
 use hotnoc_core::{CalibratedPower, Chip, CosimParams};
 use hotnoc_noc::{Mesh, Network, NocConfig, TrafficGenerator};
 use hotnoc_obs::{TraceEvent, TraceSink, VecSink};
-use hotnoc_reconfig::phases::PhaseCostModel;
-use hotnoc_reconfig::{MigrationPlan, MigrationScheme, StateSpec};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -158,9 +156,17 @@ fn run_ldpc(
     let cached = calibrated_chip(&spec.chip, spec.fidelity)?;
     let (chip, cal) = (&cached.0, &cached.1);
     match (&spec.policy, spec.mode) {
-        (Policy::Periodic { scheme, .. }, Mode::PlanCost) => Ok(ScenarioOutcome::PlanCost(
-            plan_cost(chip, cal, *scheme, &params),
-        )),
+        (Policy::Periodic { scheme, .. }, Mode::PlanCost) => {
+            // One migration's §2.1–2.2 cost (no transient solve).
+            let cost = migration_cost(chip, *scheme, &params, cal.total_dynamic);
+            Ok(ScenarioOutcome::PlanCost(PlanCostMetrics {
+                phases: cost.plan.num_phases() as u64,
+                stall_us: cost.stall_seconds * 1e6,
+                flit_hops: cost.plan.total_flit_hops(),
+                energy_uj: cost.energy_j * 1e6,
+                moves: cost.plan.total_moves() as u64,
+            }))
+        }
         (Policy::Baseline, _) => {
             let r = run_cosim_traced(chip, cal, None, &params, sink)?;
             Ok(ScenarioOutcome::Cosim(CosimMetrics::of(&r)))
@@ -179,36 +185,6 @@ fn run_ldpc(
                 schedule: r.schedule,
             }))
         }
-    }
-}
-
-/// One migration's §2.1–2.2 cost under `scheme` (no transient solve).
-fn plan_cost(
-    chip: &Chip,
-    cal: &CalibratedPower,
-    scheme: MigrationScheme,
-    params: &CosimParams,
-) -> PlanCostMetrics {
-    let plan = MigrationPlan::plan(
-        chip.mesh(),
-        scheme,
-        &StateSpec::default(),
-        &PhaseCostModel::default(),
-    );
-    let stall_s = plan.total_cycles() as f64 / chip.noc_config().clock_hz;
-    let energy = plan.total_flit_hops() as f64 * params.e_flit_hop
-        + plan
-            .per_tile_endpoint_flits(chip.mesh())
-            .iter()
-            .sum::<u64>() as f64
-            * params.e_convert_flit
-        + stall_s * params.stall_power_fraction * cal.total_dynamic;
-    PlanCostMetrics {
-        phases: plan.num_phases() as u64,
-        stall_us: stall_s * 1e6,
-        flit_hops: plan.total_flit_hops(),
-        energy_uj: energy * 1e6,
-        moves: plan.total_moves() as u64,
     }
 }
 
@@ -261,6 +237,7 @@ mod tests {
     use crate::spec::ChipKind;
     use hotnoc_core::configs::ChipConfigId;
     use hotnoc_noc::TrafficPattern;
+    use hotnoc_reconfig::MigrationScheme;
 
     fn traffic_spec(seed: u64) -> ScenarioSpec {
         ScenarioSpec {
@@ -333,40 +310,6 @@ mod tests {
         let a = run_scenario(&traffic_spec(1)).unwrap();
         let b = run_scenario(&traffic_spec(2)).unwrap();
         assert_ne!(a, b, "different seeds should offer different traffic");
-    }
-
-    #[test]
-    fn plan_cost_mode_matches_experiment_table() {
-        let spec = ScenarioSpec {
-            name: "cost".to_string(),
-            chip: ChipKind::Config(ChipConfigId::A),
-            workload: Workload::Ldpc,
-            policy: Policy::Periodic {
-                scheme: MigrationScheme::Rotation,
-                period_blocks: 1,
-            },
-            mode: Mode::PlanCost,
-            fidelity: Fidelity::Quick,
-            sim_time_ms: None,
-            faults: vec![],
-            seed: 0,
-        };
-        let out = run_scenario(&spec).unwrap();
-        let ScenarioOutcome::PlanCost(m) = &out else {
-            panic!("expected plan-cost outcome");
-        };
-        let rows = hotnoc_core::experiment::run_migration_cost(
-            ChipConfigId::A,
-            Fidelity::Quick,
-            &CosimParams::quick(),
-        )
-        .unwrap();
-        let rot = &rows[0];
-        assert_eq!(m.phases, rot.phases as u64);
-        assert_eq!(m.flit_hops, rot.flit_hops);
-        assert_eq!(m.moves, rot.moves as u64);
-        assert!((m.stall_us - rot.stall_us).abs() < 1e-9);
-        assert!((m.energy_uj - rot.energy_uj).abs() < 1e-9);
     }
 
     #[test]

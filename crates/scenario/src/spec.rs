@@ -12,10 +12,9 @@ use crate::json::Json;
 use hotnoc_core::configs::{ChipConfigId, ChipSpec, Fidelity};
 use hotnoc_noc::{Coord, FaultPlan, Mesh, TrafficPattern};
 use hotnoc_reconfig::MigrationScheme;
-use serde::{Deserialize, Serialize};
 
 /// Which chip a scenario runs on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ChipKind {
     /// One of the paper's five configurations.
     Config(ChipConfigId),
@@ -137,7 +136,7 @@ impl ChipKind {
 }
 
 /// What the chip executes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Workload {
     /// The paper's LDPC-decoder workload (drives the thermal co-simulation).
     Ldpc,
@@ -227,7 +226,7 @@ impl Workload {
 
 /// One scheduled fault event of a scenario's fault plan. Events fire at
 /// the start of the named cycle, before any flit moves that cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEventSpec {
     /// Cycle the event fires.
     pub at: u64,
@@ -236,7 +235,7 @@ pub struct FaultEventSpec {
 }
 
 /// The component a [`FaultEventSpec`] disables or repairs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKindSpec {
     /// Disable the router (and every link touching it).
     FailRouter(Coord),
@@ -329,7 +328,7 @@ pub fn fault_plan_of(events: &[FaultEventSpec]) -> FaultPlan {
 }
 
 /// The migration policy applied while the workload runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Policy {
     /// Static placement, no migration (the Figure 1 base).
     Baseline,
@@ -395,7 +394,7 @@ impl Policy {
 }
 
 /// What the run measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     /// Full transient thermal co-simulation (default).
     Cosim,
@@ -423,7 +422,7 @@ impl Mode {
 }
 
 /// A declarative description of one run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Scenario name (unique within a campaign).
     pub name: String,
@@ -527,6 +526,22 @@ impl ScenarioSpec {
         }
         self.chip.validate()?;
         self.workload.validate()?;
+        if matches!(self.workload, Workload::Ldpc) {
+            // The weighted cluster mapping gives every tile at least one
+            // check node of the fidelity's code.
+            let chip = self.chip.to_chip_spec(self.fidelity);
+            let checks = chip.code_n / chip.wr * chip.wc;
+            if chip.n_tiles() > checks {
+                return Err(format!(
+                    "{}x{} ldpc chip has {} tiles but the {} code has only {checks} check nodes \
+                     (at most one tile per check node)",
+                    chip.mesh_side,
+                    chip.mesh_side,
+                    chip.n_tiles(),
+                    fidelity_name(self.fidelity)
+                ));
+            }
+        }
         match &self.policy {
             Policy::Periodic { period_blocks, .. } | Policy::Adaptive { period_blocks } => {
                 if *period_blocks == 0 {
@@ -856,6 +871,38 @@ mod tests {
             cycles: 100,
         };
         assert!(bad.validate().is_err(), "hotspot off-mesh");
+    }
+
+    #[test]
+    fn custom_ldpc_chips_need_a_check_node_per_tile() {
+        // Quick codes have 240 check nodes (15x15 fits, 16x16 does not);
+        // full codes have 2160 (46x46 fits, 47x47 does not).
+        let custom = |side: usize, fidelity, workload| ScenarioSpec {
+            chip: ChipKind::Custom {
+                mesh_side: side,
+                tile_weights: vec![1.0; side * side],
+                base_peak_celsius: 80.0,
+            },
+            workload,
+            policy: Policy::Baseline,
+            fidelity,
+            ..cosim_spec()
+        };
+        for (fits, too_big, fidelity) in [(15, 16, Fidelity::Quick), (46, 47, Fidelity::Full)] {
+            assert_eq!(custom(fits, fidelity, Workload::Ldpc).validate(), Ok(()));
+            let err = custom(too_big, fidelity, Workload::Ldpc)
+                .validate()
+                .unwrap_err();
+            assert!(err.contains("check nodes"), "{err}");
+        }
+        // Traffic workloads keep the plain mesh-side limit.
+        let uniform = Workload::Traffic {
+            pattern: TrafficPattern::UniformRandom,
+            rate: 0.05,
+            packet_len: 4,
+            cycles: 100,
+        };
+        assert_eq!(custom(64, Fidelity::Quick, uniform).validate(), Ok(()));
     }
 
     #[test]

@@ -6,13 +6,12 @@
 //! floorplans are supported for non-grid dies.
 
 use crate::error::ThermalError;
-use serde::{Deserialize, Serialize};
 
 /// Geometric tolerance for adjacency tests, in metres (1 nm).
 const EPS: f64 = 1e-9;
 
 /// An axis-aligned rectangular floorplan block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     /// Block name (e.g. `pe_2_1`).
     pub name: String,
@@ -77,7 +76,7 @@ impl Block {
 }
 
 /// A die floorplan: a set of non-overlapping blocks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Floorplan {
     blocks: Vec<Block>,
 }

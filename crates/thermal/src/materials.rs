@@ -4,10 +4,8 @@
 //! operating temperatures); the thermal interface material matches a
 //! standard thermal grease.
 
-use serde::{Deserialize, Serialize};
-
 /// A homogeneous thermal material.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Material {
     /// Thermal conductivity in W/(m·K).
     pub conductivity: f64,

@@ -2,7 +2,6 @@
 
 use crate::error::ThermalError;
 use crate::materials::Material;
-use serde::{Deserialize, Serialize};
 
 /// Geometry and material parameters of the chip package.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// paper's 40 °C ambient and a convection resistance sized for the small
 /// embedded package of a 160 nm LDPC decoder chip (see DESIGN.md §5,
 /// calibration notes).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PackageConfig {
     /// Die thickness in metres.
     pub t_die: f64,

@@ -3,10 +3,9 @@
 //! [`TraceEvent::TempCrossing`] events.
 
 use hotnoc_obs::{TraceEvent, TraceSink};
-use serde::{Deserialize, Serialize};
 
 /// Summary of a recorded thermal trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalStats {
     /// Highest block temperature seen anywhere in the trace (°C).
     pub peak: f64,
@@ -21,7 +20,7 @@ pub struct ThermalStats {
 }
 
 /// A recorded sequence of per-block temperature frames at a fixed period.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThermalTrace {
     dt: f64,
     n_blocks: usize,

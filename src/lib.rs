@@ -21,12 +21,15 @@
 //! ## Quickstart
 //!
 //! ```
-//! use hotnoc::core::configs::ChipConfigId;
-//! use hotnoc::core::experiment::quick_demo;
+//! use hotnoc::core::configs::{ChipConfigId, Fidelity};
+//! use hotnoc::core::{run_cosim, Chip, ChipSpec, CosimParams};
+//! use hotnoc::reconfig::MigrationScheme;
 //!
-//! // Run a short co-simulation of configuration A under rotation migration.
-//! let outcome = quick_demo(ChipConfigId::A)?;
-//! assert!(outcome.base_peak_celsius > 40.0);
+//! // Run a short co-simulation of configuration A under X-Y shift migration.
+//! let mut chip = Chip::build(ChipSpec::of(ChipConfigId::A, Fidelity::Quick))?;
+//! let cal = chip.calibrate()?;
+//! let r = run_cosim(&chip, &cal, Some(MigrationScheme::XYShift), &CosimParams::quick())?;
+//! assert!(r.base_peak > 40.0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
