@@ -18,7 +18,7 @@
 use crate::chip::{CalibratedPower, Chip};
 use crate::cosim::{migration_cost, CosimParams, TRACE_TEMP_HYSTERESIS_C, TRACE_TEMP_THRESHOLD_C};
 use crate::error::CoreError;
-use hotnoc_obs::{TraceEvent, TraceSink};
+use hotnoc_obs::TraceEvent;
 use hotnoc_power::leakage;
 use hotnoc_reconfig::{MigrationScheme, OrbitDecomposition};
 use hotnoc_thermal::{Integrator, ThermalTrace, ThresholdWatcher, TransientSim};
@@ -91,11 +91,11 @@ pub fn run_adaptive_cosim(
     run_adaptive_cosim_traced(chip, cal, params, None)
 }
 
-/// [`run_adaptive_cosim`] with an optional trace sink: each controller
+/// [`run_adaptive_cosim`] with an optional trace buffer: each controller
 /// decision records a [`TraceEvent::PolicyDecision`] (ordinal + chosen
 /// scheme) and the executed plan's [`TraceEvent::Migration`], and a
 /// [`ThresholdWatcher`] emits [`TraceEvent::TempCrossing`] events per
-/// thermal frame. The simulation is identical with or without a sink.
+/// thermal frame. The simulation is identical with or without tracing.
 ///
 /// # Errors
 ///
@@ -104,7 +104,7 @@ pub fn run_adaptive_cosim_traced(
     chip: &Chip,
     cal: &CalibratedPower,
     params: &CosimParams,
-    mut sink: Option<&mut dyn TraceSink>,
+    mut events: Option<&mut Vec<TraceEvent>>,
 ) -> Result<AdaptiveResult, CoreError> {
     let n = chip.spec().n_tiles();
     let mesh = chip.mesh();
@@ -134,7 +134,7 @@ pub fn run_adaptive_cosim_traced(
     let warmup_frames = (params.warmup / params.dt).round() as usize;
     let mut trace = ThermalTrace::new(params.dt, n);
 
-    let mut watcher = sink
+    let mut watcher = events
         .as_ref()
         .map(|_| ThresholdWatcher::new(TRACE_TEMP_THRESHOLD_C, TRACE_TEMP_HYSTERESIS_C, n));
 
@@ -159,14 +159,14 @@ pub fn run_adaptive_cosim_traced(
             current = next;
             let cost = migration_cost(chip, scheme, params, current.iter().sum::<f64>());
             stall_time_total += cost.stall_seconds;
-            if let Some(s) = sink.as_deref_mut() {
+            if let Some(ev) = events.as_deref_mut() {
                 let cycle = (fi as f64 * params.dt * clock).round() as u64;
-                s.record(TraceEvent::PolicyDecision {
+                ev.push(TraceEvent::PolicyDecision {
                     cycle,
                     decision: schedule.len() as u64,
                     scheme: scheme.to_string(),
                 });
-                s.record(cost.plan.trace_event(cycle, cost.energy_j));
+                ev.push(cost.plan.trace_event(cycle, cost.energy_j));
             }
         }
         let mut power = current.clone();
@@ -176,9 +176,9 @@ pub fn run_adaptive_cosim_traced(
         }
         sim.step(&power)?;
         trace.push(sim.block_temps());
-        if let (Some(s), Some(w)) = (sink.as_deref_mut(), watcher.as_mut()) {
+        if let (Some(ev), Some(w)) = (events.as_deref_mut(), watcher.as_mut()) {
             let cycle = ((fi + 1) as f64 * params.dt * clock).round() as u64;
-            w.observe(cycle, sim.block_temps(), s);
+            w.observe(cycle, sim.block_temps(), ev);
         }
         time_in_period += params.dt;
         active_time_total += params.dt;
@@ -261,10 +261,9 @@ mod tests {
         let (chip, cal) = chip_and_cal(ChipConfigId::A);
         let params = CosimParams::quick();
         let plain = run_adaptive_cosim(&chip, &cal, &params).unwrap();
-        let mut sink = hotnoc_obs::VecSink::new();
-        let traced = run_adaptive_cosim_traced(&chip, &cal, &params, Some(&mut sink)).unwrap();
+        let mut events = Vec::new();
+        let traced = run_adaptive_cosim_traced(&chip, &cal, &params, Some(&mut events)).unwrap();
         assert_eq!(plain, traced, "tracing must not perturb the simulation");
-        let events = sink.drain();
         let decisions: Vec<&str> = events
             .iter()
             .filter_map(|e| match e {

@@ -9,7 +9,7 @@
 
 use crate::chip::{CalibratedPower, Chip};
 use crate::error::CoreError;
-use hotnoc_obs::{TraceEvent, TraceSink};
+use hotnoc_obs::TraceEvent;
 use hotnoc_power::leakage;
 use hotnoc_reconfig::phases::PhaseCostModel;
 use hotnoc_reconfig::{MigrationPlan, MigrationScheme, OrbitDecomposition, StateSpec};
@@ -170,14 +170,14 @@ pub fn run_cosim(
     run_cosim_traced(chip, cal, scheme, params, None)
 }
 
-/// [`run_cosim`] with an optional trace sink. When a sink is supplied,
+/// [`run_cosim`] with an optional trace buffer. When one is supplied,
 /// every migration commit records a [`TraceEvent::PolicyDecision`] and the
 /// plan's [`TraceEvent::Migration`] (via
 /// [`MigrationPlan::trace_event`]), and a [`ThresholdWatcher`] at
 /// [`TRACE_TEMP_THRESHOLD_C`] turns the thermal frames into
 /// [`TraceEvent::TempCrossing`] events. Cycles are derived from elapsed
 /// simulated time at the NoC clock, so the trace is deterministic whenever
-/// the run is. The simulation itself is identical with or without a sink.
+/// the run is. The simulation itself is identical with or without tracing.
 ///
 /// # Errors
 ///
@@ -187,7 +187,7 @@ pub fn run_cosim_traced(
     cal: &CalibratedPower,
     scheme: Option<MigrationScheme>,
     params: &CosimParams,
-    mut sink: Option<&mut dyn TraceSink>,
+    mut events: Option<&mut Vec<TraceEvent>>,
 ) -> Result<CosimResult, CoreError> {
     let n = chip.spec().n_tiles();
     let areas = chip.tile_areas_mm2();
@@ -285,7 +285,7 @@ pub fn run_cosim_traced(
     let frames = (params.sim_time / params.dt).round() as usize;
     let warmup_frames = (params.warmup / params.dt).round() as usize;
     let mut trace = ThermalTrace::new(params.dt, n);
-    let mut watcher = sink
+    let mut watcher = events
         .as_ref()
         .map(|_| ThresholdWatcher::new(TRACE_TEMP_THRESHOLD_C, TRACE_TEMP_HYSTERESIS_C, n));
 
@@ -317,15 +317,15 @@ pub fn run_cosim_traced(
                 if super_s - tau < 1e-12 {
                     tau = 0.0;
                     k += 1;
-                    if let Some(s) = sink.as_deref_mut() {
+                    if let Some(ev) = events.as_deref_mut() {
                         let elapsed = fi as f64 * params.dt + (params.dt - remaining);
                         let cycle = (elapsed * clock).round() as u64;
-                        s.record(TraceEvent::PolicyDecision {
+                        ev.push(TraceEvent::PolicyDecision {
                             cycle,
                             decision: k as u64,
                             scheme: scheme.to_string(),
                         });
-                        s.record(plan.trace_event(cycle, migration_energy));
+                        ev.push(plan.trace_event(cycle, migration_energy));
                     }
                 }
             }
@@ -337,9 +337,9 @@ pub fn run_cosim_traced(
         }
         sim.step(&frame_power)?;
         trace.push(sim.block_temps());
-        if let (Some(s), Some(w)) = (sink.as_deref_mut(), watcher.as_mut()) {
+        if let (Some(ev), Some(w)) = (events.as_deref_mut(), watcher.as_mut()) {
             let cycle = ((fi + 1) as f64 * params.dt * clock).round() as u64;
-            w.observe(cycle, sim.block_temps(), s);
+            w.observe(cycle, sim.block_temps(), ev);
         }
     }
 
@@ -471,17 +471,16 @@ mod tests {
         let (chip, cal) = chip_and_cal(ChipConfigId::A);
         let params = CosimParams::quick();
         let plain = run_cosim(&chip, &cal, Some(MigrationScheme::XYShift), &params).unwrap();
-        let mut sink = hotnoc_obs::VecSink::new();
+        let mut events = Vec::new();
         let traced = run_cosim_traced(
             &chip,
             &cal,
             Some(MigrationScheme::XYShift),
             &params,
-            Some(&mut sink),
+            Some(&mut events),
         )
         .unwrap();
         assert_eq!(plain, traced, "tracing must not perturb the simulation");
-        let events = sink.drain();
         let count = |kind: &str| events.iter().filter(|e| e.kind() == kind).count() as u64;
         assert_eq!(count("migration"), traced.migrations);
         assert_eq!(count("policy_decision"), traced.migrations);

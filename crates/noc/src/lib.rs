@@ -55,6 +55,6 @@ pub use flit::{Flit, FlitKind, Packet, PacketClass, PacketId};
 pub use io_interface::{AddressMap, IdentityMap};
 pub use network::{DeliveredPacket, Network};
 pub use routing::{Routing, RoutingKind, WestFirstRouting, XyRouting, YxRouting};
-pub use stats::{ActivitySnapshot, LatencyHistogram, NetworkStats, RouterActivity};
+pub use stats::{ActivitySnapshot, NetworkStats, RouterActivity};
 pub use topology::{Coord, Direction, Mesh, NodeId};
 pub use traffic::{TrafficGenerator, TrafficPattern};

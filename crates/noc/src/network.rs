@@ -11,7 +11,7 @@ use crate::routing::{Routing, RoutingKind};
 use crate::stats::{ActivitySnapshot, NetworkStats};
 use crate::topology::{Coord, Direction, Mesh, NodeId};
 use hotnoc_obs::event::{CONGESTION_WINDOW, DETOUR_BURST_MIN};
-use hotnoc_obs::{TraceEvent, TraceSink};
+use hotnoc_obs::TraceEvent;
 use std::collections::{HashSet, VecDeque};
 
 /// A packet delivery record handed to the application.
@@ -140,12 +140,13 @@ pub struct Network {
     trace: Option<Box<TraceState>>,
 }
 
-/// Trace recording state, live only while a sink is installed (see
-/// [`Network::set_trace_sink`]). All bookkeeping here is a pure function
-/// of simulation state, so recorded events are byte-deterministic at any
+/// Trace recording state, live only between [`Network::start_trace`] and
+/// [`Network::take_trace`]. All bookkeeping here is a pure function of
+/// simulation state, so recorded events are byte-deterministic at any
 /// thread count.
 struct TraceState {
-    sink: Box<dyn TraceSink>,
+    /// Events recorded so far, in emission order.
+    events: Vec<TraceEvent>,
     /// Fault epochs committed so far (ordinal of the next `FaultEpoch`).
     epochs: u64,
     /// First cycle of the open congestion window.
@@ -187,7 +188,7 @@ struct SweepCtx<'a> {
     /// Set only while the fabric is degraded; route computation then uses
     /// the surround-routing detour tables instead of `routing`.
     faults: Option<&'a FaultState>,
-    /// Whether a trace sink is installed; gates the (cheap) per-router
+    /// Whether a trace is recording; gates the (cheap) per-router
     /// congestion sampling inside the sweep.
     trace: bool,
 }
@@ -236,7 +237,7 @@ struct SweepOut {
     /// (`total_nic_queued` decrement).
     nic_injected: u64,
     /// Tracing only: peak buffered-flit count of any single router this
-    /// stripe visited this cycle (0 when no sink is installed).
+    /// stripe visited this cycle (0 when no trace is recording).
     peak_occ: u64,
     /// Tracing only: the router holding `peak_occ` (first = lowest id,
     /// since stripes visit their ids in ascending order).
@@ -697,7 +698,7 @@ impl Network {
                     self.stats.flits_dropped += packet.len_flits as u64;
                     if let Some(t) = &mut self.trace {
                         let c = self.mesh.coord(packet.src);
-                        t.sink.record(TraceEvent::PacketDrop {
+                        t.events.push(TraceEvent::PacketDrop {
                             cycle: self.cycle,
                             x: c.x,
                             y: c.y,
@@ -1034,7 +1035,7 @@ impl Network {
         // so the emitted events are too.
         if let Some(t) = &mut self.trace {
             if cycle_detours >= DETOUR_BURST_MIN {
-                t.sink.record(TraceEvent::DetourBurst {
+                t.events.push(TraceEvent::DetourBurst {
                     cycle: now,
                     hops: cycle_detours,
                 });
@@ -1050,14 +1051,15 @@ impl Network {
         self.cycle += 1;
     }
 
-    /// Installs a trace sink: fault/repair epochs, source packet drops,
-    /// detour bursts and per-window congestion watermarks are recorded
-    /// into it until [`Network::take_trace_sink`]. Events are a pure
-    /// function of simulation state — byte-identical at any thread count —
-    /// and recording perturbs nothing the simulation observes.
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
+    /// Starts recording a trace: fault/repair epochs, source packet drops,
+    /// detour bursts and per-window congestion watermarks are collected
+    /// until [`Network::take_trace`]. Events are a pure function of
+    /// simulation state — byte-identical at any thread count — and
+    /// recording perturbs nothing the simulation observes. Restarting
+    /// discards any events not yet taken.
+    pub fn start_trace(&mut self) {
         self.trace = Some(Box::new(TraceState {
-            sink,
+            events: Vec::new(),
             epochs: 0,
             window_start: self.cycle,
             peak: 0,
@@ -1066,14 +1068,14 @@ impl Network {
         }));
     }
 
-    /// Removes the trace sink, flushing the open congestion window first,
-    /// and returns it for draining. `None` if no sink was installed.
-    pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
+    /// Stops recording, flushing the open congestion window first, and
+    /// returns the recorded events. `None` if no trace was started.
+    pub fn take_trace(&mut self) -> Option<Vec<TraceEvent>> {
         let mut t = self.trace.take()?;
         if t.peak > 0 {
             let end = self.cycle.saturating_sub(1).max(t.window_start);
             let c = self.mesh.coord(NodeId::new(t.peak_router as u16));
-            t.sink.record(TraceEvent::Congestion {
+            t.events.push(TraceEvent::Congestion {
                 cycle: end,
                 window_start: t.window_start,
                 peak: t.peak,
@@ -1082,14 +1084,14 @@ impl Network {
                 y: c.y,
             });
         }
-        Some(t.sink)
+        Some(t.events)
     }
 
     /// Emits the congestion watermark when `now` closes a
     /// [`CONGESTION_WINDOW`]-cycle window (windows without traffic stay
     /// silent). Runs on every step, including the idle fast path, so
     /// window boundaries fall at fixed cycles regardless of load; the
-    /// inline hint keeps the no-sink case a single predicted branch there.
+    /// inline hint keeps the untraced case a single predicted branch there.
     #[inline]
     fn close_congestion_window(&mut self, now: u64) {
         let Some(t) = &mut self.trace else { return };
@@ -1098,7 +1100,7 @@ impl Network {
         }
         if t.peak > 0 {
             let c = self.mesh.coord(NodeId::new(t.peak_router as u16));
-            t.sink.record(TraceEvent::Congestion {
+            t.events.push(TraceEvent::Congestion {
                 cycle: now,
                 window_start: t.window_start,
                 peak: t.peak,
@@ -1281,7 +1283,7 @@ impl Network {
                         newly_failed.push(id);
                         changed = true;
                         if let Some(t) = &mut self.trace {
-                            t.sink.record(TraceEvent::RouterFailed {
+                            t.events.push(TraceEvent::RouterFailed {
                                 cycle: now,
                                 x: c.x,
                                 y: c.y,
@@ -1295,7 +1297,7 @@ impl Network {
                         repaired.push(id);
                         changed = true;
                         if let Some(t) = &mut self.trace {
-                            t.sink.record(TraceEvent::RouterRepaired {
+                            t.events.push(TraceEvent::RouterRepaired {
                                 cycle: now,
                                 x: c.x,
                                 y: c.y,
@@ -1308,7 +1310,7 @@ impl Network {
                     if driver.state.set_link(self.mesh, id, dir, false) {
                         changed = true;
                         if let Some(t) = &mut self.trace {
-                            t.sink.record(TraceEvent::LinkFailed {
+                            t.events.push(TraceEvent::LinkFailed {
                                 cycle: now,
                                 ax: a.x,
                                 ay: a.y,
@@ -1323,7 +1325,7 @@ impl Network {
                     if driver.state.set_link(self.mesh, id, dir, true) {
                         changed = true;
                         if let Some(t) = &mut self.trace {
-                            t.sink.record(TraceEvent::LinkRepaired {
+                            t.events.push(TraceEvent::LinkRepaired {
                                 cycle: now,
                                 ax: a.x,
                                 ay: a.y,
@@ -1345,7 +1347,7 @@ impl Network {
             }
             if let Some(t) = &mut self.trace {
                 t.epochs += 1;
-                t.sink.record(TraceEvent::FaultEpoch {
+                t.events.push(TraceEvent::FaultEpoch {
                     cycle: now,
                     epoch: t.epochs,
                     routers_down: driver.state.disabled_routers() as u64,

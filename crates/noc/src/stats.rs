@@ -4,6 +4,7 @@
 //! switching rates observed in the cycle-accurate simulation; these counters
 //! are the interface between the NoC simulator and the power model.
 
+use hotnoc_obs::Log2Histogram;
 use std::ops::{Add, Sub};
 
 /// Per-router event counters for one simulation interval.
@@ -90,67 +91,6 @@ impl Sub for RouterActivity {
     }
 }
 
-/// A power-of-two-bucketed latency histogram: bucket `i` counts latencies
-/// in `[2^i, 2^(i+1))` cycles (bucket 0 covers latency 1).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LatencyHistogram {
-    buckets: Vec<u64>,
-    count: u64,
-}
-
-impl LatencyHistogram {
-    /// Records one latency sample (cycles, >= 1).
-    pub fn record(&mut self, latency: u64) {
-        let bucket = 64 - latency.max(1).leading_zeros() as usize - 1;
-        if self.buckets.len() <= bucket {
-            self.buckets.resize(bucket + 1, 0);
-        }
-        self.buckets[bucket] += 1;
-        self.count += 1;
-    }
-
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// The bucket counts (bucket `i` covers `[2^i, 2^(i+1))`).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Folds another histogram into this one (bucket-wise addition).
-    /// Commutative and associative, so per-stripe histograms from the
-    /// parallel sweep merge into the same totals in any order.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (slot, &b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *slot += b;
-        }
-        self.count += other.count;
-    }
-
-    /// An upper bound on the `q`-quantile latency (0 < q <= 1): the
-    /// exclusive upper edge of the bucket containing that quantile.
-    /// `None` before any sample.
-    pub fn quantile_upper_bound(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(1u64 << (i + 1));
-            }
-        }
-        Some(1u64 << self.buckets.len())
-    }
-}
-
 /// Network-wide aggregate statistics.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NetworkStats {
@@ -178,8 +118,8 @@ pub struct NetworkStats {
     /// Route computations where surround routing chose a different output
     /// than the healthy routing algorithm would have.
     pub detour_hops: u64,
-    /// Distribution of packet latencies.
-    pub latency_histogram: LatencyHistogram,
+    /// Distribution of packet latencies, cycles.
+    pub latency_histogram: Log2Histogram,
 }
 
 impl NetworkStats {
@@ -207,7 +147,7 @@ impl NetworkStats {
     }
 
     /// Upper bound on the `q`-quantile packet latency (the bucket edge of
-    /// [`LatencyHistogram::quantile_upper_bound`]), or `None` before any
+    /// [`Log2Histogram::quantile_upper_bound`]), or `None` before any
     /// delivery. This is what latency-vs-load curves report as p50/p95.
     pub fn latency_quantile_upper(&self, q: f64) -> Option<u64> {
         self.latency_histogram.quantile_upper_bound(q)
@@ -318,47 +258,6 @@ mod tests {
     fn idle_detection() {
         assert!(RouterActivity::default().is_idle());
         assert!(!sample(1).is_idle());
-    }
-
-    #[test]
-    fn histogram_buckets_powers_of_two() {
-        let mut h = LatencyHistogram::default();
-        h.record(1); // bucket 0
-        h.record(2); // bucket 1
-        h.record(3); // bucket 1
-        h.record(10); // bucket 3
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.buckets(), &[1, 2, 0, 1]);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = LatencyHistogram::default();
-        assert_eq!(h.quantile_upper_bound(0.5), None);
-        for lat in [1u64, 2, 2, 3, 100] {
-            h.record(lat);
-        }
-        // Median of {1,2,2,3,100} is 2 -> bucket 1 -> upper bound 4.
-        assert_eq!(h.quantile_upper_bound(0.5), Some(4));
-        // The tail sample dominates the max quantile.
-        assert_eq!(h.quantile_upper_bound(1.0), Some(128));
-    }
-
-    #[test]
-    fn histogram_merge_matches_interleaved_recording() {
-        let mut merged = LatencyHistogram::default();
-        let mut reference = LatencyHistogram::default();
-        let mut part = LatencyHistogram::default();
-        for lat in [1u64, 3, 9, 200] {
-            reference.record(lat);
-            merged.record(lat);
-        }
-        for lat in [2u64, 1000, 4] {
-            reference.record(lat);
-            part.record(lat);
-        }
-        merged.merge(&part);
-        assert_eq!(merged, reference);
     }
 
     #[test]

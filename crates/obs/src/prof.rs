@@ -12,23 +12,20 @@
 //! atomic load returning `None` — the instrumented hot loops pay one
 //! predictable branch, which is what keeps the CI bench-regression gate
 //! green with instrumentation merged. When enabled, each scope records
-//! its duration into per-phase counters plus a log2 histogram from which
-//! approximate p50/p95 are derived.
+//! its duration into a per-phase total plus a [`Log2Histogram`] from
+//! which approximate p50/p95 are derived.
 //!
 //! Everything here is wall time and therefore **outside the determinism
 //! guarantee**: reports go to a separate `hotnoc-profile-v1` sidecar and
 //! must never be folded into a deterministic artifact.
 
+use crate::stats::Log2Histogram;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static REGISTRY: Mutex<Vec<(&'static str, PhaseStats)>> = Mutex::new(Vec::new());
-
-/// Histogram bucket count: bucket `i` holds durations with
-/// `floor(log2(ns.max(1))) == i`, so 64 buckets cover any `u64` duration.
-const BUCKETS: usize = 64;
 
 /// Turns the profiler on or off. Enabling does not clear previously
 /// accumulated stats; pair with [`take_report`] to start a fresh window.
@@ -80,52 +77,18 @@ impl Drop for ScopeTimer {
 }
 
 /// Accumulated timing of one phase.
-#[derive(Debug, Clone)]
-pub struct PhaseStats {
-    /// Completed scopes.
-    pub calls: u64,
+#[derive(Debug, Default)]
+struct PhaseStats {
     /// Total wall time, nanoseconds.
-    pub total_ns: u64,
-    hist: [u64; BUCKETS],
-}
-
-impl Default for PhaseStats {
-    fn default() -> Self {
-        PhaseStats {
-            calls: 0,
-            total_ns: 0,
-            hist: [0; BUCKETS],
-        }
-    }
+    total_ns: u64,
+    /// Per-call durations, nanoseconds; its count is the completed scopes.
+    hist: Log2Histogram,
 }
 
 impl PhaseStats {
     fn record(&mut self, ns: u64) {
-        self.calls += 1;
         self.total_ns = self.total_ns.saturating_add(ns);
-        self.hist[63 - ns.max(1).leading_zeros() as usize] += 1;
-    }
-
-    /// Approximate quantile (`0.0..=1.0`) of per-call duration: the upper
-    /// bound of the log2 bucket containing the q-th call, so the reported
-    /// value is within 2x of the true quantile.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        if self.calls == 0 {
-            return 0;
-        }
-        let rank = ((q * self.calls as f64).ceil() as u64).clamp(1, self.calls);
-        let mut seen = 0u64;
-        for (i, &count) in self.hist.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return if i >= 63 {
-                    u64::MAX
-                } else {
-                    (1u64 << (i + 1)) - 1
-                };
-            }
-        }
-        u64::MAX
+        self.hist.record(ns);
     }
 }
 
@@ -140,8 +103,8 @@ pub struct PhaseReport {
     pub total_ns: u64,
     /// Mean per-call wall time, nanoseconds.
     pub mean_ns: f64,
-    /// Approximate median per-call wall time, nanoseconds (log2-bucket
-    /// upper bound).
+    /// Approximate median per-call wall time, nanoseconds (the exclusive
+    /// upper edge of its log2 bucket, so within 2x of the true value).
     pub p50_ns: u64,
     /// Approximate 95th-percentile per-call wall time, nanoseconds.
     pub p95_ns: u64,
@@ -158,17 +121,20 @@ fn snapshot(reg: &[(&'static str, PhaseStats)]) -> ProfileReport {
     ProfileReport {
         phases: reg
             .iter()
-            .map(|(name, s)| PhaseReport {
-                name: (*name).to_string(),
-                calls: s.calls,
-                total_ns: s.total_ns,
-                mean_ns: if s.calls == 0 {
-                    0.0
-                } else {
-                    s.total_ns as f64 / s.calls as f64
-                },
-                p50_ns: s.quantile_ns(0.50),
-                p95_ns: s.quantile_ns(0.95),
+            .map(|(name, s)| {
+                let calls = s.hist.count();
+                PhaseReport {
+                    name: (*name).to_string(),
+                    calls,
+                    total_ns: s.total_ns,
+                    mean_ns: if calls == 0 {
+                        0.0
+                    } else {
+                        s.total_ns as f64 / calls as f64
+                    },
+                    p50_ns: s.hist.quantile_upper_bound(0.50).unwrap_or(0),
+                    p95_ns: s.hist.quantile_upper_bound(0.95).unwrap_or(0),
+                }
             })
             .collect(),
     }
@@ -210,13 +176,15 @@ mod tests {
         for ns in [10u64, 20, 30, 40, 1000] {
             s.record(ns);
         }
-        assert_eq!(s.calls, 5);
-        assert_eq!(s.total_ns, 1100);
-        // p50 of {10,20,30,40,1000}: true median 30, bucket upper bound 31.
-        assert_eq!(s.quantile_ns(0.50), 31);
-        // p95 lands in the 1000ns bucket [512, 1023].
-        assert_eq!(s.quantile_ns(0.95), 1023);
-        assert_eq!(PhaseStats::default().quantile_ns(0.5), 0);
+        let row = &snapshot(&[("test/q", s)]).phases[0];
+        assert_eq!(row.calls, 5);
+        assert_eq!(row.total_ns, 1100);
+        // p50 of {10,20,30,40,1000}: true median 30, bucket [16, 32).
+        assert_eq!(row.p50_ns, 32);
+        // p95 lands in the 1000ns bucket [512, 1024).
+        assert_eq!(row.p95_ns, 1024);
+        let empty = &snapshot(&[("test/empty", PhaseStats::default())]).phases[0];
+        assert_eq!((empty.calls, empty.p50_ns), (0, 0));
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!   (respecting `HOTNOC_THREADS`), journals every completed job to an
 //!   on-disk manifest so a killed campaign resumes without recomputation,
 //!   and emits a `CAMPAIGN_<name>.json` artifact that is **byte-identical
-//!   at any thread count** plus a human summary table.
+//!   at any thread count** plus a human summary table. [`journal`] is
+//!   the crash-safe JSONL journal behind the manifest and the
+//!   `hotnoc serve` result cache.
 //! * [`builtin`] names the paper's exhibits (Figure 1, the period sweep,
 //!   migration cost, adaptive comparison, the latency-vs-load saturation
 //!   curve) as ready-made campaigns; [`exhibits`] projects campaign
@@ -71,6 +73,7 @@ pub mod campaign;
 pub mod diff;
 pub mod error;
 pub mod exhibits;
+pub mod journal;
 pub mod json;
 pub mod outcome;
 pub mod run;

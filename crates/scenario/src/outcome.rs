@@ -305,6 +305,24 @@ impl ScenarioOutcome {
         }
     }
 
+    /// Decodes an outcome read back from a journal, accepting it only if
+    /// it re-serializes to exactly the JSON it was read from. A record
+    /// written by an older binary may decode leniently (e.g. traffic
+    /// quantile fields defaulting to 0); replaying it would break the
+    /// "resumed or cached bytes == computed bytes" guarantee, so it is
+    /// rejected and the caller recomputes.
+    ///
+    /// # Errors
+    ///
+    /// As [`ScenarioOutcome::from_json`], plus non-canonical input.
+    pub fn from_journal(j: &Json) -> Result<ScenarioOutcome, String> {
+        let outcome = ScenarioOutcome::from_json(j)?;
+        if outcome.to_json() != *j {
+            return Err("outcome is not canonical".to_string());
+        }
+        Ok(outcome)
+    }
+
     /// A one-line human summary for the campaign table.
     pub fn summary(&self) -> String {
         match self {

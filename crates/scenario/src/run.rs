@@ -16,7 +16,7 @@ use hotnoc_core::configs::Fidelity;
 use hotnoc_core::cosim::{migration_cost, run_cosim_traced};
 use hotnoc_core::{CalibratedPower, Chip, CosimParams};
 use hotnoc_noc::{Mesh, Network, NocConfig, TrafficGenerator};
-use hotnoc_obs::{TraceEvent, TraceSink, VecSink};
+use hotnoc_obs::TraceEvent;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -83,14 +83,12 @@ pub fn run_scenario_traced_as_job(
     job: u64,
 ) -> Result<(ScenarioOutcome, Vec<TraceEvent>), ScenarioError> {
     spec.validate().map_err(ScenarioError::Spec)?;
-    let mut sink = VecSink::new();
-    sink.record(TraceEvent::JobStart {
+    let mut events = vec![TraceEvent::JobStart {
         cycle: 0,
         job,
         name: spec.name.clone(),
-    });
-    let outcome = dispatch(spec, Some(&mut sink))?;
-    let mut events = sink.drain();
+    }];
+    let outcome = dispatch(spec, Some(&mut events))?;
     let end = events.iter().map(TraceEvent::cycle).max().unwrap_or(0);
     events.push(TraceEvent::JobFinish {
         cycle: end,
@@ -102,16 +100,16 @@ pub fn run_scenario_traced_as_job(
 
 fn dispatch(
     spec: &ScenarioSpec,
-    sink: Option<&mut dyn TraceSink>,
+    events: Option<&mut Vec<TraceEvent>>,
 ) -> Result<ScenarioOutcome, ScenarioError> {
     match &spec.workload {
-        Workload::Ldpc => run_ldpc(spec, sink),
+        Workload::Ldpc => run_ldpc(spec, events),
         Workload::Traffic {
             pattern,
             rate,
             packet_len,
             cycles,
-        } => run_traffic(spec, pattern.clone(), *rate, *packet_len, *cycles, sink),
+        } => run_traffic(spec, pattern.clone(), *rate, *packet_len, *cycles, events),
     }
 }
 
@@ -150,7 +148,7 @@ fn calibrated_chip(
 
 fn run_ldpc(
     spec: &ScenarioSpec,
-    sink: Option<&mut dyn TraceSink>,
+    events: Option<&mut Vec<TraceEvent>>,
 ) -> Result<ScenarioOutcome, ScenarioError> {
     let params = params_of(spec);
     let cached = calibrated_chip(&spec.chip, spec.fidelity)?;
@@ -168,15 +166,15 @@ fn run_ldpc(
             }))
         }
         (Policy::Baseline, _) => {
-            let r = run_cosim_traced(chip, cal, None, &params, sink)?;
+            let r = run_cosim_traced(chip, cal, None, &params, events)?;
             Ok(ScenarioOutcome::Cosim(CosimMetrics::of(&r)))
         }
         (Policy::Periodic { scheme, .. }, Mode::Cosim) => {
-            let r = run_cosim_traced(chip, cal, Some(*scheme), &params, sink)?;
+            let r = run_cosim_traced(chip, cal, Some(*scheme), &params, events)?;
             Ok(ScenarioOutcome::Cosim(CosimMetrics::of(&r)))
         }
         (Policy::Adaptive { .. }, _) => {
-            let r = run_adaptive_cosim_traced(chip, cal, &params, sink)?;
+            let r = run_adaptive_cosim_traced(chip, cal, &params, events)?;
             Ok(ScenarioOutcome::Adaptive(AdaptiveMetrics {
                 base_peak: r.base_peak,
                 peak: r.peak,
@@ -194,14 +192,12 @@ fn run_traffic(
     rate: f64,
     packet_len: u32,
     cycles: u64,
-    sink: Option<&mut dyn TraceSink>,
+    events: Option<&mut Vec<TraceEvent>>,
 ) -> Result<ScenarioOutcome, ScenarioError> {
     let mesh = Mesh::square(spec.chip.mesh_side())?;
     let mut net = Network::new(mesh, NocConfig::default());
-    if sink.is_some() {
-        // The network owns its sink for the duration of the run; events are
-        // handed back to the caller's sink afterwards.
-        net.set_trace_sink(Box::new(VecSink::new()));
+    if events.is_some() {
+        net.start_trace();
     }
     if !spec.faults.is_empty() {
         net.install_fault_plan(crate::spec::fault_plan_of(&spec.faults))?;
@@ -209,11 +205,8 @@ fn run_traffic(
     let mut gen = TrafficGenerator::new(mesh, pattern, rate, packet_len, spec.seed);
     let budget = cycles.saturating_mul(DRAIN_BUDGET_PER_CYCLE) + DRAIN_BUDGET_FLOOR;
     let (offered, drained) = gen.run(&mut net, cycles, budget);
-    if let Some(s) = sink {
-        let mut inner = net.take_trace_sink().expect("sink installed above");
-        for ev in inner.drain() {
-            s.record(ev);
-        }
+    if let Some(ev) = events {
+        ev.extend(net.take_trace().expect("trace started above"));
     }
     let stats = net.stats();
     Ok(ScenarioOutcome::Traffic(TrafficMetrics {

@@ -17,9 +17,10 @@
 //! # Manifest format (`CAMPAIGN_<name>.manifest.jsonl`)
 //!
 //! Line 1 is a header binding the journal to one campaign fingerprint;
-//! every further line is one completed job. A truncated trailing line
-//! (killed mid-write) is ignored on resume; a header that does not match
-//! the campaign being run restarts the journal from scratch.
+//! every further line is one completed job. Recovery is
+//! [`crate::journal`]'s: a torn trailing line (killed mid-write) is
+//! truncated on resume, and a header that does not match the campaign
+//! being run restarts the journal from scratch.
 //!
 //! ```text
 //! {"schema": "hotnoc-campaign-manifest-v1", "name": ..., "fingerprint": ..., "jobs": N}
@@ -28,6 +29,7 @@
 
 use crate::campaign::CampaignSpec;
 use crate::error::ScenarioError;
+use crate::journal::{self, ResumeError};
 use crate::json::Json;
 use crate::outcome::ScenarioOutcome;
 use crate::run::{run_scenario, run_scenario_traced_as_job};
@@ -36,7 +38,6 @@ use crate::stats::{aggregate, aggregate_json, headline_metric};
 use crate::tracefile::TraceDoc;
 use hotnoc_obs::TraceEvent;
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -292,38 +293,31 @@ pub(crate) fn execute_journaled_on(
 ) -> Result<SliceOutcome, ScenarioError> {
     let jobs = slice.jobs;
     let manifest_path = &slice.manifest_path;
+    let io = |e| ScenarioError::io(manifest_path, e);
 
-    // Recover completed jobs from a matching manifest.
-    let mut recovered = Recovered::default();
-    if !opts.fresh {
-        recovered = read_manifest(slice);
-    }
-    let mut done = recovered.outcomes;
-    let resumed_jobs = done.len();
-
-    // (Re)open the journal: append to a matching one, start a fresh one
-    // otherwise (fresh run, fingerprint mismatch, or no manifest yet).
-    let mut file = if resumed_jobs > 0 {
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(manifest_path)
-            .map_err(|e| ScenarioError::io(manifest_path, e))?;
-        if recovered.torn_tail {
-            // A kill mid-write left a partial final line. Terminate it so
-            // the first record this run appends starts on its own line
-            // instead of being fused onto the fragment (which would make
-            // that record unreadable to the *next* resume).
-            writeln!(f).map_err(|e| ScenarioError::io(manifest_path, e))?;
-        }
-        f
+    // Append to a manifest whose header matches exactly; start a fresh one
+    // otherwise (edited spec or other slice, no manifest yet). A fresh run
+    // treats any manifest as absent.
+    let resumed = if opts.fresh {
+        Err(ResumeError::Empty)
     } else {
-        let mut f = std::fs::File::create(manifest_path)
-            .map_err(|e| ScenarioError::io(manifest_path, e))?;
-        writeln!(f, "{}", slice.header).map_err(|e| ScenarioError::io(manifest_path, e))?;
-        f
+        journal::resume(manifest_path, &slice.header)
     };
-    file.flush()
-        .map_err(|e| ScenarioError::io(manifest_path, e))?;
+    let (manifest, mut done) = match resumed {
+        Ok((manifest, records)) => (
+            manifest,
+            records
+                .iter()
+                .filter_map(|r| recovered_job(slice, r))
+                .collect(),
+        ),
+        Err(ResumeError::Empty | ResumeError::HeaderMismatch) => (
+            journal::create(manifest_path, &slice.header).map_err(io)?,
+            BTreeMap::new(),
+        ),
+        Err(ResumeError::Io(e)) => return Err(io(e)),
+    };
+    let resumed_jobs = done.len();
 
     if let Some(dir) = &opts.trace_dir {
         std::fs::create_dir_all(dir).map_err(|e| ScenarioError::io(dir, e))?;
@@ -347,7 +341,6 @@ pub(crate) fn execute_journaled_on(
     // by job index for deterministic assembly.
     let results: Mutex<Vec<Option<Result<ScenarioOutcome, String>>>> =
         Mutex::new(vec![None; jobs.len()]);
-    let manifest = Mutex::new(&mut file);
     let next = AtomicUsize::new(0);
     let finished = AtomicUsize::new(done.len());
     let started = Instant::now();
@@ -381,16 +374,12 @@ pub(crate) fn execute_journaled_on(
                             ("scenario", Json::Str(job.name.clone())),
                             ("outcome", outcome.to_json()),
                         ]);
-                        {
-                            let mut f = manifest.lock().expect("manifest lock");
-                            // Journal failures are reported as job failures
-                            // below rather than killing the worker.
-                            let io = writeln!(f, "{line}").and_then(|()| f.flush());
-                            if let Err(e) = io {
-                                results.lock().expect("results lock")[index] =
-                                    Some(Err(format!("manifest write failed: {e}")));
-                                continue;
-                            }
+                        // Journal failures are reported as job failures
+                        // below rather than killing the worker.
+                        if let Err(e) = manifest.append(&line) {
+                            results.lock().expect("results lock")[index] =
+                                Some(Err(format!("manifest write failed: {e}")));
+                            continue;
                         }
                         let n = finished.fetch_add(1, Ordering::Relaxed) + 1;
                         if opts.progress {
@@ -541,72 +530,19 @@ fn eta_text(fresh: usize, elapsed_secs: f64, remaining: usize) -> String {
     format!("{:.0}s", elapsed_secs / fresh as f64 * remaining as f64)
 }
 
-/// What [`read_manifest`] recovered from a journal.
-#[derive(Debug, Default)]
-struct Recovered {
-    /// The journaled outcomes (empty when the header did not match).
-    outcomes: BTreeMap<usize, ScenarioOutcome>,
-    /// The file ends mid-line (killed during a write): the appender must
-    /// terminate the fragment before journaling anything new.
-    torn_tail: bool,
-}
-
-/// Reads a manifest journal, returning the outcomes whose header matches
-/// the slice's header exactly and whose job lines are well-formed,
-/// consistent with the expanded jobs, and owned by the slice. Malformed
-/// lines — including a truncated final line from a killed run — are
-/// skipped.
-fn read_manifest(slice: &JournalSlice<'_>) -> Recovered {
-    let mut out = Recovered::default();
-    let Ok(text) = std::fs::read_to_string(&slice.manifest_path) else {
-        return out;
-    };
-    let mut lines = text.lines();
-    // The header must parse back to *exactly* the header this run would
-    // write — schema, campaign name, fingerprint, job count, and (for
-    // shard journals) the shard coordinates. Any drift means the journal
-    // belongs to a different run and is restarted from scratch.
-    let header_ok = lines
-        .next()
-        .and_then(|h| Json::parse(h).ok())
-        .is_some_and(|h| h == slice.header);
-    if !header_ok {
-        return out;
+/// Verifies one recovered manifest record: its job must be owned by the
+/// slice, carry the expanded job's scenario name, and hold a canonical
+/// outcome. Anything else — tampering, a stray file, a lossy record from
+/// an older binary — is recomputed rather than trusted.
+fn recovered_job(slice: &JournalSlice<'_>, record: &Json) -> Option<(usize, ScenarioOutcome)> {
+    let index = record.get("job")?.as_u64()? as usize;
+    // `work` is strictly ascending, so membership is a binary search.
+    slice.work.binary_search(&index).ok()?;
+    if record.get("scenario")?.as_str()? != slice.jobs[index].name {
+        return None;
     }
-    out.torn_tail = !text.ends_with('\n');
-    for line in lines {
-        let Ok(j) = Json::parse(line) else {
-            continue;
-        };
-        let Some(index) = j.get("job").and_then(Json::as_u64).map(|i| i as usize) else {
-            continue;
-        };
-        // `work` is strictly ascending, so membership is a binary search;
-        // a journaled index outside the slice (tampering, or a stray file)
-        // is ignored rather than trusted.
-        if slice.work.binary_search(&index).is_err()
-            || j.get("scenario").and_then(Json::as_str) != Some(&slice.jobs[index].name)
-        {
-            continue;
-        }
-        let Some(raw) = j.get("outcome") else {
-            continue;
-        };
-        let Ok(outcome) = ScenarioOutcome::from_json(raw) else {
-            continue;
-        };
-        // Recover only records that re-serialize to exactly what was
-        // journaled. A record written by an older binary may decode
-        // leniently (e.g. traffic quantile fields defaulting to 0), and
-        // silently resuming it would break the "resumed artifact ==
-        // uninterrupted artifact" byte-identity guarantee — recompute the
-        // job instead.
-        if outcome.to_json() != *raw {
-            continue;
-        }
-        out.outcomes.insert(index, outcome);
-    }
-    out
+    let outcome = ScenarioOutcome::from_journal(record.get("outcome")?).ok()?;
+    Some((index, outcome))
 }
 
 /// Serializes a completed campaign to the `hotnoc-campaign-v1` document.
@@ -982,9 +918,9 @@ mod tests {
     #[test]
     fn resume_after_torn_tail_keeps_its_own_journal_readable() {
         // A kill mid-write leaves a partial final line; the next run must
-        // terminate that fragment before appending, or the record it
-        // journals right after would fuse onto the fragment and be lost to
-        // the *second* resume.
+        // remove that fragment before appending, or the record it journals
+        // right after would fuse onto the fragment and be lost to the
+        // *second* resume.
         let dir = tmp_dir("torn");
         let spec = tiny_campaign("unit-torn");
         let base = RunnerOptions {
@@ -1019,6 +955,12 @@ mod tests {
         )
         .expect("resume over torn tail");
         assert_eq!(second.resumed_jobs, 2);
+        let manifest = std::fs::read_to_string(&second.manifest_path).unwrap();
+        assert!(
+            !manifest.contains("half-writ"),
+            "the torn fragment was left in the manifest:\n{manifest}"
+        );
+        assert_eq!(manifest.lines().count(), 4, "header + 3 whole records");
         // ...must still be recoverable by the next resume.
         let third = run_campaign(&spec, &base).expect("final resume");
         assert_eq!(

@@ -15,13 +15,13 @@ use crate::protocol::{
     JOURNAL_SCHEMA,
 };
 use hotnoc_obs::TraceEvent;
+use hotnoc_scenario::journal::{self, Journal, ResumeError};
 use hotnoc_scenario::json::Json;
 use hotnoc_scenario::run::run_scenario;
 use hotnoc_scenario::runner::{run_campaign_on, CampaignRun, RunnerOptions};
 use hotnoc_scenario::tracefile::TraceDoc;
 use hotnoc_scenario::ScenarioOutcome;
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
@@ -103,7 +103,7 @@ struct State {
     threads: usize,
     spool: PathBuf,
     cache: Mutex<Cache>,
-    journal: Option<Mutex<File>>,
+    journal: Option<Journal>,
     events: Mutex<Vec<TraceEvent>>,
     hits: AtomicU64,
     computed: AtomicU64,
@@ -126,7 +126,7 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeSummary, ServeError> {
     let listener = Listener::bind(&opts.endpoint)?;
     let mut cache = Cache::new();
     let journal = match &opts.journal {
-        Some(path) => Some(Mutex::new(open_journal(path, &mut cache)?)),
+        Some(path) => Some(warm_load(path, &mut cache)?),
         None => None,
     };
     let warm = cache.len();
@@ -464,10 +464,8 @@ fn write_entry(out: &mut dyn Write, id: &str, entry: &CacheEntry) -> std::io::Re
     out.flush()
 }
 
-/// Appends one computed scenario result to the journal: a single
-/// `writeln!` + flush under the journal lock, so a kill between records
-/// never leaves a torn line for the loader to skip. A write failure is
-/// logged, not fatal — the in-memory cache stays correct either way.
+/// Appends one computed scenario result to the journal. A write failure
+/// is logged, not fatal — the in-memory cache stays correct either way.
 fn journal_result(state: &State, key: &(String, u64), name: &str, outcome: &Json) {
     let Some(journal) = &state.journal else {
         return;
@@ -478,105 +476,43 @@ fn journal_result(state: &State, key: &(String, u64), name: &str, outcome: &Json
         ("scenario", Json::str(name)),
         ("outcome", outcome.clone()),
     ]);
-    let mut f = lock(journal);
-    if writeln!(f, "{line}").and_then(|()| f.flush()).is_err() {
+    if journal.append(&line).is_err() {
         eprintln!("serve: warning: journal append failed for {}", key.0);
     }
 }
 
-/// Opens (creating if absent) the journal and warm-loads its results into
-/// the cache. The tail is trusted only as far as it verifies: the first
-/// incomplete, unparsable or non-canonical line and everything after it
-/// are dropped and truncated away, so appends always extend a clean
-/// journal.
-fn open_journal(path: &Path, cache: &mut Cache) -> Result<File, ServeError> {
+/// Opens the journal (starting one if the file is absent or empty) and
+/// warm-loads every record that verifies into the cache. A non-empty file
+/// whose first line is not this daemon's header is refused, never
+/// appended to.
+fn warm_load(path: &Path, cache: &mut Cache) -> Result<Journal, ServeError> {
+    let header = Json::object(vec![("schema", Json::str(JOURNAL_SCHEMA))]);
     let err = |e: std::io::Error| ServeError::new(format!("journal {}: {e}", path.display()));
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).map_err(err)?;
+    match journal::resume(path, &header) {
+        Ok((journal, records)) => {
+            cache.extend(records.iter().filter_map(journal_entry));
+            Ok(journal)
         }
+        Err(ResumeError::Empty) => journal::create(path, &header).map_err(err),
+        Err(ResumeError::HeaderMismatch) => Err(ServeError::new(format!(
+            "journal {}: not a {JOURNAL_SCHEMA} file",
+            path.display()
+        ))),
+        Err(ResumeError::Io(e)) => Err(err(e)),
     }
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == ErrorKind::NotFound => String::new(),
-        Err(e) => return Err(err(e)),
-    };
-    if text.is_empty() {
-        let mut f = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(err)?;
-        let header = Json::object(vec![("schema", Json::str(JOURNAL_SCHEMA))]);
-        writeln!(f, "{header}")
-            .and_then(|()| f.flush())
-            .map_err(err)?;
-        return Ok(f);
-    }
-    let mut good = 0usize; // bytes of the verified prefix
-    let mut first = true;
-    for line in text.split_inclusive('\n') {
-        let complete = line.ends_with('\n');
-        let trimmed = line.trim();
-        if first {
-            let schema = Json::parse(trimmed)
-                .ok()
-                .filter(|_| complete)
-                .and_then(|h| h.get("schema").and_then(Json::as_str).map(str::to_string));
-            if schema.as_deref() != Some(JOURNAL_SCHEMA) {
-                return Err(ServeError::new(format!(
-                    "journal {}: not a {JOURNAL_SCHEMA} file",
-                    path.display()
-                )));
-            }
-            good += line.len();
-            first = false;
-            continue;
-        }
-        if !complete {
-            break; // torn tail from a kill mid-append
-        }
-        if trimmed.is_empty() {
-            good += line.len();
-            continue;
-        }
-        let Some((key, entry)) = Json::parse(trimmed)
-            .ok()
-            .and_then(|j| journal_entry(&j).ok())
-        else {
-            break;
-        };
-        cache.insert(key, Arc::new(entry));
-        good += line.len();
-    }
-    if good < text.len() {
-        eprintln!(
-            "serve: journal {}: dropping {} unverified tail bytes",
-            path.display(),
-            text.len() - good
-        );
-        let f = OpenOptions::new().write(true).open(path).map_err(err)?;
-        f.set_len(good as u64).map_err(err)?;
-    }
-    OpenOptions::new().append(true).open(path).map_err(err)
 }
 
-/// Decodes one journal line into a cache entry, rejecting any outcome
-/// that does not re-serialize to the exact bytes it was journaled as —
-/// the cached response must be byte-identical to the original
-/// computation's.
-fn journal_entry(j: &Json) -> Result<((String, u64), CacheEntry), String> {
-    let fingerprint = j.req_str("fingerprint")?.to_string();
-    let seed = j.req_u64("seed")?;
-    let name = j.req_str("scenario")?.to_string();
-    let raw = j.req("outcome")?;
-    let outcome = ScenarioOutcome::from_json(raw)?;
-    let canonical = outcome.to_json();
-    if canonical != *raw {
-        return Err("outcome is not canonical".to_string());
-    }
-    let entry = scenario_entry(&name, &fingerprint, canonical);
-    Ok(((fingerprint, seed), entry))
+/// Decodes one journal record into a cache entry; `None` unless its
+/// outcome is canonical, because the cached response must be
+/// byte-identical to the original computation's.
+fn journal_entry(j: &Json) -> Option<((String, u64), Arc<CacheEntry>)> {
+    let fingerprint = j.get("fingerprint")?.as_str()?;
+    let seed = j.get("seed")?.as_u64()?;
+    let name = j.get("scenario")?.as_str()?;
+    let outcome = j.get("outcome")?;
+    ScenarioOutcome::from_journal(outcome).ok()?;
+    let entry = scenario_entry(name, fingerprint, outcome.clone());
+    Some(((fingerprint.to_string(), seed), Arc::new(entry)))
 }
 
 #[cfg(test)]
@@ -785,10 +721,12 @@ mod tests {
     fn journal_with_foreign_schema_is_refused() {
         let dir = tmp_dir("foreign");
         let journal = dir.join("serve.journal.jsonl");
-        std::fs::write(&journal, "{\"schema\": \"hotnoc-campaign-v1\"}\n").unwrap();
+        let foreign = "{\"schema\": \"hotnoc-campaign-v1\"}\n";
+        std::fs::write(&journal, foreign).unwrap();
         let mut cache = Cache::new();
-        let err = open_journal(&journal, &mut cache).unwrap_err();
+        let err = warm_load(&journal, &mut cache).unwrap_err();
         assert!(err.message.contains(JOURNAL_SCHEMA), "{}", err.message);
+        assert_eq!(std::fs::read_to_string(&journal).unwrap(), foreign);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -797,9 +735,10 @@ mod tests {
         let dir = tmp_dir("canon");
         let journal = dir.join("serve.journal.jsonl");
         // A decodable record whose outcome is *not* canonical (fields out
-        // of canonical order — "stall_us" before "phases"): the loader
-        // must stop trusting the journal there, because its cached bytes
-        // could not match what the computation originally streamed.
+        // of canonical order — "stall_us" before "phases") must not be
+        // cached, because its cached bytes could not match what the
+        // computation originally streamed. The valid record after it
+        // still warm-loads.
         let spec = ScenarioSpec::parse(&scenario_text("c", 1)).unwrap();
         let fp = spec.fingerprint();
         std::fs::write(
@@ -807,13 +746,24 @@ mod tests {
             format!(
                 "{{\"schema\": \"{JOURNAL_SCHEMA}\"}}\n{{\"fingerprint\": \"{fp}\", \"seed\": 1, \
                  \"scenario\": \"c\", \"outcome\": {{\"kind\": \"plan-cost\", \"stall_us\": 1.5, \
-                 \"phases\": 1, \"flit_hops\": 2, \"energy_uj\": 1.0, \"moves\": 3}}}}\n"
+                 \"phases\": 1, \"flit_hops\": 2, \"energy_uj\": 1.0, \"moves\": 3}}}}\n\
+                 {{\"fingerprint\": \"{fp}\", \"seed\": 2, \"scenario\": \"c\", \"outcome\": \
+                 {{\"kind\": \"plan-cost\", \"phases\": 1, \"stall_us\": 1.5, \"flit_hops\": 2, \
+                 \"energy_uj\": 1, \"moves\": 3}}}}\n"
             ),
         )
         .unwrap();
         let mut cache = Cache::new();
-        let _file = open_journal(&journal, &mut cache).unwrap();
-        assert!(cache.is_empty(), "non-canonical record must not be cached");
+        let _journal = warm_load(&journal, &mut cache).unwrap();
+        assert!(
+            !cache.contains_key(&(fp.clone(), 1)),
+            "non-canonical record must not be cached"
+        );
+        assert!(
+            cache.contains_key(&(fp, 2)),
+            "the valid record after it must warm-load"
+        );
+        assert_eq!(cache.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -2,7 +2,7 @@
 //! watcher that turns temperature frames into deterministic
 //! [`TraceEvent::TempCrossing`] events.
 
-use hotnoc_obs::{TraceEvent, TraceSink};
+use hotnoc_obs::TraceEvent;
 
 /// Summary of a recorded thermal trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -176,12 +176,12 @@ impl ThresholdWatcher {
     }
 
     /// Observes one frame of block temperatures at sim cycle `cycle`,
-    /// recording a crossing event per block that changed side.
+    /// pushing a crossing event per block that changed side onto `events`.
     ///
     /// # Panics
     ///
     /// Panics if the frame length differs from the watched block count.
-    pub fn observe(&mut self, cycle: u64, block_temps: &[f64], sink: &mut dyn TraceSink) {
+    pub fn observe(&mut self, cycle: u64, block_temps: &[f64], events: &mut Vec<TraceEvent>) {
         assert_eq!(block_temps.len(), self.above.len(), "frame length mismatch");
         for (node, (&temp, above)) in block_temps.iter().zip(&mut self.above).enumerate() {
             let crossed = if *above {
@@ -191,7 +191,7 @@ impl ThresholdWatcher {
             };
             if let Some(rising) = crossed {
                 *above = rising;
-                sink.record(TraceEvent::TempCrossing {
+                events.push(TraceEvent::TempCrossing {
                     cycle,
                     node: node as u64,
                     temp_c: temp,
@@ -206,17 +206,15 @@ impl ThresholdWatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hotnoc_obs::VecSink;
 
     #[test]
     fn watcher_fires_on_crossings_with_hysteresis() {
         let mut w = ThresholdWatcher::new(70.0, 0.5, 2);
-        let mut sink = VecSink::new();
-        w.observe(10, &[69.0, 71.0], &mut sink); // block 1 rises
-        w.observe(20, &[69.8, 69.8], &mut sink); // block 1 inside the band: quiet
-        w.observe(30, &[69.0, 69.0], &mut sink); // block 1 falls below band
-        w.observe(40, &[70.1, 69.0], &mut sink); // block 0 rises
-        let events = sink.drain();
+        let mut events = Vec::new();
+        w.observe(10, &[69.0, 71.0], &mut events); // block 1 rises
+        w.observe(20, &[69.8, 69.8], &mut events); // block 1 inside the band: quiet
+        w.observe(30, &[69.0, 69.0], &mut events); // block 1 falls below band
+        w.observe(40, &[70.1, 69.0], &mut events); // block 0 rises
         let kinds: Vec<(u64, u64, bool)> = events
             .iter()
             .map(|e| match *e {

@@ -15,8 +15,8 @@
 //!    a different thread count must leave byte-identical per-job traces.
 //!
 //! The healthy golden fingerprints (`golden_determinism`) must NOT move
-//! when tracing is wired in: a network without a sink takes the exact
-//! same simulation path. That invariant is asserted here directly by
+//! when tracing is wired in: a network that is not recording takes the
+//! exact same simulation path. That invariant is asserted here directly by
 //! comparing a traced and an untraced run of the same scenario.
 //!
 //! If a fingerprint changes after an *intentional* change to event
@@ -25,7 +25,7 @@
 
 use hotnoc::core::configs::{ChipConfigId, ChipSpec, Fidelity};
 use hotnoc::noc::{Coord, FaultPlan, Mesh, Network, NocConfig, TrafficGenerator, TrafficPattern};
-use hotnoc::obs::{TraceEvent, VecSink};
+use hotnoc::obs::TraceEvent;
 use hotnoc::scenario::runner::{run_campaign, RunnerOptions};
 use hotnoc::scenario::spec::{FaultEventSpec, FaultKindSpec};
 use hotnoc::scenario::{
@@ -72,9 +72,9 @@ fn fault_plan(side: usize) -> FaultPlan {
         .repair_router(400, Coord::new(1, 1))
 }
 
-/// Drives the degraded scenario with an optional trace sink and returns
-/// the final delivered-flit count (a cheap simulation fingerprint) plus
-/// the trace events when a sink was installed.
+/// Drives the degraded scenario, optionally recording a trace, and
+/// returns the final delivered-flit count (a cheap simulation
+/// fingerprint) plus the recorded trace events.
 fn run(id: ChipConfigId, traced: bool) -> (u64, Vec<TraceEvent>) {
     let side = ChipSpec::of(id, Fidelity::Quick).mesh_side;
     let (mesh, mut gen) = scenario(id);
@@ -83,7 +83,7 @@ fn run(id: ChipConfigId, traced: bool) -> (u64, Vec<TraceEvent>) {
     net.install_fault_plan(fault_plan(side))
         .expect("canned plan is valid on every config");
     if traced {
-        net.set_trace_sink(Box::new(VecSink::new()));
+        net.start_trace();
     }
     for _ in 0..600 {
         gen.tick(&mut net);
@@ -95,10 +95,7 @@ fn run(id: ChipConfigId, traced: bool) -> (u64, Vec<TraceEvent>) {
         budget -= 1;
     }
     assert_eq!(net.in_flight(), 0, "{id}: degraded network failed to drain");
-    let events = match net.take_trace_sink() {
-        Some(mut sink) => sink.drain(),
-        None => Vec::new(),
-    };
+    let events = net.take_trace().unwrap_or_default();
     (net.stats().flits_ejected, events)
 }
 
@@ -157,7 +154,7 @@ fn tracing_does_not_perturb_the_simulation() {
         assert!(!events.is_empty(), "{id}: traced run recorded nothing");
         assert_eq!(
             plain, traced,
-            "{id}: installing a trace sink changed the simulation"
+            "{id}: recording a trace changed the simulation"
         );
     }
 }
