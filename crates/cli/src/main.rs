@@ -39,10 +39,7 @@ use hotnoc_scenario::runner::{
     campaign_json, run_campaign, summary_table, validate_campaign_json, CampaignDoc, RunnerOptions,
     CAMPAIGN_SCHEMA,
 };
-use hotnoc_scenario::shard::{
-    merge_shards, run_campaign_shard, shard_summary, validate_shard_json, Shard, ShardDoc,
-    SHARD_SCHEMA,
-};
+use hotnoc_scenario::shard::{merge_shards, Shard, SHARD_SCHEMA};
 use hotnoc_scenario::stats::{aggregate, aggregate_json};
 use hotnoc_scenario::tracefile::{profile_json, TraceDoc};
 use hotnoc_scenario::{diff_campaigns, run_scenario_traced, CampaignSpec, ScenarioSpec};
@@ -148,45 +145,67 @@ fn usage_error(msg: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Flag parser shared by the subcommands. Returns `(flags with values,
-/// boolean switches)` or a usage message.
-struct Flags {
-    values: Vec<(String, String)>,
-    switches: Vec<String>,
+/// Flag parser shared by the subcommands: `--flag VALUE` options,
+/// `--switch` booleans and positional arguments. An unknown flag, a flag
+/// given twice, or a value flag without its value is a usage message.
+struct Flags<'a> {
+    values: Vec<(&'a str, &'a str)>,
+    switches: Vec<&'a str>,
+    positional: Vec<&'a str>,
 }
 
-impl Flags {
-    fn parse(args: &[&str], value_flags: &[&str], switch_flags: &[&str]) -> Result<Flags, String> {
-        let mut values = Vec::new();
-        let mut switches = Vec::new();
+impl<'a> Flags<'a> {
+    fn parse(
+        args: &[&'a str],
+        value_flags: &[&str],
+        switch_flags: &[&str],
+    ) -> Result<Flags<'a>, String> {
+        let mut flags = Flags {
+            values: Vec::new(),
+            switches: Vec::new(),
+            positional: Vec::new(),
+        };
         let mut it = args.iter();
-        while let Some(&flag) = it.next() {
-            if value_flags.contains(&flag) {
-                let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-                values.push((flag.to_string(), (*v).to_string()));
-            } else if switch_flags.contains(&flag) {
-                switches.push(flag.to_string());
+        while let Some(&arg) = it.next() {
+            if !arg.starts_with("--") {
+                flags.positional.push(arg);
+            } else if flags.get(arg).is_some() || flags.has(arg) {
+                return Err(format!("{arg} given more than once"));
+            } else if value_flags.contains(&arg) {
+                let v = it.next().ok_or_else(|| format!("{arg} needs a value"))?;
+                flags.values.push((arg, v));
+            } else if switch_flags.contains(&arg) {
+                flags.switches.push(arg);
             } else {
-                return Err(format!("unknown flag {flag:?}"));
+                return Err(format!("unknown flag {arg:?}"));
             }
         }
-        Ok(Flags { values, switches })
+        Ok(flags)
     }
 
-    fn get(&self, flag: &str) -> Option<&str> {
+    /// For subcommands that take no positional argument: a stray one is
+    /// rejected like an unknown flag.
+    fn without_positional(self) -> Result<Flags<'a>, String> {
+        match self.positional.first() {
+            Some(arg) => Err(format!("unknown flag {arg:?}")),
+            None => Ok(self),
+        }
+    }
+
+    fn get(&self, flag: &str) -> Option<&'a str> {
         self.values
             .iter()
-            .find(|(f, _)| f == flag)
-            .map(|(_, v)| v.as_str())
+            .find(|(f, _)| *f == flag)
+            .map(|&(_, v)| v)
     }
 
     fn has(&self, flag: &str) -> bool {
-        self.switches.iter().any(|f| f == flag)
+        self.switches.contains(&flag)
     }
 }
 
 /// Loads the campaign named by `--builtin`/`--spec` (exactly one required).
-fn load_campaign(flags: &Flags) -> Result<CampaignSpec, String> {
+fn load_campaign(flags: &Flags<'_>) -> Result<CampaignSpec, String> {
     let fidelity = if flags.has("--quick") {
         Fidelity::Quick
     } else {
@@ -223,7 +242,9 @@ fn campaign_run(args: &[&str]) -> ExitCode {
             "--trace-dir",
         ],
         &["--fresh", "--quick", "--quiet"],
-    ) {
+    )
+    .and_then(Flags::without_positional)
+    {
         Ok(f) => f,
         Err(e) => return usage_error(&e),
     };
@@ -252,14 +273,18 @@ fn campaign_run(args: &[&str]) -> ExitCode {
         fresh: flags.has("--fresh"),
         progress: !flags.has("--quiet"),
         trace_dir: flags.get("--trace-dir").map(PathBuf::from),
+        shard,
     };
-    if let Some(shard) = shard {
-        return campaign_run_shard(&spec, shard, &opts);
-    }
+    let total = spec.expand().len();
+    let (label, jobs) = match shard {
+        Some(shard) => (
+            format!("{} shard {shard}", spec.name),
+            format!("{} of {total}", shard.stripe(total).len()),
+        ),
+        None => (spec.name.clone(), total.to_string()),
+    };
     eprintln!(
-        "campaign {}: {} jobs on {} thread(s), artifacts in {}",
-        spec.name,
-        spec.expand().len(),
+        "campaign {label}: {jobs} jobs on {} thread(s), artifacts in {}",
         opts.threads,
         opts.out_dir.display()
     );
@@ -269,7 +294,7 @@ fn campaign_run(args: &[&str]) -> ExitCode {
             if run.resumed_jobs > 0 {
                 println!("resumed {} job(s) from the manifest", run.resumed_jobs);
             }
-            if run.is_complete() {
+            if run.is_complete() && run.shard.is_none() {
                 // The saturation-curve exhibit, when the campaign swept an
                 // offered-load axis.
                 if let Some(table) = render_latency_load(&latency_load_curves(&run.completed)) {
@@ -282,37 +307,7 @@ fn campaign_run(args: &[&str]) -> ExitCode {
             ExitCode::SUCCESS
         }
         Err(e) => {
-            eprintln!("hotnoc: campaign {} failed: {e}", spec.name);
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// The `--shard I/N` arm of `campaign run`: same engine, one stripe, its
-/// own journal, a shard artifact instead of the campaign artifact.
-fn campaign_run_shard(spec: &CampaignSpec, shard: Shard, opts: &RunnerOptions) -> ExitCode {
-    eprintln!(
-        "campaign {} shard {}: {} of {} jobs on {} thread(s), artifacts in {}",
-        spec.name,
-        shard,
-        shard.stripe(spec.expand().len()).len(),
-        spec.expand().len(),
-        opts.threads,
-        opts.out_dir.display()
-    );
-    match run_campaign_shard(spec, shard, opts) {
-        Ok(run) => {
-            print!("{}", shard_summary(&run));
-            if run.resumed_jobs > 0 {
-                println!("resumed {} job(s) from the manifest", run.resumed_jobs);
-            }
-            if let Some(path) = &run.json_path {
-                println!("[saved {}]", path.display());
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("hotnoc: campaign {} shard {} failed: {e}", spec.name, shard);
+            eprintln!("hotnoc: campaign {label} failed: {e}");
             ExitCode::FAILURE
         }
     }
@@ -321,40 +316,29 @@ fn campaign_run_shard(spec: &CampaignSpec, shard: Shard, opts: &RunnerOptions) -
 /// `campaign merge SHARD.json... [--out-dir DIR]`: validate the shard
 /// set and reassemble the exact single-host campaign artifacts.
 fn campaign_merge(args: &[&str]) -> ExitCode {
-    let mut paths: Vec<&str> = Vec::new();
-    let mut out_dir = PathBuf::from(".");
-    let mut it = args.iter();
-    while let Some(&arg) = it.next() {
-        match arg {
-            "--out-dir" => {
-                let Some(v) = it.next() else {
-                    return usage_error("--out-dir needs a value");
-                };
-                out_dir = PathBuf::from(*v);
-            }
-            other if other.starts_with("--") => {
-                return usage_error(&format!("unknown flag {other:?}"))
-            }
-            path => paths.push(path),
-        }
-    }
+    let flags = match Flags::parse(args, &["--out-dir"], &[]) {
+        Ok(f) => f,
+        Err(e) => return usage_error(&e),
+    };
+    let paths = &flags.positional;
     if paths.is_empty() {
         return usage_error("campaign merge needs at least one shard artifact");
     }
+    let out_dir = PathBuf::from(flags.get("--out-dir").unwrap_or("."));
     // Any unusable input — unreadable, not a shard artifact, failed
     // cross-validation — is bad input (exit 2) naming the file, matching
     // the diff convention.
-    let mut docs: Vec<ShardDoc> = Vec::with_capacity(paths.len());
-    for path in &paths {
+    let mut docs = Vec::with_capacity(paths.len());
+    for path in paths {
         match load_artifact(path) {
-            Ok(CheckedDoc::Shard(doc)) => docs.push(doc),
-            Ok(CheckedDoc::Campaign(_)) => {
+            Ok(doc) if doc.shard.is_none() => {
                 eprintln!(
                     "hotnoc: {path}: is a whole-campaign artifact ({CAMPAIGN_SCHEMA:?}), \
                      not a shard — nothing to merge"
                 );
                 return ExitCode::from(2);
             }
+            Ok(doc) => docs.push(doc),
             Err(LoadFailure::BadInput(e) | LoadFailure::Invalid(e)) => {
                 eprintln!("hotnoc: {e}");
                 return ExitCode::from(2);
@@ -404,7 +388,9 @@ fn campaign_list() -> ExitCode {
 }
 
 fn campaign_expand(args: &[&str]) -> ExitCode {
-    let flags = match Flags::parse(args, &["--builtin", "--spec"], &["--quick"]) {
+    let flags = match Flags::parse(args, &["--builtin", "--spec"], &["--quick"])
+        .and_then(Flags::without_positional)
+    {
         Ok(f) => f,
         Err(e) => return usage_error(&e),
     };
@@ -433,29 +419,20 @@ enum LoadFailure {
     Invalid(String),
 }
 
-/// A successfully loaded artifact: a whole campaign or one shard.
-enum CheckedDoc {
-    Campaign(CampaignDoc),
-    Shard(ShardDoc),
-}
-
 /// Loads and strictly validates a `CAMPAIGN_*.json` artifact — whole
-/// campaign or shard, dispatched on the `schema` tag — classifying
-/// failures. An unreadable file, non-JSON content, or a missing/unknown
-/// `schema` field is *bad input*, not an invalid artifact: those never
-/// were artifacts, and the subcommands report them cleanly with exit 2
-/// instead of treating them as failed validations (or panicking).
-fn load_artifact(path: &str) -> Result<CheckedDoc, LoadFailure> {
+/// campaign or shard — classifying failures. An unreadable file, non-JSON
+/// content, or a missing/unknown `schema` field is *bad input*, not an
+/// invalid artifact: those never were artifacts, and the subcommands
+/// report them cleanly with exit 2 instead of treating them as failed
+/// validations (or panicking).
+fn load_artifact(path: &str) -> Result<CampaignDoc, LoadFailure> {
     let text =
         std::fs::read_to_string(path).map_err(|e| LoadFailure::BadInput(format!("{path}: {e}")))?;
     let doc = Json::parse(&text).map_err(|e| LoadFailure::BadInput(format!("{path}: {e}")))?;
     match doc.get("schema").and_then(Json::as_str) {
-        Some(CAMPAIGN_SCHEMA) => validate_campaign_json(&doc)
-            .map(CheckedDoc::Campaign)
-            .map_err(|e| LoadFailure::Invalid(format!("{path}: {e}"))),
-        Some(SHARD_SCHEMA) => validate_shard_json(&doc)
-            .map(CheckedDoc::Shard)
-            .map_err(|e| LoadFailure::Invalid(format!("{path}: {e}"))),
+        Some(CAMPAIGN_SCHEMA | SHARD_SCHEMA) => {
+            validate_campaign_json(&doc).map_err(|e| LoadFailure::Invalid(format!("{path}: {e}")))
+        }
         Some(other) => Err(LoadFailure::BadInput(format!(
             "{path}: unknown schema {other:?} (want {CAMPAIGN_SCHEMA:?} or {SHARD_SCHEMA:?})"
         ))),
@@ -478,22 +455,19 @@ fn campaign_check(paths: &[&str]) -> ExitCode {
                 eprintln!("{e}: INVALID");
                 invalid = true;
             }
-            Ok(CheckedDoc::Campaign(doc)) => {
-                println!(
-                    "{path}: ok (campaign {}, {} jobs)",
-                    doc.spec.name,
-                    doc.records.len()
-                );
-            }
-            Ok(CheckedDoc::Shard(doc)) => {
-                println!(
-                    "{path}: ok (shard {} of campaign {}, {} of {} jobs)",
-                    doc.shard,
+            Ok(doc) => match doc.shard {
+                Some(shard) => println!(
+                    "{path}: ok (shard {shard} of campaign {}, {} of {} jobs)",
                     doc.spec.name,
                     doc.records.len(),
                     doc.total_jobs
-                );
-            }
+                ),
+                None => println!(
+                    "{path}: ok (campaign {}, {} jobs)",
+                    doc.spec.name,
+                    doc.records.len()
+                ),
+            },
         }
     }
     if bad_input {
@@ -506,42 +480,30 @@ fn campaign_check(paths: &[&str]) -> ExitCode {
 }
 
 fn campaign_diff(args: &[&str]) -> ExitCode {
-    let mut paths: Vec<&str> = Vec::new();
-    let mut threshold_pct = 15.0f64;
-    let mut fail_on_regression = false;
-    let mut it = args.iter();
-    while let Some(&arg) = it.next() {
-        match arg {
-            "--threshold-pct" => {
-                let Some(v) = it.next() else {
-                    return usage_error("--threshold-pct needs a value");
-                };
-                match v.parse::<f64>() {
-                    Ok(p) if p.is_finite() && p >= 0.0 => threshold_pct = p,
-                    _ => return usage_error("--threshold-pct must be a non-negative number"),
-                }
-            }
-            "--fail-on-regression" => fail_on_regression = true,
-            other if other.starts_with("--") => {
-                return usage_error(&format!("unknown flag {other:?}"))
-            }
-            path => paths.push(path),
-        }
-    }
-    if paths.len() != 2 {
+    let flags = match Flags::parse(args, &["--threshold-pct"], &["--fail-on-regression"]) {
+        Ok(f) => f,
+        Err(e) => return usage_error(&e),
+    };
+    let threshold_pct = match flags.get("--threshold-pct").map(str::parse::<f64>) {
+        None => 15.0,
+        Some(Ok(p)) if p.is_finite() && p >= 0.0 => p,
+        Some(_) => return usage_error("--threshold-pct must be a non-negative number"),
+    };
+    let [path_a, path_b] = flags.positional[..] else {
         return usage_error("campaign diff needs exactly two artifact files");
-    }
-    let (path_a, path_b) = (paths[0], paths[1]);
+    };
     let load = |path: &str| match load_artifact(path) {
-        Ok(CheckedDoc::Campaign(doc)) => Ok(doc),
-        Ok(CheckedDoc::Shard(doc)) => {
-            eprintln!(
-                "hotnoc: {path}: is shard {} of campaign {} — merge the shard set first \
-                 (`hotnoc campaign merge`), then diff the merged artifact",
-                doc.shard, doc.spec.name
-            );
-            Err(())
-        }
+        Ok(doc) => match doc.shard {
+            None => Ok(doc),
+            Some(shard) => {
+                eprintln!(
+                    "hotnoc: {path}: is shard {shard} of campaign {} — merge the shard set \
+                     first (`hotnoc campaign merge`), then diff the merged artifact",
+                    doc.spec.name
+                );
+                Err(())
+            }
+        },
         Err(LoadFailure::BadInput(e) | LoadFailure::Invalid(e)) => {
             eprintln!("hotnoc: {e}");
             Err(())
@@ -556,14 +518,16 @@ fn campaign_diff(args: &[&str]) -> ExitCode {
         eprintln!("hotnoc: the campaigns share no comparable groups");
         return ExitCode::from(2);
     }
-    if fail_on_regression && report.regressed() {
+    if flags.has("--fail-on-regression") && report.regressed() {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }
 
 fn scenario_run(args: &[&str]) -> ExitCode {
-    let flags = match Flags::parse(args, &["--spec", "--trace", "--profile"], &[]) {
+    let flags = match Flags::parse(args, &["--spec", "--trace", "--profile"], &[])
+        .and_then(Flags::without_positional)
+    {
         Ok(f) => f,
         Err(e) => return usage_error(&e),
     };
@@ -657,31 +621,17 @@ fn trace_summary(args: &[&str]) -> ExitCode {
 }
 
 fn trace_export(args: &[&str]) -> ExitCode {
-    let flags_args: Vec<&str> = args.to_vec();
-    let mut path: Option<&str> = None;
-    let mut out: Option<&str> = None;
-    let mut chrome = false;
-    let mut it = flags_args.iter();
-    while let Some(&arg) = it.next() {
-        match arg {
-            "--chrome" => chrome = true,
-            "--out" => {
-                let Some(v) = it.next() else {
-                    return usage_error("--out needs a value");
-                };
-                out = Some(v);
-            }
-            other if other.starts_with("--") => {
-                return usage_error(&format!("unknown flag {other:?}"))
-            }
-            p if path.is_none() => path = Some(p),
-            _ => return usage_error("trace export takes exactly one FILE"),
-        }
+    let flags = match Flags::parse(args, &["--out"], &["--chrome"]) {
+        Ok(f) => f,
+        Err(e) => return usage_error(&e),
+    };
+    if flags.positional.len() > 1 {
+        return usage_error("trace export takes exactly one FILE");
     }
-    if !chrome {
+    if !flags.has("--chrome") {
         return usage_error("trace export needs --chrome (the only export format)");
     }
-    let Some(path) = path else {
+    let Some(&path) = flags.positional.first() else {
         return usage_error("trace export needs a FILE");
     };
     let doc = match load_trace(path) {
@@ -689,7 +639,7 @@ fn trace_export(args: &[&str]) -> ExitCode {
         Err(code) => return code,
     };
     let json = doc.chrome_trace_json();
-    match out {
+    match flags.get("--out") {
         Some(out_path) => {
             if let Err(e) = std::fs::write(out_path, &json) {
                 eprintln!("hotnoc: {out_path}: {e}");
@@ -723,7 +673,9 @@ fn serve_cmd(args: &[&str]) -> ExitCode {
             "--spool",
         ],
         &["--shutdown"],
-    ) {
+    )
+    .and_then(Flags::without_positional)
+    {
         Ok(f) => f,
         Err(e) => return usage_error(&e),
     };
@@ -766,35 +718,18 @@ fn serve_cmd(args: &[&str]) -> ExitCode {
 }
 
 fn submit_cmd(args: &[&str]) -> ExitCode {
-    let mut spec_path: Option<&str> = None;
-    let mut socket: Option<&str> = None;
-    let mut tcp: Option<&str> = None;
-    let mut id: Option<&str> = None;
-    let mut it = args.iter();
-    while let Some(&arg) = it.next() {
-        match arg {
-            "--socket" | "--tcp" | "--id" => {
-                let Some(&v) = it.next() else {
-                    return usage_error(&format!("{arg} needs a value"));
-                };
-                *match arg {
-                    "--socket" => &mut socket,
-                    "--tcp" => &mut tcp,
-                    _ => &mut id,
-                } = Some(v);
-            }
-            other if other.starts_with("--") => {
-                return usage_error(&format!("unknown flag {other:?}"))
-            }
-            p if spec_path.is_none() => spec_path = Some(p),
-            _ => return usage_error("submit takes exactly one SPEC.json"),
-        }
+    let flags = match Flags::parse(args, &["--socket", "--tcp", "--id"], &[]) {
+        Ok(f) => f,
+        Err(e) => return usage_error(&e),
+    };
+    if flags.positional.len() > 1 {
+        return usage_error("submit takes exactly one SPEC.json");
     }
-    let endpoint = match endpoint_of(socket, tcp) {
+    let endpoint = match endpoint_of(flags.get("--socket"), flags.get("--tcp")) {
         Ok(e) => e,
         Err(e) => return usage_error(&e),
     };
-    let Some(path) = spec_path else {
+    let Some(&path) = flags.positional.first() else {
         return usage_error("submit needs a SPEC.json file");
     };
     // An unreadable or invalid spec is bad input (exit 2) — nothing
@@ -829,7 +764,7 @@ fn submit_cmd(args: &[&str]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let line = hotnoc_serve::submit_line(id.unwrap_or(&fingerprint), &spec);
+    let line = hotnoc_serve::submit_line(flags.get("--id").unwrap_or(&fingerprint), &spec);
     match hotnoc_serve::request(&endpoint, &line) {
         Ok(lines) => {
             for l in &lines {

@@ -639,3 +639,41 @@ fn usage_errors_exit_2() {
         .expect("spawn");
     assert_eq!(conflict.status.code(), Some(2));
 }
+
+#[test]
+fn repeated_flags_are_usage_errors() {
+    let dir = tmp_dir("repeat");
+    for args in [
+        "campaign expand --builtin smoke --builtin fig1",
+        "campaign expand --builtin smoke --quick --quick",
+    ] {
+        let out = hotnoc().args(args.split(' ')).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(stdout(&out).is_empty(), "{args:?} expanded anyway");
+        assert!(
+            stderr(&out).contains("given more than once"),
+            "{}",
+            stderr(&out)
+        );
+    }
+    // A repeated --out-dir is refused before anything runs or is written.
+    let (a, b) = (dir.join("a"), dir.join("b"));
+    let out = hotnoc()
+        .args([
+            "campaign",
+            "run",
+            "--builtin",
+            "smoke",
+            "--quick",
+            "--quiet",
+        ])
+        .arg("--out-dir")
+        .arg(&a)
+        .arg("--out-dir")
+        .arg(&b)
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(!a.exists() && !b.exists(), "a repeated --out-dir still ran");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -4,6 +4,7 @@
 //! shard and shards at different thread counts), and every bad-input
 //! path exits 2 with a message naming the offender.
 
+use hotnoc_scenario::json::Json;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -221,6 +222,57 @@ fn merge_rejects_incomplete_duplicate_and_mismatched_sets() {
         stderr(&out)
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A shard whose claimed count is absurd (its stripe is then only job
+/// 0) is a valid artifact, but an incomplete set: merge must say which
+/// stripe is missing and exit 2, never size anything by the claimed count.
+#[test]
+fn merge_names_the_gap_of_a_huge_claimed_shard_count() {
+    let dir = tmp_dir("huge");
+    let spec = write_campaign_spec(&dir, "shard-huge", "1, 2, 3");
+    let out = run_spec(&spec, &dir, &["--shard", "0/1"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let path = dir.join("CAMPAIGN_shard-huge.shard-0-of-1.json");
+    let mut doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let Json::Object(fields) = &mut doc else {
+        panic!("artifact is an object");
+    };
+    for (key, value) in fields {
+        match (key.as_str(), value) {
+            ("shard", v) => {
+                *v = Json::object(vec![
+                    ("index", Json::int(0)),
+                    ("count", Json::int(4_000_000_000_000_000)),
+                ]);
+            }
+            ("jobs", v) => *v = Json::int(1),
+            ("results", Json::Array(records)) => records.truncate(1),
+            _ => {}
+        }
+    }
+    std::fs::write(&path, doc.to_string()).unwrap();
+
+    let check = hotnoc()
+        .args(["campaign", "check"])
+        .arg(&path)
+        .output()
+        .expect("spawn hotnoc");
+    assert!(check.status.success(), "{}", stderr(&check));
+    let merge = hotnoc()
+        .args(["campaign", "merge"])
+        .arg(&path)
+        .arg("--out-dir")
+        .arg(dir.join("merged"))
+        .output()
+        .expect("spawn hotnoc");
+    assert_eq!(merge.status.code(), Some(2), "{}", stderr(&merge));
+    assert!(
+        stderr(&merge).contains("missing shard 1/4000000000000000"),
+        "{}",
+        stderr(&merge)
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -31,13 +31,13 @@
 //!   (`hotnoc-campaign-aggregate-v1`); [`diff`] aligns two campaign
 //!   artifacts by group and reports ratio-of-medians with CI-overlap
 //!   verdicts — the `hotnoc campaign diff` A/B engine.
-//! * [`shard`] distributes a campaign across processes and hosts:
-//!   [`shard::run_campaign_shard`] executes a deterministic modulo stripe
-//!   of the expansion (same per-job seeds as an unsharded run, its own
-//!   kill/resume-safe journal) and emits a `hotnoc-campaign-shard-v1`
-//!   artifact; [`shard::merge_shards`] validates a shard set and
-//!   reassembles the exact single-host `CAMPAIGN_<name>.json` +
-//!   `.aggregate.json` bytes.
+//! * [`shard`] distributes a campaign across processes and hosts: with
+//!   [`runner::RunnerOptions::shard`] set, the same runner executes a
+//!   deterministic modulo stripe of the expansion (same per-job seeds as
+//!   an unsharded run, its own kill/resume-safe journal) and emits a
+//!   `hotnoc-campaign-shard-v1` artifact; [`shard::merge_shards`]
+//!   validates a shard set and reassembles the exact single-host
+//!   `CAMPAIGN_<name>.json` + `.aggregate.json` bytes.
 //!
 //! The `hotnoc` CLI (`crates/cli`) fronts all of this from the shell.
 //! The normative schema reference for every emitted artifact lives in
@@ -89,7 +89,7 @@ pub use error::ScenarioError;
 pub use outcome::ScenarioOutcome;
 pub use run::{run_scenario, run_scenario_traced};
 pub use runner::{run_campaign, CampaignRun, JobRecord, RunnerOptions};
-pub use shard::{merge_shards, run_campaign_shard, MergedCampaign, Shard, ShardDoc, ShardRun};
+pub use shard::{merge_shards, Shard};
 pub use spec::{ChipKind, Mode, Policy, ScenarioSpec, Workload};
 pub use stats::{GroupAggregate, GroupKey, SummaryStats};
 pub use tracefile::TraceDoc;

@@ -4,6 +4,13 @@
 //! machine-readable `CAMPAIGN_<name>.json` artifact plus a human summary
 //! table.
 //!
+//! A shard ([`RunnerOptions::shard`]) is the same run over a smaller work
+//! list: it owns one modulo stripe of the expansion, journals to
+//! `CAMPAIGN_<name>.shard-i-of-n.manifest.jsonl` and, once its stripe is
+//! complete, writes the `hotnoc-campaign-shard-v1` artifact instead of the
+//! campaign and aggregate artifacts. [`crate::shard::merge_shards`]
+//! reassembles a complete shard set into the whole campaign.
+//!
 //! # Determinism
 //!
 //! Jobs are independent and each is internally deterministic (see
@@ -26,6 +33,9 @@
 //! {"schema": "hotnoc-campaign-manifest-v1", "name": ..., "fingerprint": ..., "jobs": N}
 //! {"job": 3, "scenario": "A/w0:ldpc/rotation/p8/s0", "outcome": {...}}
 //! ```
+//!
+//! A shard's header adds `"shard": {"index": i, "count": n}`, so a
+//! whole-run journal never satisfies a shard resume (or vice versa).
 
 use crate::campaign::CampaignSpec;
 use crate::error::ScenarioError;
@@ -33,6 +43,7 @@ use crate::journal::{self, ResumeError};
 use crate::json::Json;
 use crate::outcome::ScenarioOutcome;
 use crate::run::{run_scenario, run_scenario_traced_as_job};
+use crate::shard::{Shard, SHARD_SCHEMA};
 use crate::spec::ScenarioSpec;
 use crate::stats::{aggregate, aggregate_json, headline_metric};
 use crate::tracefile::TraceDoc;
@@ -67,6 +78,9 @@ pub struct RunnerOptions {
     /// Write each job's deterministic `hotnoc-trace-v1` event trace to
     /// `TRACE_<campaign>.job<index>.jsonl` in this directory.
     pub trace_dir: Option<PathBuf>,
+    /// Run only this stripe of the expansion (`--shard i/n`); `None` runs
+    /// the whole campaign.
+    pub shard: Option<Shard>,
 }
 
 impl Default for RunnerOptions {
@@ -78,6 +92,7 @@ impl Default for RunnerOptions {
             fresh: false,
             progress: false,
             trace_dir: None,
+            shard: None,
         }
     }
 }
@@ -99,15 +114,18 @@ pub struct JobRecord {
     pub outcome: ScenarioOutcome,
 }
 
-/// The state of a campaign after one `run_campaign` invocation.
+/// The state of a campaign (or shard) after one `run_campaign` invocation.
 #[derive(Debug)]
 pub struct CampaignRun {
     /// The campaign that ran.
     pub spec: CampaignSpec,
-    /// Completed jobs in index order (all of them when the run is
+    /// The stripe that ran ([`RunnerOptions::shard`]); `None` for a whole
+    /// run.
+    pub shard: Option<Shard>,
+    /// Completed jobs in index order (every owned job when the run is
     /// complete).
     pub completed: Vec<JobRecord>,
-    /// Total jobs in the expanded list.
+    /// Total jobs in the whole campaign expansion.
     pub total_jobs: usize,
     /// Jobs recovered from the manifest instead of recomputed.
     pub resumed_jobs: usize,
@@ -115,27 +133,35 @@ pub struct CampaignRun {
     pub executed_jobs: usize,
     /// Path of the manifest journal.
     pub manifest_path: PathBuf,
-    /// Path of the emitted `CAMPAIGN_<name>.json`; `None` while the
-    /// campaign is still partial.
+    /// Path of the emitted `CAMPAIGN_<name>.json` (a shard's
+    /// `CAMPAIGN_<name>.shard-i-of-n.json`); `None` while the run is still
+    /// partial.
     pub json_path: Option<PathBuf>,
     /// Path of the emitted `CAMPAIGN_<name>.aggregate.json` (seed-axis
     /// statistics, `hotnoc-campaign-aggregate-v1`); `None` while the
-    /// campaign is still partial.
+    /// campaign is still partial, and always for a shard.
     pub aggregate_path: Option<PathBuf>,
     /// Seed-axis group aggregates over `completed`, in first-appearance
     /// order (computed once; the summary table and the aggregate artifact
-    /// both read from here).
+    /// both read from here). Empty for a shard.
     pub groups: Vec<crate::stats::GroupAggregate>,
 }
 
 impl CampaignRun {
-    /// `true` once every job has a journaled outcome.
+    /// Jobs this run owns: the whole expansion, or the shard's stripe.
+    pub fn owned_jobs(&self) -> usize {
+        self.shard
+            .map_or(self.total_jobs, |s| s.stripe(self.total_jobs).len())
+    }
+
+    /// `true` once every owned job has a journaled outcome.
     pub fn is_complete(&self) -> bool {
-        self.completed.len() == self.total_jobs
+        self.completed.len() == self.owned_jobs()
     }
 }
 
-/// Runs (or resumes) a campaign.
+/// Runs (or resumes) a campaign, or the stripe of it named by
+/// [`RunnerOptions::shard`].
 ///
 /// # Errors
 ///
@@ -164,35 +190,36 @@ pub fn run_campaign_on(
 ) -> Result<CampaignRun, ScenarioError> {
     spec.validate().map_err(ScenarioError::Spec)?;
     let jobs = spec.expand();
-    let fingerprint = spec.fingerprint();
     std::fs::create_dir_all(&opts.out_dir).map_err(|e| ScenarioError::io(&opts.out_dir, e))?;
-    let manifest_path = opts
-        .out_dir
-        .join(format!("CAMPAIGN_{}.manifest.jsonl", spec.name));
-    let json_path = opts.out_dir.join(format!("CAMPAIGN_{}.json", spec.name));
-    let aggregate_path = opts
-        .out_dir
-        .join(format!("CAMPAIGN_{}.aggregate.json", spec.name));
+    let stem = match opts.shard {
+        Some(shard) => format!("CAMPAIGN_{}.{}", spec.name, shard.file_tag()),
+        None => format!("CAMPAIGN_{}", spec.name),
+    };
+    let path = |suffix: &str| opts.out_dir.join(format!("{stem}{suffix}"));
+    let json_path = path(".json");
+    // A shard's statistics come from the merged whole, never from a stripe.
+    let aggregate_path = opts.shard.is_none().then(|| path(".aggregate.json"));
 
     // Any pre-existing artifact is unproven from here on: the spec may have
     // changed under the same name, and this run may stop partway. Remove it
     // now and re-emit on completion, so artifact presence reliably signals
     // "this campaign, complete".
-    for stale in [&json_path, &aggregate_path] {
+    for stale in std::iter::once(&json_path).chain(&aggregate_path) {
         remove_stale(stale)?;
     }
 
+    let mut header = vec![
+        ("schema", Json::str(MANIFEST_SCHEMA)),
+        ("name", Json::Str(spec.name.clone())),
+        ("fingerprint", Json::Str(spec.fingerprint())),
+        ("jobs", Json::int(jobs.len() as u64)),
+    ];
+    header.extend(opts.shard.map(|s| ("shard", s.to_json())));
     let slice = JournalSlice {
         jobs: &jobs,
-        work: (0..jobs.len()).collect(),
-        manifest_path,
-        header: Json::object(vec![
-            ("schema", Json::str(MANIFEST_SCHEMA)),
-            ("name", Json::Str(spec.name.clone())),
-            ("fingerprint", Json::Str(fingerprint)),
-            ("jobs", Json::int(jobs.len() as u64)),
-        ]),
-        shard: None,
+        work: owned_indices(opts.shard, jobs.len()),
+        manifest_path: path(".manifest.jsonl"),
+        header: Json::object(header),
     };
     let sliced = execute_journaled_on(&slice, opts, pool)?;
 
@@ -206,9 +233,13 @@ pub fn run_campaign_on(
         })
         .collect();
 
-    let groups = aggregate(&completed);
+    let groups = match opts.shard {
+        Some(_) => Vec::new(),
+        None => aggregate(&completed),
+    };
     let mut run = CampaignRun {
         spec: spec.clone(),
+        shard: opts.shard,
         completed,
         total_jobs: jobs.len(),
         resumed_jobs: sliced.resumed_jobs,
@@ -219,18 +250,29 @@ pub fn run_campaign_on(
         groups,
     };
     if run.is_complete() {
-        std::fs::write(&json_path, campaign_json(spec, &run.completed))
-            .map_err(|e| ScenarioError::io(&json_path, e))?;
+        let text = document_json(spec, run.shard, run.total_jobs, &run.completed);
+        std::fs::write(&json_path, text).map_err(|e| ScenarioError::io(&json_path, e))?;
         run.json_path = Some(json_path);
-        std::fs::write(&aggregate_path, aggregate_json(spec, &run.groups))
-            .map_err(|e| ScenarioError::io(&aggregate_path, e))?;
-        run.aggregate_path = Some(aggregate_path);
+        if let Some(path) = aggregate_path {
+            std::fs::write(&path, aggregate_json(spec, &run.groups))
+                .map_err(|e| ScenarioError::io(&path, e))?;
+            run.aggregate_path = Some(path);
+        }
     }
     Ok(run)
 }
 
+/// The job indices a run owns out of a `total`-job expansion, ascending:
+/// the shard's stripe, or every job.
+fn owned_indices(shard: Option<Shard>, total: usize) -> Vec<usize> {
+    match shard {
+        Some(shard) => shard.stripe(total),
+        None => (0..total).collect(),
+    }
+}
+
 /// Removes a possibly-present stale artifact.
-pub(crate) fn remove_stale(path: &Path) -> Result<(), ScenarioError> {
+fn remove_stale(path: &Path) -> Result<(), ScenarioError> {
     match std::fs::remove_file(path) {
         Ok(()) => Ok(()),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
@@ -239,54 +281,39 @@ pub(crate) fn remove_stale(path: &Path) -> Result<(), ScenarioError> {
 }
 
 /// One journaled execution slice: the subset of a campaign's expanded job
-/// list that an invocation owns, the journal it persists to, and the exact
-/// header line binding that journal to this (campaign, slice) pair. The
-/// whole-campaign runner and the shard runner ([`crate::shard`]) drive the
-/// same engine — a shard is "the same run, smaller work list, its own
-/// journal".
-pub(crate) struct JournalSlice<'a> {
+/// list that an invocation owns (every job, or a shard's stripe), the
+/// journal it persists to, and the exact header line binding that journal
+/// to this (campaign, slice) pair.
+struct JournalSlice<'a> {
     /// The campaign's full expanded job list; `work` indices refer into it.
-    pub jobs: &'a [ScenarioSpec],
-    /// The job indices this run owns, strictly ascending (the modulo
-    /// stripe for shards, `0..jobs.len()` for a whole run).
-    pub work: Vec<usize>,
+    jobs: &'a [ScenarioSpec],
+    /// The job indices this run owns ([`owned_indices`]).
+    work: Vec<usize>,
     /// Path of the journal.
-    pub manifest_path: PathBuf,
+    manifest_path: PathBuf,
     /// The journal's header line. A resume recovers outcomes only from a
     /// journal whose first line parses back to exactly this value, so any
     /// drift — an edited spec (fingerprint), a different job count,
     /// different shard coordinates — restarts the journal instead of
     /// mixing results.
-    pub header: Json,
-    /// `(shard, shard_count)` when this slice is a shard stripe; traced
-    /// jobs then carry a [`TraceEvent::ShardProgress`] record keyed by
-    /// stripe position (never completion order).
-    pub shard: Option<(u64, u64)>,
+    header: Json,
 }
 
-/// What [`execute_journaled`] produced for its slice.
-pub(crate) struct SliceOutcome {
+/// What [`execute_journaled_on`] produced for its slice.
+struct SliceOutcome {
     /// Completed outcomes by job index (journaled + freshly computed).
-    pub outcomes: BTreeMap<usize, ScenarioOutcome>,
+    outcomes: BTreeMap<usize, ScenarioOutcome>,
     /// Jobs recovered from the manifest instead of recomputed.
-    pub resumed_jobs: usize,
+    resumed_jobs: usize,
     /// Jobs executed by this invocation.
-    pub executed_jobs: usize,
+    executed_jobs: usize,
 }
 
-/// Runs (or resumes) one journaled slice of a campaign: recovers
+/// Runs (or resumes) one journaled slice of a campaign on `pool`: recovers
 /// already-journaled outcomes from a matching manifest, executes the
-/// remaining work in parallel on `minipool`, and journals every completed
-/// job immediately (kill-safe).
-pub(crate) fn execute_journaled(
-    slice: &JournalSlice<'_>,
-    opts: &RunnerOptions,
-) -> Result<SliceOutcome, ScenarioError> {
-    execute_journaled_on(slice, opts, &minipool::ThreadPool::new())
-}
-
-/// [`execute_journaled`] on a caller-owned pool (see [`run_campaign_on`]).
-pub(crate) fn execute_journaled_on(
+/// remaining work in parallel, and journals every completed job
+/// immediately (kill-safe).
+fn execute_journaled_on(
     slice: &JournalSlice<'_>,
     opts: &RunnerOptions,
     pool: &minipool::ThreadPool,
@@ -367,7 +394,7 @@ pub(crate) fn execute_journaled_on(
                     );
                 }
                 let job = &jobs[index];
-                match run_job(job, index, slice, opts.trace_dir.as_deref()) {
+                match run_job(job, index, slice, opts) {
                     Ok(outcome) => {
                         let line = Json::object(vec![
                             ("job", Json::int(index as u64)),
@@ -436,14 +463,14 @@ fn run_job(
     job: &ScenarioSpec,
     index: usize,
     slice: &JournalSlice<'_>,
-    trace_dir: Option<&Path>,
+    opts: &RunnerOptions,
 ) -> Result<ScenarioOutcome, String> {
-    let Some(dir) = trace_dir else {
+    let Some(dir) = &opts.trace_dir else {
         return run_scenario(job).map_err(|e| e.to_string());
     };
     let (outcome, mut events) =
         run_scenario_traced_as_job(job, index as u64).map_err(|e| e.to_string())?;
-    if let Some((shard, shard_count)) = slice.shard {
+    if let Some(shard) = opts.shard {
         // Keyed by stripe position, not completion order, so sharded
         // traces stay byte-deterministic at any thread count.
         let position = slice.work.binary_search(&index).unwrap_or(0) as u64;
@@ -451,8 +478,8 @@ fn run_job(
             1,
             TraceEvent::ShardProgress {
                 cycle: 0,
-                shard,
-                shard_count,
+                shard: shard.index as u64,
+                shard_count: shard.count as u64,
                 position,
                 stripe_len: slice.work.len() as u64,
             },
@@ -549,47 +576,72 @@ fn recovered_job(slice: &JournalSlice<'_>, record: &Json) -> Option<(usize, Scen
 /// Records embed both the scenario spec and the outcome, so the artifact is
 /// self-describing and reproducible.
 pub fn campaign_json(spec: &CampaignSpec, records: &[JobRecord]) -> String {
-    let doc = Json::object(vec![
-        ("schema", Json::str(CAMPAIGN_SCHEMA)),
+    document_json(spec, None, records.len(), records)
+}
+
+/// The one artifact writer: [`campaign_json`] for a whole run, or the
+/// `hotnoc-campaign-shard-v1` document of a completed stripe, which adds
+/// only its `shard` coordinates and the campaign's `total_jobs`. Records
+/// carry global job indices in both, so a merge is pure reassembly.
+fn document_json(
+    spec: &CampaignSpec,
+    shard: Option<Shard>,
+    total_jobs: usize,
+    records: &[JobRecord],
+) -> String {
+    let schema = if shard.is_some() {
+        SHARD_SCHEMA
+    } else {
+        CAMPAIGN_SCHEMA
+    };
+    let mut fields = vec![
+        ("schema", Json::str(schema)),
         ("name", Json::Str(spec.name.clone())),
         ("seed", Json::int(spec.seed)),
         ("fingerprint", Json::Str(spec.fingerprint())),
-        ("spec", spec.to_json()),
-        ("jobs", Json::int(records.len() as u64)),
-        (
-            "results",
-            Json::Array(
-                records
-                    .iter()
-                    .map(|r| {
-                        Json::object(vec![
-                            ("job", Json::int(r.index as u64)),
-                            ("scenario", Json::Str(r.spec.name.clone())),
-                            ("spec", r.spec.to_json()),
-                            ("outcome", r.outcome.to_json()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-    let mut text = doc.to_string();
+    ];
+    fields.extend(shard.map(|s| ("shard", s.to_json())));
+    fields.push(("spec", spec.to_json()));
+    if shard.is_some() {
+        fields.push(("total_jobs", Json::int(total_jobs as u64)));
+    }
+    fields.push(("jobs", Json::int(records.len() as u64)));
+    let results = records
+        .iter()
+        .map(|r| {
+            Json::object(vec![
+                ("job", Json::int(r.index as u64)),
+                ("scenario", Json::Str(r.spec.name.clone())),
+                ("spec", r.spec.to_json()),
+                ("outcome", r.outcome.to_json()),
+            ])
+        })
+        .collect();
+    fields.push(("results", Json::Array(results)));
+    let mut text = Json::object(fields).to_string();
     text.push('\n');
     text
 }
 
-/// A parsed-and-validated `CAMPAIGN_<name>.json` document.
+/// A parsed-and-validated campaign artifact: a whole campaign, or one
+/// shard of it.
 #[derive(Debug)]
 pub struct CampaignDoc {
     /// The embedded campaign spec.
     pub spec: CampaignSpec,
-    /// The completed jobs, in index order.
+    /// The stripe a shard artifact covers; `None` for a whole campaign.
+    pub shard: Option<Shard>,
+    /// Jobs in the whole campaign expansion.
+    pub total_jobs: usize,
+    /// The recorded jobs in index order: all of them, or the shard's
+    /// stripe.
     pub records: Vec<JobRecord>,
 }
 
-/// Strictly parses and cross-validates a campaign artifact: schema tag,
-/// fingerprint consistency with the embedded spec, job count and order,
-/// and that every record's scenario matches what the spec expands to.
+/// Strictly parses and cross-validates a campaign or shard artifact:
+/// schema tag, fingerprint consistency with the embedded spec, job count
+/// and order (a shard's results must cover its stripe exactly), and that
+/// every record's scenario matches what the spec expands to.
 ///
 /// # Errors
 ///
@@ -607,9 +659,9 @@ pub fn parse_campaign_document(text: &str) -> Result<CampaignDoc, String> {
 /// Returns a human-readable description of the first violation.
 pub fn validate_campaign_json(j: &Json) -> Result<CampaignDoc, String> {
     let schema = j.req_str("schema")?;
-    if schema != CAMPAIGN_SCHEMA {
+    if schema != CAMPAIGN_SCHEMA && schema != SHARD_SCHEMA {
         return Err(format!(
-            "unknown schema {schema:?} (want {CAMPAIGN_SCHEMA:?})"
+            "unknown schema {schema:?} (want {CAMPAIGN_SCHEMA:?} or {SHARD_SCHEMA:?})"
         ));
     }
     let spec = CampaignSpec::from_json(j.req("spec")?)?;
@@ -623,6 +675,18 @@ pub fn validate_campaign_json(j: &Json) -> Result<CampaignDoc, String> {
         return Err("fingerprint does not match the embedded spec".into());
     }
     let jobs = spec.expand();
+    let shard = match schema {
+        SHARD_SCHEMA => Some(Shard::from_json(j.req("shard")?)?),
+        _ => None,
+    };
+    if shard.is_some() && j.req_u64("total_jobs")? as usize != jobs.len() {
+        return Err(format!(
+            "total_jobs field says {} but the campaign expands to {} jobs",
+            j.req_u64("total_jobs")?,
+            jobs.len()
+        ));
+    }
+    let work = owned_indices(shard, jobs.len());
     let declared = j.req_u64("jobs")? as usize;
     let results = j.req_array("results")?;
     if declared != results.len() {
@@ -631,28 +695,41 @@ pub fn validate_campaign_json(j: &Json) -> Result<CampaignDoc, String> {
             results.len()
         ));
     }
-    if results.len() != jobs.len() {
-        return Err(format!(
-            "campaign expands to {} jobs but the document records {}",
-            jobs.len(),
-            results.len()
-        ));
+    if results.len() != work.len() {
+        return Err(match shard {
+            Some(shard) => format!(
+                "shard {shard} of {} jobs owns {} but the document records {}",
+                jobs.len(),
+                work.len(),
+                results.len()
+            ),
+            None => format!(
+                "campaign expands to {} jobs but the document records {}",
+                jobs.len(),
+                results.len()
+            ),
+        });
     }
     let mut records = Vec::with_capacity(results.len());
-    for (i, rec) in results.iter().enumerate() {
+    for (i, (rec, &expected)) in results.iter().zip(&work).enumerate() {
         let ctx = |e: String| format!("results[{i}]: {e}");
         let index = rec.req_u64("job").map_err(ctx)? as usize;
-        if index != i {
-            return Err(format!("results[{i}] is job {index} (order broken)"));
+        if index != expected {
+            return Err(match shard {
+                Some(shard) => format!(
+                    "results[{i}] is job {index} but shard {shard} expects job {expected} there"
+                ),
+                None => format!("results[{i}] is job {index} (order broken)"),
+            });
         }
         let spec_i = ScenarioSpec::from_json(rec.req("spec").map_err(ctx)?).map_err(ctx)?;
-        if spec_i != jobs[i] {
+        if spec_i != jobs[index] {
             return Err(format!(
                 "results[{i}] spec does not match the campaign expansion ({})",
-                jobs[i].name
+                jobs[index].name
             ));
         }
-        if rec.req_str("scenario").map_err(ctx)? != jobs[i].name {
+        if rec.req_str("scenario").map_err(ctx)? != jobs[index].name {
             return Err(format!("results[{i}] scenario name mismatch"));
         }
         let outcome = ScenarioOutcome::from_json(rec.req("outcome").map_err(ctx)?).map_err(ctx)?;
@@ -662,17 +739,28 @@ pub fn validate_campaign_json(j: &Json) -> Result<CampaignDoc, String> {
             outcome,
         });
     }
-    Ok(CampaignDoc { spec, records })
+    Ok(CampaignDoc {
+        spec,
+        shard,
+        total_jobs: jobs.len(),
+        records,
+    })
 }
 
-/// Renders the human summary table of a campaign run.
+/// Renders the human summary table of a campaign or shard run.
 pub fn summary_table(run: &CampaignRun) -> String {
     let mut s = String::new();
+    let (label, total) = match run.shard {
+        Some(shard) => (
+            format!("{} shard {shard}", run.spec.name),
+            format!("; campaign total {}", run.total_jobs),
+        ),
+        None => (run.spec.name.clone(), String::new()),
+    };
     s.push_str(&format!(
-        "campaign {} — {}/{} jobs ({} resumed, {} executed)\n",
-        run.spec.name,
+        "campaign {label} — {}/{} jobs ({} resumed, {} executed{total})\n",
         run.completed.len(),
-        run.total_jobs,
+        run.owned_jobs(),
         run.resumed_jobs,
         run.executed_jobs,
     ));
@@ -695,7 +783,7 @@ pub fn summary_table(run: &CampaignRun) -> String {
     if !run.is_complete() {
         s.push_str(&format!(
             "(partial: {} jobs still pending — re-run to resume from the manifest)\n",
-            run.total_jobs - run.completed.len()
+            run.owned_jobs() - run.completed.len()
         ));
     }
     let groups = &run.groups;
@@ -1157,25 +1245,104 @@ mod tests {
         let _ = std::fs::remove_dir_all(&d2);
     }
 
+    /// The top-level field `key` of a document, for tampering.
+    fn field<'a>(doc: &'a mut Json, key: &str) -> Option<&'a mut Json> {
+        let Json::Object(fields) = doc else {
+            return None;
+        };
+        fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// Replaces `doc[key]`; `false` when the document has no such field.
+    fn set(doc: &mut Json, key: &str, value: Json) -> bool {
+        field(doc, key).map(|f| *f = value).is_some()
+    }
+
+    /// Adds one to the integer `doc[key]`; `false` when absent.
+    fn bump(doc: &mut Json, key: &str) -> bool {
+        let Some(f) = field(doc, key) else {
+            return false;
+        };
+        *f = Json::int(f.as_u64().expect("integer field") + 1);
+        true
+    }
+
+    fn results(doc: &mut Json) -> &mut Vec<Json> {
+        match field(doc, "results") {
+            Some(Json::Array(records)) => records,
+            _ => panic!("artifact without a results array"),
+        }
+    }
+
     #[test]
     fn validator_rejects_tampered_documents() {
+        type Check = fn(&str) -> Result<(), String>;
+        type Mutation = fn(&mut Json) -> bool;
         let dir = tmp_dir("tamper");
         let spec = tiny_campaign("unit-tamper");
-        let run = run_campaign(
+        let opts = RunnerOptions {
+            threads: 1,
+            out_dir: dir.clone(),
+            ..RunnerOptions::default()
+        };
+        let whole = run_campaign(&spec, &opts).expect("whole run");
+        let shard = run_campaign(
             &spec,
             &RunnerOptions {
-                threads: 1,
-                out_dir: dir.clone(),
-                ..RunnerOptions::default()
+                shard: Some(Shard::new(1, 2).unwrap()),
+                ..opts.clone()
             },
         )
-        .expect("runs");
-        let text = std::fs::read_to_string(run.json_path.as_ref().unwrap()).unwrap();
-        assert!(parse_campaign_document(&text).is_ok());
-        let tampered = text.replace("\"seed\": 7", "\"seed\": 8");
-        assert!(parse_campaign_document(&tampered).is_err());
-        let truncated = text.replace("\"jobs\": 6", "\"jobs\": 5");
-        assert!(parse_campaign_document(&truncated).is_err());
+        .expect("shard run");
+        let whole_check: Check = |t| parse_campaign_document(t).map(drop);
+        let shard_check: Check = |t| parse_campaign_document(t).map(drop);
+        let artifacts = [
+            ("whole", whole.json_path.expect("artifact"), whole_check),
+            ("shard 1/2", shard.json_path.expect("artifact"), shard_check),
+        ];
+        // One mutation per row; `false` means the document lacks the field
+        // (a whole artifact has no `total_jobs` or `shard`).
+        let mutations: [(&str, Mutation); 9] = [
+            ("seed", |d| set(d, "seed", Json::int(8))),
+            ("fingerprint", |d| {
+                set(d, "fingerprint", Json::str("0000000000000000"))
+            }),
+            ("name", |d| set(d, "name", Json::str("unit-other"))),
+            ("jobs", |d| bump(d, "jobs")),
+            ("total_jobs", |d| bump(d, "total_jobs")),
+            ("shard.index", |d| {
+                field(d, "shard").is_some_and(|s| set(s, "index", Json::int(0)))
+            }),
+            ("swapped results", |d| {
+                results(d).swap(0, 1);
+                true
+            }),
+            ("dropped record", |d| {
+                let records = results(d);
+                records.pop();
+                let left = records.len() as u64;
+                set(d, "jobs", Json::int(left))
+            }),
+            ("record scenario", |d| {
+                set(&mut results(d)[0], "scenario", Json::str("A/tampered"))
+            }),
+        ];
+        for (label, path, check) in &artifacts {
+            let text = std::fs::read_to_string(path).unwrap();
+            assert_eq!(check(&text), Ok(()), "{label}: pristine artifact");
+            let pristine = Json::parse(&text).unwrap();
+            for (mutation, mutate) in &mutations {
+                let mut doc = pristine.clone();
+                if !mutate(&mut doc) {
+                    assert_eq!(*label, "whole", "{mutation} must apply to a shard");
+                    continue;
+                }
+                assert!(
+                    check(&doc.to_string()).is_err(),
+                    "{label}: tampered {mutation} still validates"
+                );
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,6 +1,6 @@
-//! Distributed campaign sharding: run a deterministic stripe of a
-//! campaign's expanded job list on one host, then merge the shard
-//! artifacts back into the exact single-host campaign artifact.
+//! Distributed campaign sharding: the coordinates of a deterministic
+//! stripe of a campaign's expanded job list, and the merge that turns a
+//! complete shard set back into the exact single-host campaign.
 //!
 //! A shard `i/n` owns every job whose index is congruent to `i` modulo
 //! `n` over the stably-ordered expansion — so the stripes partition the
@@ -8,11 +8,9 @@
 //! keeps the per-job seed the unsharded run would derive
 //! ([`crate::campaign::derive_job_seed`] depends only on the campaign
 //! seed, the axis seed, and the job index, none of which sharding
-//! changes). Each shard journals to its own
-//! `CAMPAIGN_<name>.shard-i-of-n.manifest.jsonl` (same kill/resume
-//! guarantees as a whole run; the header additionally binds the shard
-//! coordinates) and emits a `hotnoc-campaign-shard-v1` artifact on
-//! completion.
+//! changes). A shard runs through the one campaign runner
+//! ([`crate::runner::RunnerOptions::shard`]), with its own journal and a
+//! `hotnoc-campaign-shard-v1` artifact.
 //!
 //! [`merge_shards`] validates a shard set — same campaign fingerprint,
 //! complete `0..n` cover, no duplicates — and reassembles the records in
@@ -21,16 +19,9 @@
 //! the index-ordered records, the merged `CAMPAIGN_<name>.json` and
 //! `.aggregate.json` are byte-identical to a single-host whole run.
 
-use crate::campaign::CampaignSpec;
-use crate::error::ScenarioError;
 use crate::json::Json;
-use crate::outcome::ScenarioOutcome;
-use crate::runner::{
-    execute_journaled, remove_stale, JobRecord, JournalSlice, RunnerOptions, MANIFEST_SCHEMA,
-};
-use crate::spec::ScenarioSpec;
+use crate::runner::{CampaignDoc, JobRecord};
 use std::fmt;
-use std::path::PathBuf;
 
 /// Schema tag of the `CAMPAIGN_<name>.shard-i-of-n.json` artifact.
 pub const SHARD_SCHEMA: &str = "hotnoc-campaign-shard-v1";
@@ -112,295 +103,34 @@ impl fmt::Display for Shard {
     }
 }
 
-/// The state of a shard after one [`run_campaign_shard`] invocation.
-#[derive(Debug)]
-pub struct ShardRun {
-    /// The campaign the shard belongs to.
-    pub spec: CampaignSpec,
-    /// Which stripe ran.
-    pub shard: Shard,
-    /// Completed jobs of this stripe in (global) index order — all of
-    /// them when the shard is complete.
-    pub completed: Vec<JobRecord>,
-    /// Jobs in this stripe.
-    pub shard_jobs: usize,
-    /// Jobs in the whole campaign expansion.
-    pub total_jobs: usize,
-    /// Jobs recovered from the shard manifest instead of recomputed.
-    pub resumed_jobs: usize,
-    /// Jobs executed by this invocation.
-    pub executed_jobs: usize,
-    /// Path of the shard's manifest journal.
-    pub manifest_path: PathBuf,
-    /// Path of the emitted shard artifact; `None` while the shard is
-    /// still partial.
-    pub json_path: Option<PathBuf>,
-}
-
-impl ShardRun {
-    /// `true` once every job of the stripe has a journaled outcome.
-    pub fn is_complete(&self) -> bool {
-        self.completed.len() == self.shard_jobs
-    }
-}
-
-/// Runs (or resumes) one shard of a campaign. Same engine and guarantees
-/// as [`crate::runner::run_campaign`], restricted to the shard's stripe:
-/// kill-safe journaling to `CAMPAIGN_<name>.shard-i-of-n.manifest.jsonl`,
-/// byte-identical artifacts at any thread count and across kill/resume.
-///
-/// # Errors
-///
-/// Propagates spec validation failures, filesystem trouble and the first
-/// failing job (already-journaled sibling results survive for the next
-/// attempt).
-pub fn run_campaign_shard(
-    spec: &CampaignSpec,
-    shard: Shard,
-    opts: &RunnerOptions,
-) -> Result<ShardRun, ScenarioError> {
-    spec.validate().map_err(ScenarioError::Spec)?;
-    let jobs = spec.expand();
-    let fingerprint = spec.fingerprint();
-    std::fs::create_dir_all(&opts.out_dir).map_err(|e| ScenarioError::io(&opts.out_dir, e))?;
-    let tag = shard.file_tag();
-    let manifest_path = opts
-        .out_dir
-        .join(format!("CAMPAIGN_{}.{tag}.manifest.jsonl", spec.name));
-    let json_path = opts
-        .out_dir
-        .join(format!("CAMPAIGN_{}.{tag}.json", spec.name));
-    remove_stale(&json_path)?;
-
-    let slice = JournalSlice {
-        jobs: &jobs,
-        work: shard.stripe(jobs.len()),
-        manifest_path,
-        // The whole-run header plus the shard coordinates: a whole-run
-        // journal can never satisfy a shard resume (or vice versa), and a
-        // shard journal from different coordinates restarts cleanly.
-        header: Json::object(vec![
-            ("schema", Json::str(MANIFEST_SCHEMA)),
-            ("name", Json::Str(spec.name.clone())),
-            ("fingerprint", Json::Str(fingerprint)),
-            ("jobs", Json::int(jobs.len() as u64)),
-            ("shard", shard.to_json()),
-        ]),
-        shard: Some((shard.index as u64, shard.count as u64)),
-    };
-    let shard_jobs = slice.work.len();
-    let sliced = execute_journaled(&slice, opts)?;
-
-    let completed: Vec<JobRecord> = sliced
-        .outcomes
-        .into_iter()
-        .map(|(index, outcome)| JobRecord {
-            index,
-            spec: jobs[index].clone(),
-            outcome,
-        })
-        .collect();
-
-    let mut run = ShardRun {
-        spec: spec.clone(),
-        shard,
-        completed,
-        shard_jobs,
-        total_jobs: jobs.len(),
-        resumed_jobs: sliced.resumed_jobs,
-        executed_jobs: sliced.executed_jobs,
-        manifest_path: slice.manifest_path,
-        json_path: None,
-    };
-    if run.is_complete() {
-        std::fs::write(
-            &json_path,
-            shard_json(spec, shard, run.total_jobs, &run.completed),
-        )
-        .map_err(|e| ScenarioError::io(&json_path, e))?;
-        run.json_path = Some(json_path);
-    }
-    Ok(run)
-}
-
-/// Serializes a completed shard to the `hotnoc-campaign-shard-v1`
-/// document. Records carry their *global* job indices and the same
-/// `{job, scenario, spec, outcome}` shape as the campaign artifact, so a
-/// merge is pure reassembly.
-pub fn shard_json(
-    spec: &CampaignSpec,
-    shard: Shard,
-    total_jobs: usize,
-    records: &[JobRecord],
-) -> String {
-    let doc = Json::object(vec![
-        ("schema", Json::str(SHARD_SCHEMA)),
-        ("name", Json::Str(spec.name.clone())),
-        ("seed", Json::int(spec.seed)),
-        ("fingerprint", Json::Str(spec.fingerprint())),
-        ("shard", shard.to_json()),
-        ("spec", spec.to_json()),
-        ("total_jobs", Json::int(total_jobs as u64)),
-        ("jobs", Json::int(records.len() as u64)),
-        (
-            "results",
-            Json::Array(
-                records
-                    .iter()
-                    .map(|r| {
-                        Json::object(vec![
-                            ("job", Json::int(r.index as u64)),
-                            ("scenario", Json::Str(r.spec.name.clone())),
-                            ("spec", r.spec.to_json()),
-                            ("outcome", r.outcome.to_json()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-    let mut text = doc.to_string();
-    text.push('\n');
-    text
-}
-
-/// A parsed-and-validated shard artifact.
-#[derive(Debug)]
-pub struct ShardDoc {
-    /// The embedded campaign spec.
-    pub spec: CampaignSpec,
-    /// Which stripe this artifact covers.
-    pub shard: Shard,
-    /// Jobs in the whole campaign expansion.
-    pub total_jobs: usize,
-    /// The stripe's completed jobs, in (global) index order.
-    pub records: Vec<JobRecord>,
-}
-
-/// Strictly parses and cross-validates a shard artifact: schema tag,
-/// fingerprint consistency with the embedded spec, shard coordinates,
-/// and that the results cover the shard's stripe exactly, in order, with
-/// each record's spec matching the campaign expansion.
-///
-/// # Errors
-///
-/// Returns a human-readable description of the first violation.
-pub fn parse_shard_document(text: &str) -> Result<ShardDoc, String> {
-    validate_shard_json(&Json::parse(text)?)
-}
-
-/// [`parse_shard_document`] over an already-parsed document.
-///
-/// # Errors
-///
-/// Returns a human-readable description of the first violation.
-pub fn validate_shard_json(j: &Json) -> Result<ShardDoc, String> {
-    let schema = j.req_str("schema")?;
-    if schema != SHARD_SCHEMA {
-        return Err(format!("unknown schema {schema:?} (want {SHARD_SCHEMA:?})"));
-    }
-    let spec = CampaignSpec::from_json(j.req("spec")?)?;
-    if j.req_str("name")? != spec.name {
-        return Err("top-level name differs from the embedded spec".into());
-    }
-    if j.req_u64("seed")? != spec.seed {
-        return Err("top-level seed differs from the embedded spec".into());
-    }
-    if j.req_str("fingerprint")? != spec.fingerprint() {
-        return Err("fingerprint does not match the embedded spec".into());
-    }
-    let shard = Shard::from_json(j.req("shard")?)?;
-    let jobs = spec.expand();
-    if j.req_u64("total_jobs")? as usize != jobs.len() {
-        return Err(format!(
-            "total_jobs field says {} but the campaign expands to {} jobs",
-            j.req_u64("total_jobs")?,
-            jobs.len()
-        ));
-    }
-    let stripe = shard.stripe(jobs.len());
-    let declared = j.req_u64("jobs")? as usize;
-    let results = j.req_array("results")?;
-    if declared != results.len() {
-        return Err(format!(
-            "jobs field says {declared} but results has {} entries",
-            results.len()
-        ));
-    }
-    if results.len() != stripe.len() {
-        return Err(format!(
-            "shard {shard} of {} jobs owns {} but the document records {}",
-            jobs.len(),
-            stripe.len(),
-            results.len()
-        ));
-    }
-    let mut records = Vec::with_capacity(results.len());
-    for (i, rec) in results.iter().enumerate() {
-        let ctx = |e: String| format!("results[{i}]: {e}");
-        let index = rec.req_u64("job").map_err(ctx)? as usize;
-        if index != stripe[i] {
-            return Err(format!(
-                "results[{i}] is job {index} but shard {shard} expects job {} there",
-                stripe[i]
-            ));
-        }
-        let spec_i = ScenarioSpec::from_json(rec.req("spec").map_err(ctx)?).map_err(ctx)?;
-        if spec_i != jobs[index] {
-            return Err(format!(
-                "results[{i}] spec does not match the campaign expansion ({})",
-                jobs[index].name
-            ));
-        }
-        if rec.req_str("scenario").map_err(ctx)? != jobs[index].name {
-            return Err(format!("results[{i}] scenario name mismatch"));
-        }
-        let outcome = ScenarioOutcome::from_json(rec.req("outcome").map_err(ctx)?).map_err(ctx)?;
-        records.push(JobRecord {
-            index,
-            spec: spec_i,
-            outcome,
-        });
-    }
-    Ok(ShardDoc {
-        spec,
-        shard,
-        total_jobs: jobs.len(),
-        records,
-    })
-}
-
-/// A complete campaign reassembled from a validated shard set. Feed
-/// `records` to [`crate::runner::campaign_json`] and
-/// [`crate::stats::aggregate`] — the outputs are byte-identical to a
-/// single-host whole run.
-#[derive(Debug)]
-pub struct MergedCampaign {
-    /// The campaign spec (identical across the shard set).
-    pub spec: CampaignSpec,
-    /// All job records in canonical (index) order.
-    pub records: Vec<JobRecord>,
-}
-
-/// Validates a shard set and reassembles the whole campaign: every shard
-/// must name the same campaign with the same fingerprint and shard
-/// count, and together they must cover stripes `0..n` exactly once.
+/// Validates a shard set and reassembles the whole campaign: every
+/// document must be a shard of the same campaign with the same fingerprint
+/// and shard count, and together they must cover stripes `0..n` exactly
+/// once. The result is a whole-campaign [`CampaignDoc`] — feed its records
+/// to [`crate::runner::campaign_json`] and [`crate::stats::aggregate`]
+/// and the outputs are byte-identical to a single-host whole run.
 ///
 /// # Errors
 ///
 /// Returns a human-readable description of the first violation — a
-/// duplicate stripe, a missing stripe, or a campaign/fingerprint/count
-/// mismatch.
-pub fn merge_shards(docs: Vec<ShardDoc>) -> Result<MergedCampaign, String> {
+/// whole-campaign document, a campaign/fingerprint/count mismatch, a
+/// duplicate stripe or a missing stripe.
+pub fn merge_shards(docs: Vec<CampaignDoc>) -> Result<CampaignDoc, String> {
     let Some(first) = docs.first() else {
         return Err("no shards to merge".into());
     };
-    let spec = first.spec.clone();
-    let name = spec.name.clone();
+    let shard_of = |d: &CampaignDoc| {
+        d.shard
+            .ok_or_else(|| format!("campaign {:?} document is whole, not a shard", d.spec.name))
+    };
+    let (spec, total_jobs) = (first.spec.clone(), first.total_jobs);
+    let name = &spec.name;
     let fingerprint = spec.fingerprint();
-    let count = first.shard.count;
+    let count = shard_of(first)?.count;
+    let mut indices = Vec::with_capacity(docs.len());
     for d in &docs {
-        if d.spec.name != name {
+        let shard = shard_of(d)?;
+        if d.spec.name != *name {
             return Err(format!(
                 "shard set mixes campaigns {name:?} and {:?}",
                 d.spec.name
@@ -408,94 +138,57 @@ pub fn merge_shards(docs: Vec<ShardDoc>) -> Result<MergedCampaign, String> {
         }
         if d.spec.fingerprint() != fingerprint {
             return Err(format!(
-                "fingerprint mismatch: shard {} was run against a different {name:?} spec \
+                "fingerprint mismatch: shard {shard} was run against a different {name:?} spec \
                  ({} vs {fingerprint})",
-                d.shard,
                 d.spec.fingerprint()
             ));
         }
-        if d.shard.count != count {
+        if shard.count != count {
             return Err(format!(
-                "shard count mismatch: {} vs {}/{count}",
-                d.shard, d.shard.index
+                "shard count mismatch: {shard} vs {}/{count}",
+                shard.index
             ));
         }
+        indices.push(shard.index);
     }
-    let mut seen: Vec<Option<&ShardDoc>> = vec![None; count];
-    for d in &docs {
-        if seen[d.shard.index].is_some() {
-            return Err(format!("duplicate shard {}", d.shard));
-        }
-        seen[d.shard.index] = Some(d);
+    // Bookkeeping is sized by the documents received, never by the count
+    // they claim: in the sorted indices a repeat is a duplicate, and the
+    // first gap (or the end) is the first missing stripe.
+    indices.sort_unstable();
+    if let Some(pair) = indices.windows(2).find(|pair| pair[0] == pair[1]) {
+        return Err(format!("duplicate shard {}/{count}", pair[0]));
     }
-    if let Some(missing) = seen.iter().position(Option::is_none) {
+    let missing = (0..indices.len())
+        .find(|&k| indices[k] != k)
+        .unwrap_or(indices.len());
+    if missing < count {
         return Err(format!("missing shard {missing}/{count}"));
     }
 
-    let total = first.total_jobs;
-    let mut slots: Vec<Option<JobRecord>> = vec![None; total];
-    for d in docs {
-        for r in d.records {
-            let index = r.index;
-            slots[index] = Some(r);
-        }
-    }
-    // Validated shards cover disjoint stripes that partition 0..total,
-    // so every slot is filled.
-    let records: Vec<JobRecord> = slots
-        .into_iter()
-        .map(|s| s.expect("stripe partition covers every job"))
-        .collect();
-    Ok(MergedCampaign { spec, records })
-}
-
-/// Renders the human summary line-set of a shard run.
-pub fn shard_summary(run: &ShardRun) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "campaign {} shard {} — {}/{} jobs ({} resumed, {} executed; campaign total {})\n",
-        run.spec.name,
-        run.shard,
-        run.completed.len(),
-        run.shard_jobs,
-        run.resumed_jobs,
-        run.executed_jobs,
-        run.total_jobs,
-    ));
-    let name_w = run
-        .completed
-        .iter()
-        .map(|r| r.spec.name.len())
-        .max()
-        .unwrap_or(8)
-        .max(8);
-    s.push_str(&format!("{:>5}  {:<name_w$}  outcome\n", "job", "scenario"));
-    for r in &run.completed {
-        s.push_str(&format!(
-            "{:>5}  {:<name_w$}  {}\n",
-            r.index,
-            r.spec.name,
-            r.outcome.summary()
-        ));
-    }
-    if !run.is_complete() {
-        s.push_str(&format!(
-            "(partial: {} jobs still pending — re-run to resume from the manifest)\n",
-            run.shard_jobs - run.completed.len()
-        ));
-    }
-    s
+    let mut records: Vec<JobRecord> = docs.into_iter().flat_map(|d| d.records).collect();
+    // Validated stripes partition 0..total_jobs, so index order is the
+    // campaign's job order.
+    records.sort_unstable_by_key(|r| r.index);
+    Ok(CampaignDoc {
+        spec,
+        shard: None,
+        total_jobs,
+        records,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::PolicyAxis;
-    use crate::runner::{campaign_json, run_campaign};
+    use crate::campaign::{CampaignSpec, PolicyAxis};
+    use crate::runner::{
+        campaign_json, parse_campaign_document, run_campaign, validate_campaign_json, RunnerOptions,
+    };
     use crate::spec::{ChipKind, Mode, Workload};
     use crate::stats::{aggregate, aggregate_json};
     use hotnoc_core::configs::{ChipConfigId, Fidelity};
     use hotnoc_noc::TrafficPattern;
+    use std::path::PathBuf;
 
     fn tiny_campaign(name: &str) -> CampaignSpec {
         CampaignSpec {
@@ -589,41 +282,67 @@ mod tests {
             std::fs::read_to_string(whole.aggregate_path.as_ref().expect("complete")).unwrap();
 
         // Three shards: shard 1 is interrupted after one job, resumed at a
-        // different thread count; shard 2 runs single-threaded.
-        let shard_dir = tmp_dir("stripes");
-        let mut docs = Vec::new();
-        for index in 0..3 {
-            let shard = Shard::new(index, 3).unwrap();
-            let mut opts = RunnerOptions {
-                threads: if index == 2 { 1 } else { 4 },
-                out_dir: shard_dir.clone(),
-                ..RunnerOptions::default()
-            };
-            if index == 1 {
-                opts.max_jobs = Some(1);
-                let partial = run_campaign_shard(&spec, shard, &opts).expect("partial shard");
-                assert!(!partial.is_complete());
-                assert!(partial.json_path.is_none());
-                opts.max_jobs = None;
-                opts.threads = 2;
+        // different thread count; shard 2 runs single-threaded. One shard:
+        // `0/1` is still a shard (tagged files, shard schema), never a
+        // whole run under another name.
+        for count in [3, 1] {
+            let shard_dir = tmp_dir(&format!("stripes-{count}"));
+            let mut docs = Vec::new();
+            for index in 0..count {
+                let shard = Shard::new(index, count).unwrap();
+                let mut opts = RunnerOptions {
+                    threads: if index == 2 { 1 } else { 4 },
+                    out_dir: shard_dir.clone(),
+                    shard: Some(shard),
+                    ..RunnerOptions::default()
+                };
+                if index == 1 {
+                    opts.max_jobs = Some(1);
+                    let partial = run_campaign(&spec, &opts).expect("partial shard");
+                    assert!(!partial.is_complete());
+                    assert!(partial.json_path.is_none());
+                    opts.max_jobs = None;
+                    opts.threads = 2;
+                }
+                let run = run_campaign(&spec, &opts).expect("shard run");
+                assert!(run.is_complete());
+                if index == 1 {
+                    assert_eq!(run.resumed_jobs, 1);
+                }
+                let path = run.json_path.as_ref().expect("artifact");
+                let tag = shard.file_tag();
+                assert_eq!(
+                    path,
+                    &shard_dir.join(format!("CAMPAIGN_unit-shard-merge.{tag}.json"))
+                );
+                assert_eq!(
+                    run.manifest_path,
+                    shard_dir.join(format!("CAMPAIGN_unit-shard-merge.{tag}.manifest.jsonl"))
+                );
+                let text = std::fs::read_to_string(path).unwrap();
+                let doc = parse_campaign_document(&text).expect("validates");
+                assert_eq!(doc.shard, Some(shard));
+                docs.push(doc);
             }
-            let run = run_campaign_shard(&spec, shard, &opts).expect("shard run");
-            assert!(run.is_complete());
-            if index == 1 {
-                assert_eq!(run.resumed_jobs, 1);
+            for whole_file in ["json", "aggregate.json", "manifest.jsonl"] {
+                let path = shard_dir.join(format!("CAMPAIGN_unit-shard-merge.{whole_file}"));
+                assert!(!path.exists(), "a shard wrote {}", path.display());
             }
-            let text = std::fs::read_to_string(run.json_path.as_ref().expect("artifact")).unwrap();
-            docs.push(parse_shard_document(&text).expect("validates"));
-        }
 
-        let merged = merge_shards(docs).expect("merges");
-        assert_eq!(campaign_json(&merged.spec, &merged.records), whole_campaign);
-        assert_eq!(
-            aggregate_json(&merged.spec, &aggregate(&merged.records)),
-            whole_aggregate
-        );
+            let merged = merge_shards(docs).expect("merges");
+            assert_eq!(
+                campaign_json(&merged.spec, &merged.records),
+                whole_campaign,
+                "{count} shard(s)"
+            );
+            assert_eq!(
+                aggregate_json(&merged.spec, &aggregate(&merged.records)),
+                whole_aggregate,
+                "{count} shard(s)"
+            );
+            let _ = std::fs::remove_dir_all(&shard_dir);
+        }
         let _ = std::fs::remove_dir_all(&whole_dir);
-        let _ = std::fs::remove_dir_all(&shard_dir);
     }
 
     #[test]
@@ -632,20 +351,20 @@ mod tests {
         // legal (and required for merge cover).
         let spec = tiny_campaign("unit-shard-empty");
         let dir = tmp_dir("empty");
-        let run = run_campaign_shard(
+        let run = run_campaign(
             &spec,
-            Shard::new(7, 8).unwrap(),
             &RunnerOptions {
                 threads: 1,
                 out_dir: dir.clone(),
+                shard: Some(Shard::new(7, 8).unwrap()),
                 ..RunnerOptions::default()
             },
         )
         .expect("runs");
         assert!(run.is_complete());
-        assert_eq!(run.shard_jobs, 0);
+        assert_eq!(run.owned_jobs(), 0);
         let text = std::fs::read_to_string(run.json_path.as_ref().expect("artifact")).unwrap();
-        let doc = parse_shard_document(&text).expect("validates");
+        let doc = parse_campaign_document(&text).expect("validates");
         assert!(doc.records.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -656,19 +375,19 @@ mod tests {
         let dir = tmp_dir("reject");
         let mut docs = Vec::new();
         for index in 0..2 {
-            let run = run_campaign_shard(
+            let run = run_campaign(
                 &spec,
-                Shard::new(index, 2).unwrap(),
                 &RunnerOptions {
                     threads: 1,
                     out_dir: dir.clone(),
+                    shard: Some(Shard::new(index, 2).unwrap()),
                     ..RunnerOptions::default()
                 },
             )
             .expect("runs");
             docs.push(std::fs::read_to_string(run.json_path.as_ref().expect("artifact")).unwrap());
         }
-        let parse = |t: &String| parse_shard_document(t).expect("validates");
+        let parse = |t: &String| parse_campaign_document(t).expect("validates");
 
         let err = merge_shards(vec![]).unwrap_err();
         assert!(err.contains("no shards"), "{err}");
@@ -683,12 +402,12 @@ mod tests {
         let mut other = tiny_campaign("unit-shard-reject");
         other.seeds = vec![1, 2];
         let other_dir = tmp_dir("reject-other");
-        let other_run = run_campaign_shard(
+        let other_run = run_campaign(
             &other,
-            Shard::new(1, 2).unwrap(),
             &RunnerOptions {
                 threads: 1,
                 out_dir: other_dir.clone(),
+                shard: Some(Shard::new(1, 2).unwrap()),
                 ..RunnerOptions::default()
             },
         )
@@ -697,6 +416,25 @@ mod tests {
             std::fs::read_to_string(other_run.json_path.as_ref().expect("artifact")).unwrap();
         let err = merge_shards(vec![parse(&docs[0]), parse(&other_text)]).unwrap_err();
         assert!(err.contains("fingerprint mismatch"), "{err}");
+
+        // A shard claiming an absurd count (its stripe is then just job 0)
+        // validates, and the merge must name the gap rather than size
+        // anything by that count.
+        let mut huge = Json::parse(&docs[0]).unwrap();
+        let Json::Object(fields) = &mut huge else {
+            panic!("artifact is an object");
+        };
+        for (key, value) in fields {
+            match (key.as_str(), value) {
+                ("shard", v) => *v = Shard::new(0, 4_000_000_000_000_000).unwrap().to_json(),
+                ("jobs", v) => *v = Json::int(1),
+                ("results", Json::Array(records)) => records.truncate(1),
+                _ => {}
+            }
+        }
+        let huge = validate_campaign_json(&huge).expect("the doctored shard validates");
+        let err = merge_shards(vec![huge]).unwrap_err();
+        assert!(err.contains("missing shard 1/4000000000000000"), "{err}");
 
         let ok = merge_shards(vec![parse(&docs[1]), parse(&docs[0])]).expect("order-insensitive");
         assert_eq!(ok.records.len(), 6);
@@ -720,7 +458,14 @@ mod tests {
         let whole_manifest = dir.join("CAMPAIGN_unit-shard-isolate.manifest.jsonl");
         let shard_manifest = dir.join("CAMPAIGN_unit-shard-isolate.shard-0-of-2.manifest.jsonl");
         std::fs::copy(&whole_manifest, &shard_manifest).unwrap();
-        let run = run_campaign_shard(&spec, Shard::new(0, 2).unwrap(), &opts).expect("shard run");
+        let run = run_campaign(
+            &spec,
+            &RunnerOptions {
+                shard: Some(Shard::new(0, 2).unwrap()),
+                ..opts
+            },
+        )
+        .expect("shard run");
         assert_eq!(run.resumed_jobs, 0, "whole-run journal must be ignored");
         assert_eq!(run.executed_jobs, 3);
         let _ = std::fs::remove_dir_all(&dir);

@@ -71,6 +71,7 @@ fn opts(dir: &std::path::Path, threads: usize) -> RunnerOptions {
         fresh: false,
         progress: false,
         trace_dir: None,
+        shard: None,
     }
 }
 

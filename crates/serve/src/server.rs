@@ -390,6 +390,7 @@ fn handle_submit(
                 fresh: false,
                 progress: false,
                 trace_dir: None,
+                shard: None,
             };
             match run_campaign_on(&spec, &opts, &state.pool) {
                 Ok(run) => campaign_entry(&spec.name, &key.0, &run),
