@@ -1,100 +1,16 @@
-//! Engineering benches for the LDPC workload: construction, encoding,
-//! decoding, and the NoC application block that feeds the thermal flow.
-//!
-//! The decode ids measure the steady-state production path — one
-//! [`DecoderWorkspace`] reused across blocks, so per-block work is the two
-//! edge-array sweeps and nothing else. `min_sum_decode_1200_cold` keeps the
-//! convenience API (fresh workspace, CSR rebuild per call) on the books so
-//! the two paths stay individually visible to the regression gate.
+//! Engineering benches for the LDPC workload: code construction and the
+//! NoC application block that feeds the thermal flow.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hotnoc_ldpc::app::{ComputeModel, LdpcNocApp};
-use hotnoc_ldpc::channel::AwgnChannel;
 use hotnoc_ldpc::schedule::MessageParams;
-use hotnoc_ldpc::{
-    ClusterMapping, DecoderWorkspace, Encoder, LayeredMinSumDecoder, LdpcCode, MinSumDecoder,
-    SumProductDecoder,
-};
+use hotnoc_ldpc::{ClusterMapping, LdpcCode};
 use hotnoc_noc::{Mesh, Network, NocConfig};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// A (3,6)-regular code plus one noisy observation of a random codeword at
-/// the given SNR — the shared decode workload.
-fn decode_workload(n: usize, snr_db: f64) -> (LdpcCode, Vec<f64>) {
-    let code = LdpcCode::gallager(n, 3, 6, 7).expect("code");
-    let encoder = Encoder::new(&code).expect("encoder");
-    let mut rng = StdRng::seed_from_u64(5);
-    let msg: Vec<bool> = (0..encoder.k()).map(|_| rng.gen()).collect();
-    let word = encoder.encode(&msg).expect("encode");
-    let mut chan = AwgnChannel::new(snr_db, code.rate(), 3);
-    let llrs = chan.transmit(&word);
-    (code, llrs)
-}
 
 fn bench_ldpc(c: &mut Criterion) {
     c.bench_function("ldpc/gallager_construction_1200", |b| {
         b.iter(|| LdpcCode::gallager(1200, 3, 6, black_box(7)).expect("code"))
     });
-
-    let (code, llrs) = decode_workload(1200, 3.0);
-    let encoder = Encoder::new(&code).expect("encoder");
-    let mut rng = StdRng::seed_from_u64(5);
-    let msg: Vec<bool> = (0..encoder.k()).map(|_| rng.gen()).collect();
-
-    c.bench_function("ldpc/encoder_build_1200", |b| {
-        b.iter(|| Encoder::new(black_box(&code)).expect("encoder"))
-    });
-
-    c.bench_function("ldpc/encode_1200", |b| {
-        b.iter(|| encoder.encode(black_box(&msg)).expect("encode"))
-    });
-
-    // Headline steady-state decode ids (the before/after comparators for
-    // the PERF_PLAN decoder card).
-    c.bench_function("ldpc/min_sum_decode_1200", |b| {
-        let dec = MinSumDecoder::default();
-        let mut ws = DecoderWorkspace::for_code(&code);
-        b.iter(|| dec.decode_with(&code, black_box(&llrs), &mut ws))
-    });
-
-    c.bench_function("ldpc/sum_product_decode_1200", |b| {
-        let dec = SumProductDecoder::default();
-        let mut ws = DecoderWorkspace::for_code(&code);
-        b.iter(|| dec.decode_with(&code, black_box(&llrs), &mut ws))
-    });
-
-    // The convenience API: allocates and rebuilds the CSR topology every
-    // block, so its gap to the steady-state id prices the workspace reuse.
-    c.bench_function("ldpc/min_sum_decode_1200_cold", |b| {
-        let dec = MinSumDecoder::default();
-        b.iter(|| dec.decode(&code, black_box(&llrs)))
-    });
-
-    // Code-size sweep over every decoder, steady-state path. The `mesh`
-    // meta slot carries the block length (the decode analogue of a mesh
-    // size); decoding is single-threaded.
-    let mut group = c.benchmark_group("ldpc/decode");
-    for n in [480usize, 1200, 4800] {
-        let (code, llrs) = decode_workload(n, 3.0);
-        group.meta(&format!("n{n}"), 1);
-        group.bench_function(format!("min_sum_{n}"), |b| {
-            let dec = MinSumDecoder::default();
-            let mut ws = DecoderWorkspace::for_code(&code);
-            b.iter(|| dec.decode_with(&code, black_box(&llrs), &mut ws))
-        });
-        group.bench_function(format!("sum_product_{n}"), |b| {
-            let dec = SumProductDecoder::default();
-            let mut ws = DecoderWorkspace::for_code(&code);
-            b.iter(|| dec.decode_with(&code, black_box(&llrs), &mut ws))
-        });
-        group.bench_function(format!("layered_{n}"), |b| {
-            let dec = LayeredMinSumDecoder::default();
-            let mut ws = DecoderWorkspace::for_code(&code);
-            b.iter(|| dec.decode_with(&code, black_box(&llrs), &mut ws))
-        });
-    }
-    group.finish();
 
     let mut group = c.benchmark_group("ldpc/noc_block");
     group.sample_size(10);
@@ -113,27 +29,6 @@ fn bench_ldpc(c: &mut Criterion) {
         b.iter(|| {
             let mut net = Network::new(Mesh::square(4).expect("mesh"), NocConfig::default());
             app.run_block(&mut net, 10).expect("block")
-        })
-    });
-    // Numeric decode + induced NoC traffic in one measurement: the decode
-    // threads the reusable workspace through `run_block_decoding`.
-    group.bench_function("4x4_decoded", |b| {
-        let (code, llrs) = decode_workload(960, 3.0);
-        let mapping = ClusterMapping::contiguous(&code, 16).expect("mapping");
-        let mut app = LdpcNocApp::new(
-            code,
-            mapping,
-            LdpcNocApp::identity_placement(16),
-            MessageParams::default(),
-            ComputeModel::default(),
-        )
-        .expect("app");
-        let dec = MinSumDecoder::default();
-        let mut ws = DecoderWorkspace::for_code(app.code());
-        b.iter(|| {
-            let mut net = Network::new(Mesh::square(4).expect("mesh"), NocConfig::default());
-            app.run_block_decoding(&mut net, &llrs, &mut ws, |c, l, w| dec.decode_with(c, l, w))
-                .expect("block")
         })
     });
     group.finish();

@@ -440,6 +440,64 @@ fn custom_ldpc_chip_too_large_for_its_code_is_bad_input_exit_2() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn thermal_runaway_fails_the_job_with_exit_1_and_no_artifact() {
+    // On a uniform 14x14 quick-fidelity die, xy-shift at period 1 migrates
+    // for longer than it decodes and the leakage loop runs away past any
+    // physical temperature: the job fails instead of recording a peak.
+    let dir = tmp_dir("runaway-14x14");
+    let chip = format!(
+        r#"{{"custom": {{"mesh_side": 14, "tile_weights": [{}], "base_peak_celsius": 80.0}}}}"#,
+        vec!["1.0"; 196].join(", ")
+    );
+    let scenario = dir.join("scenario.json");
+    std::fs::write(
+        &scenario,
+        format!(
+            r#"{{"name": "runaway", "chip": {chip}, "workload": {{"kind": "ldpc"}},
+  "policy": {{"kind": "periodic", "scheme": "xy-shift", "period_blocks": 1}},
+  "mode": "cosim", "fidelity": "quick", "seed": 0}}"#
+        ),
+    )
+    .unwrap();
+    let campaign = dir.join("campaign.json");
+    std::fs::write(
+        &campaign,
+        format!(
+            r#"{{"schema": "hotnoc-campaign-spec-v1", "name": "runaway", "seed": 1,
+  "fidelity": "quick", "configs": [{chip}], "workloads": [{{"kind": "ldpc"}}],
+  "policies": ["periodic"], "schemes": ["xy-shift"], "periods": [1], "seeds": [0]}}"#
+        ),
+    )
+    .unwrap();
+    let out_dir = dir.join("artifacts");
+    let mut campaign_run = hotnoc();
+    campaign_run
+        .args(["campaign", "run", "--spec"])
+        .arg(&campaign)
+        .arg("--out-dir")
+        .arg(&out_dir);
+    let mut scenario_run = hotnoc();
+    scenario_run
+        .args(["scenario", "run", "--spec"])
+        .arg(&scenario);
+    for mut cmd in [scenario_run, campaign_run] {
+        let run = cmd.output().expect("spawn");
+        assert_eq!(run.status.code(), Some(1), "stderr: {}", stderr(&run));
+        assert!(stderr(&run).contains("thermal runaway"), "{}", stderr(&run));
+        assert!(
+            stdout(&run).is_empty(),
+            "no result may be printed: {}",
+            stdout(&run)
+        );
+    }
+    assert!(
+        !out_dir.join("CAMPAIGN_runaway.json").exists(),
+        "no campaign artifact may be written"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Path of a committed test fixture.
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))

@@ -15,7 +15,7 @@
 //! 5x5s): an adaptive policy recovers the best of both without knowing the
 //! configuration in advance.
 
-use crate::chip::{CalibratedPower, Chip};
+use crate::chip::{check_runaway, CalibratedPower, Chip};
 use crate::cosim::{migration_cost, CosimParams, TRACE_TEMP_HYSTERESIS_C, TRACE_TEMP_THRESHOLD_C};
 use crate::error::CoreError;
 use hotnoc_obs::TraceEvent;
@@ -82,7 +82,9 @@ pub fn pick_scheme(
 ///
 /// # Errors
 ///
-/// Propagates thermal solver failures.
+/// Propagates thermal solver failures and fails with
+/// [`CoreError::ThermalRunaway`] when a block passes
+/// [`crate::chip::MAX_BLOCK_TEMP_C`].
 pub fn run_adaptive_cosim(
     chip: &Chip,
     cal: &CalibratedPower,
@@ -99,7 +101,7 @@ pub fn run_adaptive_cosim(
 ///
 /// # Errors
 ///
-/// Propagates thermal solver failures.
+/// As [`run_adaptive_cosim`].
 pub fn run_adaptive_cosim_traced(
     chip: &Chip,
     cal: &CalibratedPower,
@@ -112,6 +114,7 @@ pub fn run_adaptive_cosim_traced(
     let clock = chip.noc_config().clock_hz;
 
     let base_temps = chip.steady_with_leakage(&cal.dynamic)?;
+    check_runaway(&base_temps)?;
     let base_peak = base_temps.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
 
     let period_s = cal.block_seconds * params.period_blocks as f64;
@@ -175,6 +178,7 @@ pub fn run_adaptive_cosim_traced(
             *p += l;
         }
         sim.step(&power)?;
+        check_runaway(sim.block_temps())?;
         trace.push(sim.block_temps());
         if let (Some(ev), Some(w)) = (events.as_deref_mut(), watcher.as_mut()) {
             let cycle = ((fi + 1) as f64 * params.dt * clock).round() as u64;

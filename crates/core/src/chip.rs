@@ -13,6 +13,20 @@ use hotnoc_thermal::{Floorplan, PackageConfig, RcNetwork};
 /// The paper's functional-unit area: 4.36 mm² per PE tile.
 pub const TILE_AREA_M2: f64 = 4.36e-6;
 
+/// Highest block temperature (°C) at which the models mean anything. The
+/// leakage model clamps its input here, and a co-simulation that passes it
+/// fails with [`CoreError::ThermalRunaway`] instead of recording a number.
+pub const MAX_BLOCK_TEMP_C: f64 = 250.0;
+
+/// Fails with [`CoreError::ThermalRunaway`] when a block of `temps` is
+/// above [`MAX_BLOCK_TEMP_C`] or not a number.
+pub(crate) fn check_runaway(temps: &[f64]) -> Result<(), CoreError> {
+    match temps.iter().find(|&&t| t.is_nan() || t > MAX_BLOCK_TEMP_C) {
+        Some(&temp) => Err(CoreError::ThermalRunaway { temp }),
+        None => Ok(()),
+    }
+}
+
 /// A fully assembled chip configuration ready for co-simulation.
 #[derive(Debug)]
 pub struct Chip {
@@ -152,8 +166,9 @@ impl Chip {
 
     /// Steady-state block temperatures under `dynamic` power plus
     /// temperature-coupled leakage (fixed-point iteration). Leakage input
-    /// temperatures are clamped at 250 °C as a numerical guard — the
-    /// exponential model is only meaningful in the operating range.
+    /// temperatures are clamped at [`MAX_BLOCK_TEMP_C`] as a numerical
+    /// guard — the exponential model is only meaningful in the operating
+    /// range.
     ///
     /// # Errors
     ///
@@ -162,7 +177,7 @@ impl Chip {
         let areas = self.tile_areas_mm2();
         let mut temps = self.thermal.steady_state(dynamic)?;
         for _ in 0..6 {
-            let clamped: Vec<f64> = temps.iter().map(|t| t.min(250.0)).collect();
+            let clamped: Vec<f64> = temps.iter().map(|t| t.min(MAX_BLOCK_TEMP_C)).collect();
             let leak = leakage::leakage_per_block(&areas, &clamped, &self.tech);
             let total: Vec<f64> = dynamic.iter().zip(&leak).map(|(d, l)| d + l).collect();
             temps = self.thermal.steady_state(&total)?;

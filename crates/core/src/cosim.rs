@@ -7,7 +7,7 @@
 //! operation"), and decoding resumes with the workload spatially remapped.
 //! The thermal solver integrates the resulting time-varying power map.
 
-use crate::chip::{CalibratedPower, Chip};
+use crate::chip::{check_runaway, CalibratedPower, Chip};
 use crate::error::CoreError;
 use hotnoc_obs::TraceEvent;
 use hotnoc_power::leakage;
@@ -160,7 +160,9 @@ pub fn migration_cost(
 ///
 /// # Errors
 ///
-/// Propagates thermal-solver failures; parameters are validated up front.
+/// Propagates thermal-solver failures and fails with
+/// [`CoreError::ThermalRunaway`] when a block passes
+/// [`crate::chip::MAX_BLOCK_TEMP_C`]; parameters are validated up front.
 pub fn run_cosim(
     chip: &Chip,
     cal: &CalibratedPower,
@@ -181,7 +183,7 @@ pub fn run_cosim(
 ///
 /// # Errors
 ///
-/// Propagates thermal-solver failures; parameters are validated up front.
+/// As [`run_cosim`].
 pub fn run_cosim_traced(
     chip: &Chip,
     cal: &CalibratedPower,
@@ -272,6 +274,7 @@ pub fn run_cosim_traced(
         .map(|(p, t)| (p * (period_s + params.stall_power_fraction * stall_s) + t) / super_s)
         .collect();
     let init_temps = chip.steady_with_leakage(&init_dyn)?;
+    check_runaway(&init_temps)?;
     let init_leak = leakage::leakage_per_block(&areas, &init_temps, chip.tech());
     let init_total: Vec<f64> = init_dyn
         .iter()
@@ -336,6 +339,7 @@ pub fn run_cosim_traced(
             *fp += l;
         }
         sim.step(&frame_power)?;
+        check_runaway(sim.block_temps())?;
         trace.push(sim.block_temps());
         if let (Some(ev), Some(w)) = (events.as_deref_mut(), watcher.as_mut()) {
             let cycle = ((fi + 1) as f64 * params.dt * clock).round() as u64;

@@ -20,6 +20,12 @@ pub enum CoreError {
         /// Closest achieved peak (°C).
         achieved: f64,
     },
+    /// A block temperature passed [`crate::chip::MAX_BLOCK_TEMP_C`]: the
+    /// leakage feedback ran away, so the run has no physical result.
+    ThermalRunaway {
+        /// The offending block temperature (°C).
+        temp: f64,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -32,6 +38,11 @@ impl fmt::Display for CoreError {
                 f,
                 "calibration failed: target peak {target} C, achieved {achieved} C"
             ),
+            CoreError::ThermalRunaway { temp } => write!(
+                f,
+                "thermal runaway: a block reached {temp:.1} C, past the {} C bound",
+                crate::chip::MAX_BLOCK_TEMP_C
+            ),
         }
     }
 }
@@ -42,7 +53,7 @@ impl Error for CoreError {
             CoreError::Noc(e) => Some(e),
             CoreError::Ldpc(e) => Some(e),
             CoreError::Thermal(e) => Some(e),
-            CoreError::CalibrationFailed { .. } => None,
+            CoreError::CalibrationFailed { .. } | CoreError::ThermalRunaway { .. } => None,
         }
     }
 }
@@ -80,5 +91,8 @@ mod tests {
         };
         assert!(c.to_string().contains("85"));
         assert!(c.source().is_none());
+        let r = CoreError::ThermalRunaway { temp: 323.2 };
+        assert!(r.to_string().contains("thermal runaway"));
+        assert!(r.source().is_none());
     }
 }

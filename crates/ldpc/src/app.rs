@@ -4,13 +4,12 @@
 //! run with an encoded message to obtain switching rates for the components
 //! in the chip during operation." This module is that run: it drives a
 //! `hotnoc_noc::Network` with the message-passing traffic of the decoder
-//! (functionally decoupled — the numeric decode runs in [`crate::decoder`];
-//! the network carries the equivalent traffic volume, which is what the
+//! (functionally decoupled — no numeric decode runs; the network carries
+//! the traffic volume of a fixed iteration count, which is what the
 //! switching-rate methodology needs) and reports per-tile activity and
 //! block latency.
 
 use crate::code::LdpcCode;
-use crate::decoder::{DecodeStatus, DecoderWorkspace};
 use crate::error::LdpcError;
 use crate::mapping::ClusterMapping;
 use crate::schedule::{phase_traffic, IterPhase, MessageParams, PhaseTraffic};
@@ -176,31 +175,6 @@ impl LdpcNocApp {
         })
     }
 
-    /// Numerically decodes one block of channel LLRs through `decode`
-    /// (threading the caller's [`DecoderWorkspace`] through so the decode
-    /// itself is allocation-free), then simulates the NoC traffic of
-    /// exactly the iterations the decoder actually used — instead of
-    /// [`LdpcNocApp::run_block`]'s fixed iteration count. Hard decisions
-    /// stay in `ws`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NocError::Timeout`] if a phase fails to drain.
-    pub fn run_block_decoding<F>(
-        &mut self,
-        net: &mut Network,
-        llrs: &[f64],
-        ws: &mut DecoderWorkspace,
-        decode: F,
-    ) -> Result<(BlockRun, DecodeStatus), NocError>
-    where
-        F: FnOnce(&LdpcCode, &[f64], &mut DecoderWorkspace) -> DecodeStatus,
-    {
-        let status = decode(&self.code, llrs, ws);
-        let run = self.run_block(net, status.iterations)?;
-        Ok((run, status))
-    }
-
     /// One phase: compute locally, then exchange messages and drain.
     fn run_phase(
         &mut self,
@@ -298,22 +272,6 @@ mod tests {
         assert!(run.cycles > 0);
         assert_eq!(run.ops_per_node.len(), 25);
         assert!(run.ops_per_node.iter().all(|&o| o > 0));
-    }
-
-    #[test]
-    fn decoded_block_simulates_true_iteration_count() {
-        let (mut app, mut net) = setup(16, 4);
-        let dec = crate::decoder::MinSumDecoder::default();
-        let mut ws = DecoderWorkspace::new();
-        // Strong all-zeros LLRs: the decoder converges on the initial check.
-        let llrs = vec![6.0; app.code().n()];
-        let (run, status) = app
-            .run_block_decoding(&mut net, &llrs, &mut ws, |c, l, w| dec.decode_with(c, l, w))
-            .unwrap();
-        assert!(status.converged);
-        assert_eq!(status.iterations, 1);
-        assert_eq!(run.iterations, status.iterations);
-        assert!(ws.bits().iter().all(|&b| !b));
     }
 
     #[test]

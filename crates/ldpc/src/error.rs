@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors returned by LDPC construction, encoding and mapping.
+/// Errors returned by LDPC construction and mapping.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum LdpcError {
@@ -16,20 +16,6 @@ pub enum LdpcError {
         wc: usize,
         /// Row (check) weight.
         wr: usize,
-    },
-    /// The message length does not match the code dimension.
-    MessageLengthMismatch {
-        /// Expected message bits.
-        expected: usize,
-        /// Provided message bits.
-        got: usize,
-    },
-    /// The LLR vector length does not match the block length.
-    LlrLengthMismatch {
-        /// Expected LLRs.
-        expected: usize,
-        /// Provided LLRs.
-        got: usize,
     },
     /// A cluster count that cannot partition the code (zero or more
     /// clusters than nodes).
@@ -47,15 +33,6 @@ impl fmt::Display for LdpcError {
         match self {
             LdpcError::InvalidCodeParams { n, wc, wr } => {
                 write!(f, "invalid regular code parameters n={n}, wc={wc}, wr={wr}")
-            }
-            LdpcError::MessageLengthMismatch { expected, got } => {
-                write!(f, "message has {got} bits, code dimension is {expected}")
-            }
-            LdpcError::LlrLengthMismatch { expected, got } => {
-                write!(
-                    f,
-                    "llr vector has {got} entries, block length is {expected}"
-                )
             }
             LdpcError::InvalidClusterCount { clusters } => {
                 write!(f, "cannot partition code into {clusters} clusters")
@@ -78,14 +55,6 @@ mod tests {
                 n: 10,
                 wc: 3,
                 wr: 7,
-            },
-            LdpcError::MessageLengthMismatch {
-                expected: 5,
-                got: 4,
-            },
-            LdpcError::LlrLengthMismatch {
-                expected: 8,
-                got: 2,
             },
             LdpcError::InvalidClusterCount { clusters: 0 },
             LdpcError::InvalidWeights,

@@ -6,9 +6,6 @@
 //!
 //! * [`matrix`]/[`code`] — sparse GF(2) parity-check matrices and regular
 //!   Gallager code construction,
-//! * [`encoder`] — systematic encoding via GF(2) Gaussian elimination,
-//! * [`channel`] — BPSK over AWGN (and BSC) producing soft LLRs,
-//! * [`decoder`] — normalized min-sum and sum-product iterative decoders,
 //! * [`mapping`] — partitioning of variable/check nodes into per-PE
 //!   clusters, including the weighted partitions that realize the paper's
 //!   configurations A–E ("the amount of computation mapped to a single PE"),
@@ -19,38 +16,37 @@
 //!   switching activity per tile.
 //!
 //! ```
-//! use hotnoc_ldpc::{code::LdpcCode, channel::AwgnChannel, decoder::MinSumDecoder};
+//! use hotnoc_ldpc::app::{ComputeModel, LdpcNocApp};
+//! use hotnoc_ldpc::{schedule::MessageParams, ClusterMapping, LdpcCode};
+//! use hotnoc_noc::{Mesh, Network, NocConfig};
 //!
+//! // One 5-iteration block of a 240-bit code on a 4x4 mesh.
 //! let code = LdpcCode::gallager(240, 3, 6, 7)?;
-//! let zero = vec![false; code.n()];
-//! let mut chan = AwgnChannel::new(4.0, code.rate(), 42);
-//! let llrs = chan.transmit(&zero);
-//! let out = MinSumDecoder::default().decode(&code, &llrs);
-//! assert!(out.converged, "high-SNR decode should converge");
-//! assert_eq!(out.bits, zero);
-//! # Ok::<(), hotnoc_ldpc::LdpcError>(())
+//! let mapping = ClusterMapping::contiguous(&code, 16)?;
+//! let placement = LdpcNocApp::identity_placement(16);
+//! let mut app = LdpcNocApp::new(
+//!     code,
+//!     mapping,
+//!     placement,
+//!     MessageParams::default(),
+//!     ComputeModel::default(),
+//! )?;
+//! let mut net = Network::new(Mesh::square(4)?, NocConfig::default());
+//! let run = app.run_block(&mut net, 5)?;
+//! assert!(run.cycles > 0 && run.packets_delivered > 0);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod app;
-pub mod ber;
-pub mod channel;
 pub mod code;
-pub mod decoder;
-pub mod encoder;
 pub mod error;
-pub mod layered;
 pub mod mapping;
 pub mod matrix;
 pub mod schedule;
 
 pub use code::LdpcCode;
-pub use decoder::{
-    DecodeOutcome, DecodeStatus, DecoderWorkspace, MinSumDecoder, SumProductDecoder,
-};
-pub use encoder::Encoder;
 pub use error::LdpcError;
-pub use layered::LayeredMinSumDecoder;
 pub use mapping::ClusterMapping;

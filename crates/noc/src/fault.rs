@@ -9,9 +9,9 @@
 //!
 //! # Surround routing
 //!
-//! While any component is disabled, route computation switches from the
-//! configured healthy algorithm (plain XY by default) to a detour table
-//! rebuilt at every fault epoch. The table encodes up*/down* routing
+//! While any component is disabled, route computation switches from plain
+//! XY routing to a detour table rebuilt at every fault epoch. The table
+//! encodes up*/down* routing
 //! (Autonet-style) over the live subgraph: a BFS spanning forest rooted at
 //! the lowest live router id orients every live link "up" (towards the
 //! root) or "down", and every route climbs zero or more up-links before
@@ -25,8 +25,8 @@
 //! fabric.
 //!
 //! When the last component is repaired the table is dropped and routing
-//! falls back to the healthy algorithm, byte-identical to a network that
-//! never had a fault plan installed.
+//! falls back to XY, byte-identical to a network that never had a fault
+//! plan installed.
 
 use crate::error::NocError;
 use crate::topology::{Coord, Direction, Mesh};

@@ -7,8 +7,9 @@
 //!
 //! * a 2-D mesh [`topology::Mesh`] of input-buffered wormhole routers with
 //!   virtual channels and credit-based flow control ([`router`], [`network`]),
-//! * dimension-order ([`routing::XyRouting`], [`routing::YxRouting`]) and
-//!   partially-adaptive turn-model ([`routing::WestFirstRouting`]) routing,
+//! * dimension-order XY routing ([`routing::next_hop`]), the only
+//!   algorithm on a healthy fabric (a degraded one detours through
+//!   [`fault`]'s surround routing),
 //! * network interfaces ([`nic`]) that packetize and reassemble messages,
 //! * per-component switching-activity counters and latency histograms
 //!   ([`stats`]) that feed the `hotnoc-power` model,
@@ -54,7 +55,6 @@ pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultState};
 pub use flit::{Flit, FlitKind, Packet, PacketClass, PacketId};
 pub use io_interface::{AddressMap, IdentityMap};
 pub use network::{DeliveredPacket, Network};
-pub use routing::{Routing, RoutingKind, WestFirstRouting, XyRouting, YxRouting};
 pub use stats::{ActivitySnapshot, NetworkStats, RouterActivity};
 pub use topology::{Coord, Direction, Mesh, NodeId};
 pub use traffic::{TrafficGenerator, TrafficPattern};

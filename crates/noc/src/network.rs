@@ -7,7 +7,7 @@ use crate::flit::{Flit, Packet, PacketClass, PacketId};
 use crate::io_interface::AddressMap;
 use crate::nic::Nic;
 use crate::router::{Router, VcState};
-use crate::routing::{Routing, RoutingKind};
+use crate::routing;
 use crate::stats::{ActivitySnapshot, NetworkStats};
 use crate::topology::{Coord, Direction, Mesh, NodeId};
 use hotnoc_obs::event::{CONGESTION_WINDOW, DETOUR_BURST_MIN};
@@ -94,7 +94,6 @@ struct FaultDriver {
 pub struct Network {
     cfg: NocConfig,
     mesh: Mesh,
-    routing: RoutingKind,
     routers: Vec<Router>,
     /// Outgoing link queue per router per mesh direction: flits in flight
     /// with their arrival cycle at the downstream router.
@@ -177,7 +176,6 @@ const DEFAULT_PAR_THRESHOLD: usize = 64;
 /// sweep.
 struct SweepCtx<'a> {
     mesh: Mesh,
-    routing: RoutingKind,
     now: u64,
     link_latency: u64,
     num_vcs: usize,
@@ -186,7 +184,7 @@ struct SweepCtx<'a> {
     buffer_depth: u32,
     neighbors: &'a [[Option<u32>; 4]],
     /// Set only while the fabric is degraded; route computation then uses
-    /// the surround-routing detour tables instead of `routing`.
+    /// the surround-routing detour tables instead of XY.
     faults: Option<&'a FaultState>,
     /// Whether a trace is recording; gates the (cheap) per-router
     /// congestion sampling inside the sweep.
@@ -393,12 +391,12 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
                                     ivc.buf.front_mut().expect("checked above").down_phase =
                                         now_down;
                                 }
-                                if dir != ctx.routing.next_hop(coord, dst) {
+                                if dir != routing::next_hop(coord, dst) {
                                     out.stats.detour_hops += 1;
                                 }
                                 dir
                             }
-                            None => ctx.routing.next_hop(coord, dst),
+                            None => routing::next_hop(coord, dst),
                         };
                         ivc.state = VcState::Active {
                             out_dir,
@@ -578,15 +576,15 @@ impl Network {
     /// Panics if `cfg` fails [`NocConfig::validate`]; use
     /// [`Network::try_new`] for fallible construction.
     pub fn new(mesh: Mesh, cfg: NocConfig) -> Self {
-        Network::try_new(mesh, cfg, RoutingKind::Xy).expect("invalid NocConfig")
+        Network::try_new(mesh, cfg).expect("invalid NocConfig")
     }
 
-    /// Fallible constructor with an explicit routing algorithm.
+    /// Fallible constructor.
     ///
     /// # Errors
     ///
     /// Returns [`NocError::InvalidConfig`] if the configuration is invalid.
-    pub fn try_new(mesh: Mesh, cfg: NocConfig, routing: RoutingKind) -> Result<Self, NocError> {
+    pub fn try_new(mesh: Mesh, cfg: NocConfig) -> Result<Self, NocError> {
         cfg.validate()?;
         let n = mesh.len();
         let routers = mesh.iter_coords().map(|c| Router::new(c, &cfg)).collect();
@@ -602,7 +600,6 @@ impl Network {
         Ok(Network {
             cfg,
             mesh,
-            routing,
             routers,
             links: (0..n)
                 .map(|_| std::array::from_fn(|_| VecDeque::new()))
@@ -850,7 +847,6 @@ impl Network {
         }
         let ctx = SweepCtx {
             mesh: self.mesh,
-            routing: self.routing,
             now,
             link_latency: self.cfg.link_latency as u64,
             num_vcs: self.cfg.num_vcs as usize,
@@ -1391,7 +1387,6 @@ impl Network {
         let mut seen: std::collections::HashMap<PacketId, (u32, u32, u32)> =
             std::collections::HashMap::new();
         let mesh = self.mesh;
-        let routing = self.routing;
         // `entry` is the live channel whose downstream buffer holds (or will
         // receive) this flit: the upstream node and its outgoing direction.
         let mut note = |flit: &Flit,
@@ -1414,7 +1409,7 @@ impl Network {
                 let keep = if state.active() {
                     !state.channel_descends(from, at) || state.down_reachable(at, dst)
                 } else {
-                    routing.next_hop(mesh.coord(NodeId::new(from as u16)), mesh.coord(flit.dst))
+                    routing::next_hop(mesh.coord(NodeId::new(from as u16)), mesh.coord(flit.dst))
                         == dir
                 };
                 if !keep {

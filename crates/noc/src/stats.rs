@@ -116,7 +116,7 @@ pub struct NetworkStats {
     /// of its flits were still in flight).
     pub packets_dropped: u64,
     /// Route computations where surround routing chose a different output
-    /// than the healthy routing algorithm would have.
+    /// than XY routing would have.
     pub detour_hops: u64,
     /// Distribution of packet latencies, cycles.
     pub latency_histogram: Log2Histogram,

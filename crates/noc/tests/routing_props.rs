@@ -1,8 +1,8 @@
-//! Property tests for the routing algorithms: minimality, mesh containment
-//! and turn-model invariants under randomized meshes and endpoints.
+//! Property tests for XY routing: minimality, mesh containment and the
+//! dimension-order turn invariant under randomized meshes and endpoints.
 
-use hotnoc_noc::routing::{route_path, RoutingKind, WestFirstRouting};
-use hotnoc_noc::{Coord, Mesh, Routing};
+use hotnoc_noc::routing::{next_hop, route_path};
+use hotnoc_noc::{Coord, Direction, Mesh};
 use proptest::prelude::*;
 
 fn mesh_and_pair() -> impl Strategy<Value = (Mesh, Coord, Coord)> {
@@ -23,44 +23,43 @@ proptest! {
 
     #[test]
     fn all_algorithms_are_minimal((mesh, src, dst) in mesh_and_pair()) {
-        for kind in [RoutingKind::Xy, RoutingKind::Yx, RoutingKind::WestFirst] {
-            let path = route_path(mesh, &kind, src, dst);
-            prop_assert_eq!(path.len() as u32, src.manhattan(dst) + 1, "{:?}", kind);
-            prop_assert!(path.iter().all(|&c| mesh.contains(c)));
-            for w in path.windows(2) {
-                prop_assert_eq!(w[0].manhattan(w[1]), 1, "non-unit hop");
-            }
+        // XY is the one routing algorithm the simulator implements.
+        let path = route_path(mesh, src, dst);
+        prop_assert_eq!(path.len() as u32, src.manhattan(dst) + 1);
+        prop_assert!(path.iter().all(|&c| mesh.contains(c)));
+        for w in path.windows(2) {
+            prop_assert_eq!(w[0].manhattan(w[1]), 1, "non-unit hop");
         }
     }
 
     #[test]
-    fn west_first_turn_invariant((mesh, src, dst) in mesh_and_pair()) {
-        let path = route_path(mesh, &WestFirstRouting, src, dst);
-        let mut seen_non_west = false;
+    fn x_hops_precede_y_hops((mesh, src, dst) in mesh_and_pair()) {
+        // Dimension order: once a Y hop is taken, no X hop may follow —
+        // the turn restriction that makes XY deadlock free.
+        let path = route_path(mesh, src, dst);
+        let mut seen_y = false;
         for w in path.windows(2) {
-            if w[1].x < w[0].x {
-                prop_assert!(!seen_non_west, "westward turn after non-west hop");
+            if w[1].x != w[0].x {
+                prop_assert!(!seen_y, "X hop after a Y hop: {} -> {}", src, dst);
             } else {
-                seen_non_west = true;
+                seen_y = true;
             }
         }
     }
 
     #[test]
     fn local_only_at_destination((mesh, src, dst) in mesh_and_pair()) {
-        for kind in [RoutingKind::Xy, RoutingKind::Yx, RoutingKind::WestFirst] {
-            let mut cur = src;
-            let mut steps = 0;
-            loop {
-                let dir = kind.next_hop(cur, dst);
-                if dir == hotnoc_noc::Direction::Local {
-                    prop_assert_eq!(cur, dst, "{:?} ejected early", kind);
-                    break;
-                }
-                cur = mesh.neighbor(cur, dir).expect("stays on mesh");
-                steps += 1;
-                prop_assert!(steps <= mesh.len() * 2, "{:?} did not converge", kind);
+        let mut cur = src;
+        let mut steps = 0;
+        loop {
+            let dir = next_hop(cur, dst);
+            if dir == Direction::Local {
+                prop_assert_eq!(cur, dst, "ejected early");
+                break;
             }
+            cur = mesh.neighbor(cur, dir).expect("stays on mesh");
+            steps += 1;
+            prop_assert!(steps <= mesh.len() * 2, "did not converge");
         }
     }
 }

@@ -56,60 +56,6 @@ impl TileActivity {
             pe_ops: s(self.pe_ops),
         }
     }
-
-    /// `true` when all counters are zero.
-    pub fn is_idle(&self) -> bool {
-        *self == TileActivity::default()
-    }
-}
-
-/// Activity of every tile over one window of `cycles` cycles.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ActivityFrame {
-    /// Window length in cycles.
-    pub cycles: u64,
-    /// Per-tile activity, indexed like mesh node ids (row-major).
-    pub tiles: Vec<TileActivity>,
-}
-
-impl ActivityFrame {
-    /// Creates an idle frame for `n` tiles.
-    pub fn idle(n: usize, cycles: u64) -> Self {
-        ActivityFrame {
-            cycles,
-            tiles: vec![TileActivity::default(); n],
-        }
-    }
-
-    /// Applies a tile permutation: the returned frame has
-    /// `out[perm[i]] = self[i]` — i.e. the activity that was at tile `i`
-    /// moves to tile `perm[i]`. This is how migration remaps the PE-compute
-    /// part of the power map.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `perm` is not a permutation of `0..tiles.len()`.
-    pub fn permuted(&self, perm: &[usize]) -> ActivityFrame {
-        assert_eq!(perm.len(), self.tiles.len(), "permutation length mismatch");
-        let mut out = vec![TileActivity::default(); self.tiles.len()];
-        let mut seen = vec![false; self.tiles.len()];
-        for (i, &p) in perm.iter().enumerate() {
-            assert!(p < out.len() && !seen[p], "not a permutation");
-            seen[p] = true;
-            out[p] = self.tiles[i];
-        }
-        ActivityFrame {
-            cycles: self.cycles,
-            tiles: out,
-        }
-    }
-
-    /// Sums the activity over all tiles.
-    pub fn total(&self) -> TileActivity {
-        self.tiles
-            .iter()
-            .fold(TileActivity::default(), |acc, t| acc + *t)
-    }
 }
 
 #[cfg(test)]
@@ -136,30 +82,5 @@ mod tests {
         assert_eq!(s.buffer_writes, 30);
         let down = a.scaled(0.5);
         assert_eq!(down.pe_ops, 8); // 7.5 rounds to 8
-    }
-
-    #[test]
-    fn permute_moves_activity() {
-        let mut f = ActivityFrame::idle(3, 100);
-        f.tiles[0] = act(7);
-        let p = f.permuted(&[2, 0, 1]);
-        assert!(p.tiles[2] == act(7));
-        assert!(p.tiles[0].is_idle());
-        assert_eq!(p.cycles, 100);
-    }
-
-    #[test]
-    fn total_sums() {
-        let mut f = ActivityFrame::idle(2, 10);
-        f.tiles[0] = act(1);
-        f.tiles[1] = act(2);
-        assert_eq!(f.total().pe_ops, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a permutation")]
-    fn bad_permutation_panics() {
-        let f = ActivityFrame::idle(2, 10);
-        let _ = f.permuted(&[0, 0]);
     }
 }

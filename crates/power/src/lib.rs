@@ -15,11 +15,10 @@
 //! * [`router_power`] — Orion-style router energy (buffers, crossbar,
 //!   arbiter, links),
 //! * [`pe_power`] — LDPC processing-element compute energy,
-//! * [`leakage`] — temperature-dependent static power,
-//! * [`trace`] — per-block power traces consumed by `hotnoc-thermal`.
+//! * [`leakage`] — temperature-dependent static power.
 //!
 //! ```
-//! use hotnoc_power::{tech::TechParams, activity::TileActivity, tile_power};
+//! use hotnoc_power::{activity::TileActivity, leakage, pe_power, router_power, tech::TechParams};
 //!
 //! let tech = TechParams::ldpc_160nm();
 //! let act = TileActivity {
@@ -31,8 +30,10 @@
 //!     bit_transitions: 300_000,
 //!     pe_ops: 40_000,
 //! };
-//! let p = tile_power(&act, 54_650, &tech, 70.0);
-//! assert!(p.total() > 0.0);
+//! let watts = router_power::router_dynamic_power(&act, 54_650, &tech)
+//!     + pe_power::pe_dynamic_power(act.pe_ops, 54_650, &tech)
+//!     + leakage::leakage_power(tech.tile_area_mm2, 70.0, &tech);
+//! assert!(watts > 0.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -43,29 +44,9 @@ pub mod leakage;
 pub mod pe_power;
 pub mod router_power;
 pub mod tech;
-pub mod trace;
 
-pub use activity::{ActivityFrame, TileActivity};
+pub use activity::TileActivity;
 pub use tech::TechParams;
-pub use trace::{PowerBreakdown, PowerTrace};
-
-/// Computes the full power breakdown of one tile over a window of
-/// `cycles` cycles at junction temperature `temp_c`.
-///
-/// This is the top-level entry point combining [`router_power`],
-/// [`pe_power`] and [`leakage`].
-pub fn tile_power(
-    activity: &TileActivity,
-    cycles: u64,
-    tech: &TechParams,
-    temp_c: f64,
-) -> PowerBreakdown {
-    PowerBreakdown {
-        router: router_power::router_dynamic_power(activity, cycles, tech),
-        pe: pe_power::pe_dynamic_power(activity.pe_ops, cycles, tech),
-        leakage: leakage::leakage_power(tech.tile_area_mm2, temp_c, tech),
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -84,11 +65,14 @@ mod tests {
             pe_ops: 100_000,
         };
         let idle = TileActivity::default();
-        let pb = tile_power(&busy, 54_650, &tech, 70.0);
-        let pi = tile_power(&idle, 54_650, &tech, 70.0);
-        assert!(pb.total() > pi.total());
-        assert!(pi.router == 0.0 && pi.pe == 0.0);
-        assert!(pi.leakage > 0.0, "idle tile still leaks");
+        let dynamic = |a: &TileActivity| {
+            router_power::router_dynamic_power(a, 54_650, &tech)
+                + pe_power::pe_dynamic_power(a.pe_ops, 54_650, &tech)
+        };
+        assert!(dynamic(&busy) > 0.0);
+        assert_eq!(dynamic(&idle), 0.0);
+        let leak = leakage::leakage_power(tech.tile_area_mm2, 70.0, &tech);
+        assert!(leak > 0.0, "idle tile still leaks");
     }
 
     #[test]
@@ -98,8 +82,7 @@ mod tests {
             pe_ops: 10,
             ..TileActivity::default()
         };
-        let p = tile_power(&act, 0, &tech, 50.0);
-        assert_eq!(p.pe, 0.0);
-        assert_eq!(p.router, 0.0);
+        assert_eq!(pe_power::pe_dynamic_power(act.pe_ops, 0, &tech), 0.0);
+        assert_eq!(router_power::router_dynamic_power(&act, 0, &tech), 0.0);
     }
 }

@@ -13,7 +13,7 @@
 
 use crate::state_transfer::StateSpec;
 use crate::transform::MigrationScheme;
-use hotnoc_noc::routing::{route_path, XyRouting};
+use hotnoc_noc::routing::route_path;
 use hotnoc_noc::{Coord, Direction, Mesh};
 use std::collections::HashSet;
 
@@ -228,7 +228,7 @@ impl MigrationPlan {
 
 /// The directed links of the XY route `from -> to`.
 fn directed_links(mesh: Mesh, from: Coord, to: Coord) -> Vec<(Coord, Direction)> {
-    let path = route_path(mesh, &XyRouting, from, to);
+    let path = route_path(mesh, from, to);
     path.windows(2)
         .map(|w| {
             let dir = if w[1].x > w[0].x {

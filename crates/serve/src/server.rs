@@ -30,9 +30,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Accept-loop poll interval (the drain flag is checked this often) and
-/// per-connection read timeout.
+/// Per-connection read timeout: an idle connection checks the drain flag
+/// this often.
 const POLL: Duration = Duration::from_millis(50);
+
+/// Longest request line the daemon accepts, newline excluded. The largest
+/// legitimate request field, a 64x64 custom die's weights, is under
+/// 100 KB.
+const MAX_LINE: usize = 4 << 20;
 
 /// How the daemon runs.
 #[derive(Debug, Clone)]
@@ -109,6 +114,9 @@ struct State {
     computed: AtomicU64,
     requests: AtomicU64,
     draining: AtomicBool,
+    /// The listener's own address: the shutdown handler connects here once
+    /// to wake the blocking accept.
+    wake: Endpoint,
 }
 
 /// Runs the daemon until a shutdown request drains it.
@@ -124,6 +132,13 @@ struct State {
 /// Returns a [`ServeError`] for listener, journal or trace-file trouble.
 pub fn serve(opts: &ServeOptions) -> Result<ServeSummary, ServeError> {
     let listener = Listener::bind(&opts.endpoint)?;
+    let socket_file = SocketFile(match &listener {
+        Listener::Unix(_, path) => Some(path.clone()),
+        Listener::Tcp(_) => None,
+    });
+    let wake = listener
+        .local_endpoint()
+        .map_err(|e| ServeError::new(format!("address of {}: {e}", opts.endpoint)))?;
     let mut cache = Cache::new();
     let journal = match &opts.journal {
         Some(path) => Some(warm_load(path, &mut cache)?),
@@ -146,6 +161,7 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeSummary, ServeError> {
         computed: AtomicU64::new(0),
         requests: AtomicU64::new(0),
         draining: AtomicBool::new(false),
+        wake,
     });
     eprintln!(
         "serve: listening on {} ({} threads, {} journaled results warm)",
@@ -154,19 +170,19 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeSummary, ServeError> {
 
     let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
     while !state.draining.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok(stream) => {
-                let st = Arc::clone(&state);
-                conns.push(std::thread::spawn(move || handle_connection(stream, &st)));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(e) => return Err(ServeError::new(format!("accept on {}: {e}", opts.endpoint))),
-        }
+        // Blocks until a client connects; a shutdown request wakes it with
+        // a connection of its own. Every accepted connection is served, so
+        // a client that raced the drain still gets its retryable rejection.
+        let stream = listener
+            .accept()
+            .map_err(|e| ServeError::new(format!("accept on {}: {e}", opts.endpoint)))?;
+        let st = Arc::clone(&state);
+        conns.push(std::thread::spawn(move || handle_connection(stream, &st)));
         conns.retain(|h| !h.is_finished());
     }
-    // Drain: stop accepting (dropping the listener also removes a unix
-    // socket file), then wait for every connection — in-flight jobs finish
-    // and journal; their connections reject whatever else was queued.
+    // Drain: stop accepting (closing the listener refuses new connections),
+    // then wait for every connection — in-flight jobs finish and journal;
+    // their connections reject whatever else was queued.
     drop(listener);
     for h in conns {
         let _ = h.join();
@@ -176,6 +192,7 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeSummary, ServeError> {
         std::fs::write(path, TraceDoc::new("serve", events).to_jsonl())
             .map_err(|e| ServeError::new(format!("trace {}: {e}", path.display())))?;
     }
+    drop(socket_file);
     let summary = ServeSummary {
         requests: state.requests.load(Ordering::SeqCst),
         computed: state.computed.load(Ordering::SeqCst),
@@ -217,18 +234,23 @@ impl Listener {
                 }
                 let l = UnixListener::bind(path)
                     .map_err(|e| ServeError::new(format!("bind unix:{}: {e}", path.display())))?;
-                l.set_nonblocking(true)
-                    .map_err(|e| ServeError::new(format!("socket {}: {e}", path.display())))?;
                 Ok(Listener::Unix(l, path.clone()))
             }
             Endpoint::Tcp(addr) => {
                 let l = TcpListener::bind(addr.as_str())
                     .map_err(|e| ServeError::new(format!("bind tcp:{addr}: {e}")))?;
-                l.set_nonblocking(true)
-                    .map_err(|e| ServeError::new(format!("socket tcp:{addr}: {e}")))?;
                 Ok(Listener::Tcp(l))
             }
         }
+    }
+
+    /// Where a client reaches this listener: the socket path, or the bound
+    /// TCP address (so a port-0 bind resolves to the real port).
+    fn local_endpoint(&self) -> std::io::Result<Endpoint> {
+        Ok(match self {
+            Listener::Unix(_, path) => Endpoint::Unix(path.clone()),
+            Listener::Tcp(l) => Endpoint::Tcp(l.local_addr()?.to_string()),
+        })
     }
 
     /// Accepts one connection: blocking reads with a [`POLL`] timeout so
@@ -237,13 +259,11 @@ impl Listener {
         match self {
             Listener::Unix(l, _) => {
                 let (s, _) = l.accept()?;
-                s.set_nonblocking(false)?;
                 s.set_read_timeout(Some(POLL))?;
                 Ok(Box::new(s))
             }
             Listener::Tcp(l) => {
                 let (s, _) = l.accept()?;
-                s.set_nonblocking(false)?;
                 s.set_read_timeout(Some(POLL))?;
                 Ok(Box::new(s))
             }
@@ -251,9 +271,14 @@ impl Listener {
     }
 }
 
-impl Drop for Listener {
+/// Removes a unix socket file when dropped. `serve` holds it past the
+/// listener until the trace is written, so a vanished socket file means
+/// the daemon has finished.
+struct SocketFile(Option<PathBuf>);
+
+impl Drop for SocketFile {
     fn drop(&mut self) {
-        if let Listener::Unix(_, path) = self {
+        if let Some(path) = &self.0 {
             let _ = std::fs::remove_file(path);
         }
     }
@@ -266,11 +291,16 @@ enum Flow {
 
 fn handle_connection(mut stream: Box<dyn Stream>, state: &State) {
     let mut buf: Vec<u8> = Vec::new();
+    // `buf[..scanned]` holds no newline, so each byte is scanned once.
+    let mut scanned = 0;
     let mut chunk = [0u8; 4096];
     loop {
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let raw: Vec<u8> = buf.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&raw).trim().to_string();
+        let mut start = 0;
+        while let Some(pos) = buf[scanned..].iter().position(|&b| b == b'\n') {
+            let end = scanned + pos;
+            let line = String::from_utf8_lossy(&buf[start..end]).trim().to_string();
+            start = end + 1;
+            scanned = start;
             if line.is_empty() {
                 continue;
             }
@@ -278,6 +308,17 @@ fn handle_connection(mut stream: Box<dyn Stream>, state: &State) {
                 Ok(Flow::Continue) => {}
                 Ok(Flow::Close) | Err(_) => return,
             }
+        }
+        buf.drain(..start);
+        scanned = buf.len();
+        if buf.len() > MAX_LINE {
+            // Refused before buffering any more of it. The framing is lost,
+            // so the answer is anonymous and the connection closes.
+            let error = format!("request line longer than {MAX_LINE} bytes");
+            let fields = error_fields(2, &error, false);
+            let _ =
+                writeln!(stream, "{}", response_line(None, &fields)).and_then(|()| stream.flush());
+            return;
         }
         match stream.read(&mut chunk) {
             Ok(0) => return, // client hung up
@@ -326,8 +367,13 @@ fn handle_line(line: &str, out: &mut dyn Write, state: &State) -> std::io::Resul
             out.flush().map(|()| Flow::Continue)
         }
         Request::Shutdown => {
-            state.draining.store(true, Ordering::SeqCst);
-            eprintln!("serve: shutdown requested, draining");
+            if !state.draining.swap(true, Ordering::SeqCst) {
+                eprintln!("serve: shutdown requested, draining");
+                // Wake the accept loop so it sees the drain flag.
+                if let Err(e) = state.wake.connect() {
+                    eprintln!("serve: warning: waking the accept loop failed: {e}");
+                }
+            }
             let fields = vec![
                 ("status".to_string(), Json::int(0)),
                 ("draining".to_string(), Json::Bool(true)),
@@ -715,6 +761,47 @@ mod tests {
         }
         let summary = handle.join().unwrap().unwrap();
         assert_eq!(summary.computed, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn new_connections_are_served_without_an_accept_poll_delay() {
+        let dir = tmp_dir("accept");
+        let (endpoint, handle) = start_daemon(&dir, false);
+        for i in 0..20 {
+            let started = std::time::Instant::now();
+            client::ping(&endpoint).expect("ping");
+            let took = started.elapsed();
+            assert!(
+                took < Duration::from_millis(10),
+                "ping {i} on a new connection took {took:?}"
+            );
+        }
+        client::shutdown(&endpoint).unwrap();
+        handle.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_line_past_the_cap_is_refused_and_the_connection_closed() {
+        let dir = tmp_dir("linecap");
+        let (endpoint, handle) = start_daemon(&dir, false);
+        let mut stream = std::os::unix::net::UnixStream::connect(dir.join("hotnoc.sock")).unwrap();
+        // A daemon that never answers fails the read instead of hanging.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(&vec![b'x'; MAX_LINE + 1]).unwrap();
+        let mut reply = String::new();
+        stream
+            .read_to_string(&mut reply)
+            .expect("one response, then EOF");
+        let lines: Vec<&str> = reply.lines().collect();
+        assert_eq!(lines.len(), 1, "{reply}");
+        assert!(lines[0].contains("\"status\": 2"), "{reply}");
+        client::ping(&endpoint).expect("daemon survives an oversized line");
+        client::shutdown(&endpoint).unwrap();
+        handle.join().unwrap().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

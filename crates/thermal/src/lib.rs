@@ -34,7 +34,6 @@
 
 pub mod error;
 pub mod floorplan;
-pub mod grid;
 pub mod linalg;
 pub mod materials;
 pub mod package;
@@ -45,7 +44,6 @@ pub mod trace;
 
 pub use error::ThermalError;
 pub use floorplan::{Block, Floorplan};
-pub use grid::GridModel;
 pub use package::PackageConfig;
 pub use rc_model::RcNetwork;
 pub use solver::transient::{Integrator, TransientSim};

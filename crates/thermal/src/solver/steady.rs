@@ -2,9 +2,7 @@
 //!
 //! The direct LU path in [`crate::RcNetwork::steady_state`] is exact and
 //! fast for block-level networks; this module provides an independent
-//! iterative solver used to cross-validate it (and which scales better for
-//! heavily refined grid models, where the matrix is large but strongly
-//! diagonally dominant).
+//! iterative solver used to cross-validate it.
 
 use crate::error::ThermalError;
 use crate::rc_model::RcNetwork;
