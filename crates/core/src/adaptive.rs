@@ -16,12 +16,14 @@
 //! configuration in advance.
 
 use crate::chip::{check_runaway, CalibratedPower, Chip};
-use crate::cosim::{migration_cost, CosimParams, TRACE_TEMP_HYSTERESIS_C, TRACE_TEMP_THRESHOLD_C};
+use crate::cosim::{
+    migration_cost, CosimParams, PeakMean, TRACE_TEMP_HYSTERESIS_C, TRACE_TEMP_THRESHOLD_C,
+};
 use crate::error::CoreError;
 use hotnoc_obs::TraceEvent;
 use hotnoc_power::leakage;
 use hotnoc_reconfig::{MigrationScheme, OrbitDecomposition};
-use hotnoc_thermal::{Integrator, ThermalTrace, ThresholdWatcher, TransientSim};
+use hotnoc_thermal::{Integrator, ThresholdWatcher, TransientSim};
 
 /// Outcome of an adaptive co-simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -135,7 +137,7 @@ pub fn run_adaptive_cosim_traced(
 
     let frames = (params.sim_time / params.dt).round() as usize;
     let warmup_frames = (params.warmup / params.dt).round() as usize;
-    let mut trace = ThermalTrace::new(params.dt, n);
+    let mut stats = PeakMean::new(frames, warmup_frames);
 
     let mut watcher = events
         .as_ref()
@@ -179,7 +181,7 @@ pub fn run_adaptive_cosim_traced(
         }
         sim.step(&power)?;
         check_runaway(sim.block_temps())?;
-        trace.push(sim.block_temps());
+        stats.observe(sim.block_temps());
         if let (Some(ev), Some(w)) = (events.as_deref_mut(), watcher.as_mut()) {
             let cycle = ((fi + 1) as f64 * params.dt * clock).round() as u64;
             w.observe(cycle, sim.block_temps(), ev);
@@ -188,14 +190,12 @@ pub fn run_adaptive_cosim_traced(
         active_time_total += params.dt;
     }
 
-    let stats = trace
-        .stats_after(warmup_frames.min(frames.saturating_sub(1)))
-        .expect("at least one measured frame");
+    let (peak, _) = stats.finish();
 
     Ok(AdaptiveResult {
         base_peak,
-        peak: stats.peak,
-        reduction: base_peak - stats.peak,
+        peak,
+        reduction: base_peak - peak,
         schedule,
         throughput_penalty: stall_time_total / (active_time_total + stall_time_total),
     })

@@ -13,7 +13,7 @@ use hotnoc_obs::TraceEvent;
 use hotnoc_power::leakage;
 use hotnoc_reconfig::phases::PhaseCostModel;
 use hotnoc_reconfig::{MigrationPlan, MigrationScheme, OrbitDecomposition, StateSpec};
-use hotnoc_thermal::{Integrator, ThermalTrace, ThresholdWatcher, TransientSim};
+use hotnoc_thermal::{Integrator, ThresholdWatcher, TransientSim};
 
 /// Temperature threshold watched by traced co-simulation runs, °C. Not part
 /// of [`CosimParams`] (which is serialized into artifacts) — the watcher is
@@ -287,7 +287,7 @@ pub fn run_cosim_traced(
 
     let frames = (params.sim_time / params.dt).round() as usize;
     let warmup_frames = (params.warmup / params.dt).round() as usize;
-    let mut trace = ThermalTrace::new(params.dt, n);
+    let mut stats = PeakMean::new(frames, warmup_frames);
     let mut watcher = events
         .as_ref()
         .map(|_| ThresholdWatcher::new(TRACE_TEMP_THRESHOLD_C, TRACE_TEMP_HYSTERESIS_C, n));
@@ -340,23 +340,20 @@ pub fn run_cosim_traced(
         }
         sim.step(&frame_power)?;
         check_runaway(sim.block_temps())?;
-        trace.push(sim.block_temps());
+        stats.observe(sim.block_temps());
         if let (Some(ev), Some(w)) = (events.as_deref_mut(), watcher.as_mut()) {
             let cycle = ((fi + 1) as f64 * params.dt * clock).round() as u64;
             w.observe(cycle, sim.block_temps(), ev);
         }
     }
-
-    let stats = trace
-        .stats_after(warmup_frames.min(frames.saturating_sub(1)))
-        .expect("at least one measured frame");
+    let (peak, mean) = stats.finish();
 
     Ok(CosimResult {
         scheme: Some(scheme),
         base_peak,
-        peak: stats.peak,
-        reduction: base_peak - stats.peak,
-        mean_temp: stats.mean,
+        peak,
+        reduction: base_peak - peak,
+        mean_temp: mean,
         base_mean_temp: base_mean,
         throughput_penalty: stall_s / super_s,
         stall_seconds: stall_s,
@@ -386,6 +383,52 @@ pub fn predicted_reduction(
     let averaged = orbit.time_averaged_power(&cal.dynamic);
     let migrated = chip.steady_with_leakage(&averaged)?;
     Ok(peak_of(&base) - peak_of(&migrated))
+}
+
+/// Streaming peak and mean block temperature over the frames after
+/// warm-up, summed frame by frame in block order. At least the last frame
+/// is measured, however long the warm-up.
+pub(crate) struct PeakMean {
+    skip: usize,
+    seen: usize,
+    peak: f64,
+    sum: f64,
+    samples: usize,
+}
+
+impl PeakMean {
+    pub(crate) fn new(frames: usize, warmup_frames: usize) -> Self {
+        PeakMean {
+            skip: warmup_frames.min(frames.saturating_sub(1)),
+            seen: 0,
+            peak: f64::NEG_INFINITY,
+            sum: 0.0,
+            samples: 0,
+        }
+    }
+
+    pub(crate) fn observe(&mut self, block_temps: &[f64]) {
+        if self.seen >= self.skip {
+            for &t in block_temps {
+                if t > self.peak {
+                    self.peak = t;
+                }
+                self.sum += t;
+            }
+            self.samples += block_temps.len();
+        }
+        self.seen += 1;
+    }
+
+    /// `(peak, mean)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no frame was observed.
+    pub(crate) fn finish(&self) -> (f64, f64) {
+        assert!(self.samples > 0, "at least one measured frame");
+        (self.peak, self.sum / self.samples as f64)
+    }
 }
 
 fn peak_of(t: &[f64]) -> f64 {

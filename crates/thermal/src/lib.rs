@@ -48,4 +48,4 @@ pub use package::PackageConfig;
 pub use rc_model::RcNetwork;
 pub use solver::transient::{Integrator, TransientSim};
 pub use sparse::{CgSolver, CsrMat, TripletBuilder};
-pub use trace::{ThermalStats, ThermalTrace, ThresholdWatcher};
+pub use trace::ThresholdWatcher;

@@ -12,7 +12,7 @@ use hotnoc::core::configs::{ChipConfigId, ChipSpec, Fidelity};
 use hotnoc::core::report::heatmap_ascii;
 use hotnoc::power::leakage;
 use hotnoc::reconfig::{MigrationScheme, OrbitDecomposition};
-use hotnoc::thermal::{Integrator, ThermalTrace, TransientSim};
+use hotnoc::thermal::{Integrator, TransientSim};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut chip = Chip::build(ChipSpec::of(ChipConfigId::E, Fidelity::Quick))?;
@@ -22,19 +22,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", heatmap_ascii(&base, 5, 5));
 
     for scheme in [MigrationScheme::Rotation, MigrationScheme::XYShift] {
-        let trace = simulate(&chip, &cal.dynamic, scheme)?;
-        let stats = trace.stats().expect("non-empty trace");
+        let frames = simulate(&chip, &cal.dynamic, scheme)?;
+        let (block, peak) = frames
+            .iter()
+            .flat_map(|f| f.iter().copied().enumerate())
+            .fold((0, f64::NEG_INFINITY), |best, (i, t)| {
+                if t > best.1 {
+                    (i, t)
+                } else {
+                    best
+                }
+            });
         println!(
-            "{scheme}: peak over {:.1} ms trace = {:.2} C (block {} hottest)",
-            trace.duration() * 1e3,
-            stats.peak,
-            stats.peak_block
+            "{scheme}: peak over {:.1} ms trace = {peak:.2} C (block {block} hottest)",
+            frames.len() as f64 * DT * 1e3,
         );
+        let mut csv = String::from("time_s");
+        for b in 0..cal.dynamic.len() {
+            csv.push_str(&format!(",block{b}"));
+        }
+        for (i, frame) in frames.iter().enumerate() {
+            csv.push_str(&format!("\n{:.9}", i as f64 * DT));
+            for t in frame {
+                csv.push_str(&format!(",{t:.4}"));
+            }
+        }
+        csv.push('\n');
         let path = format!(
             "thermal_trace_{}.csv",
             scheme.to_string().to_lowercase().replace([' ', '-'], "_")
         );
-        std::fs::write(&path, trace.to_csv())?;
+        std::fs::write(&path, csv)?;
         println!("  trace written to {path}");
     }
 
@@ -50,19 +68,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
+/// Thermal frame period of the trace, seconds.
+const DT: f64 = 10e-6;
+
 /// A hand-rolled migration loop over the raw thermal API (the `cosim`
-/// module packages this; the example shows the moving parts).
+/// module packages this; the example shows the moving parts). Returns the
+/// block temperatures of every frame.
 fn simulate(
     chip: &Chip,
     dynamic: &[f64],
     scheme: MigrationScheme,
-) -> Result<ThermalTrace, Box<dyn std::error::Error>> {
+) -> Result<Vec<Vec<f64>>, Box<dyn std::error::Error>> {
     let mesh = chip.mesh();
-    let dt = 10e-6;
     let period = 100e-6;
-    let mut sim = TransientSim::new(chip.thermal(), dt, Integrator::BackwardEuler)?;
+    let mut sim = TransientSim::new(chip.thermal(), DT, Integrator::BackwardEuler)?;
     sim.init_from_steady(dynamic)?;
-    let mut trace = ThermalTrace::new(dt, dynamic.len());
+    let mut frames = Vec::new();
     let areas = chip.tile_areas_mm2();
 
     let order = scheme.order(mesh);
@@ -81,12 +102,12 @@ fn simulate(
             *p += l;
         }
         sim.step(&power)?;
-        trace.push(sim.block_temps());
-        since_migration += dt;
+        frames.push(sim.block_temps().to_vec());
+        since_migration += DT;
         if since_migration >= period {
             since_migration = 0.0;
             k += 1;
         }
     }
-    Ok(trace)
+    Ok(frames)
 }
