@@ -441,6 +441,47 @@ fn custom_ldpc_chip_too_large_for_its_code_is_bad_input_exit_2() {
 }
 
 #[test]
+fn sub_frame_horizon_is_bad_input_exit_2() {
+    // 0.001 ms is under half of one 5 us thermal frame: the co-simulation
+    // would have no frame to measure, so the spec is rejected up front.
+    let dir = tmp_dir("sub-frame");
+    let scenario = dir.join("scenario.json");
+    std::fs::write(
+        &scenario,
+        r#"{"name": "blink", "chip": {"config": "A"}, "workload": {"kind": "ldpc"},
+  "policy": {"kind": "periodic", "scheme": "xy-shift", "period_blocks": 24},
+  "mode": "cosim", "fidelity": "quick", "seed": 0, "sim_time_ms": 0.001}"#,
+    )
+    .unwrap();
+    let campaign = dir.join("campaign.json");
+    std::fs::write(
+        &campaign,
+        r#"{"schema": "hotnoc-campaign-spec-v1", "name": "blink", "seed": 1,
+  "fidelity": "quick", "configs": [{"config": "A"}], "workloads": [{"kind": "ldpc"}],
+  "policies": ["adaptive"], "periods": [24], "seeds": [0], "sim_time_ms": 0.001}"#,
+    )
+    .unwrap();
+    let out_dir = dir.join("artifacts");
+    let mut campaign_run = hotnoc();
+    campaign_run
+        .args(["campaign", "run", "--spec"])
+        .arg(&campaign)
+        .arg("--out-dir")
+        .arg(&out_dir);
+    let mut scenario_run = hotnoc();
+    scenario_run
+        .args(["scenario", "run", "--spec"])
+        .arg(&scenario);
+    for mut cmd in [scenario_run, campaign_run] {
+        let run = cmd.output().expect("spawn");
+        assert_eq!(run.status.code(), Some(2), "stderr: {}", stderr(&run));
+        assert!(stderr(&run).contains("thermal frame"), "{}", stderr(&run));
+    }
+    assert!(!out_dir.exists(), "no job may start");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn thermal_runaway_fails_the_job_with_exit_1_and_no_artifact() {
     // On a uniform 14x14 quick-fidelity die, xy-shift at period 1 migrates
     // for longer than it decodes and the leakage loop runs away past any

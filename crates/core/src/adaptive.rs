@@ -15,15 +15,11 @@
 //! 5x5s): an adaptive policy recovers the best of both without knowing the
 //! configuration in advance.
 
-use crate::chip::{check_runaway, CalibratedPower, Chip};
-use crate::cosim::{
-    migration_cost, CosimParams, PeakMean, TRACE_TEMP_HYSTERESIS_C, TRACE_TEMP_THRESHOLD_C,
-};
+use crate::chip::{CalibratedPower, Chip};
+use crate::cosim::{co_simulate, migration_cost, peak_of, CosimParams};
 use crate::error::CoreError;
 use hotnoc_obs::TraceEvent;
-use hotnoc_power::leakage;
 use hotnoc_reconfig::{MigrationScheme, OrbitDecomposition};
-use hotnoc_thermal::{Integrator, ThresholdWatcher, TransientSim};
 
 /// Outcome of an adaptive co-simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,7 +32,7 @@ pub struct AdaptiveResult {
     pub reduction: f64,
     /// Sequence of schemes the controller chose (one per migration).
     pub schedule: Vec<MigrationScheme>,
-    /// Throughput penalty (time-weighted over the chosen schemes' stalls).
+    /// Σ stall / Σ (period + stall) over the committed migrations (0 if none).
     pub throughput_penalty: f64,
 }
 
@@ -80,13 +76,19 @@ pub fn pick_scheme(
 }
 
 /// Runs the transient co-simulation with adaptive scheme selection at every
-/// migration point.
+/// migration point. It is the periodic co-simulation's frame loop with
+/// [`pick_scheme`] choosing each migration, so every migration burns the
+/// stall and transfer heat of the scheme chosen for it.
 ///
 /// # Errors
 ///
 /// Propagates thermal solver failures and fails with
 /// [`CoreError::ThermalRunaway`] when a block passes
 /// [`crate::chip::MAX_BLOCK_TEMP_C`].
+///
+/// # Panics
+///
+/// If `params` holds no thermal frame ([`CosimParams::frames`]).
 pub fn run_adaptive_cosim(
     chip: &Chip,
     cal: &CalibratedPower,
@@ -95,11 +97,11 @@ pub fn run_adaptive_cosim(
     run_adaptive_cosim_traced(chip, cal, params, None)
 }
 
-/// [`run_adaptive_cosim`] with an optional trace buffer: each controller
-/// decision records a [`TraceEvent::PolicyDecision`] (ordinal + chosen
+/// [`run_adaptive_cosim`] with an optional trace buffer: each committed
+/// migration records a [`TraceEvent::PolicyDecision`] (ordinal + chosen
 /// scheme) and the executed plan's [`TraceEvent::Migration`], and a
-/// [`ThresholdWatcher`] emits [`TraceEvent::TempCrossing`] events per
-/// thermal frame. The simulation is identical with or without tracing.
+/// threshold watcher emits [`TraceEvent::TempCrossing`] events per thermal
+/// frame. The simulation is identical with or without tracing.
 ///
 /// # Errors
 ///
@@ -108,96 +110,17 @@ pub fn run_adaptive_cosim_traced(
     chip: &Chip,
     cal: &CalibratedPower,
     params: &CosimParams,
-    mut events: Option<&mut Vec<TraceEvent>>,
+    events: Option<&mut Vec<TraceEvent>>,
 ) -> Result<AdaptiveResult, CoreError> {
-    let n = chip.spec().n_tiles();
-    let mesh = chip.mesh();
-    let areas = chip.tile_areas_mm2();
-    let clock = chip.noc_config().clock_hz;
-
-    let base_temps = chip.steady_with_leakage(&cal.dynamic)?;
-    check_runaway(&base_temps)?;
-    let base_peak = base_temps.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-
-    let period_s = cal.block_seconds * params.period_blocks as f64;
-
-    // Current physical power map (starts at the base placement).
-    let mut current = cal.dynamic.clone();
-    let mut schedule = Vec::new();
-
-    let mut sim = TransientSim::new(chip.thermal(), params.dt, Integrator::BackwardEuler)?;
-    sim.init_from_steady(&{
-        let leak = leakage::leakage_per_block(&areas, &base_temps, chip.tech());
-        current
-            .iter()
-            .zip(&leak)
-            .map(|(d, l)| d + l)
-            .collect::<Vec<f64>>()
-    })?;
-
-    let frames = (params.sim_time / params.dt).round() as usize;
-    let warmup_frames = (params.warmup / params.dt).round() as usize;
-    let mut stats = PeakMean::new(frames, warmup_frames);
-
-    let mut watcher = events
-        .as_ref()
-        .map(|_| ThresholdWatcher::new(TRACE_TEMP_THRESHOLD_C, TRACE_TEMP_HYSTERESIS_C, n));
-
-    let mut time_in_period = 0.0f64;
-    let mut stall_time_total = 0.0f64;
-    let mut active_time_total = 0.0f64;
-    for fi in 0..frames {
-        // Migration decision at period boundaries (the stall is folded into
-        // the frame energy rather than sub-frame timing: stalls are ~2 % of
-        // a period and the adaptive policy is the object of study here).
-        if time_in_period >= period_s {
-            time_in_period = 0.0;
-            let scheme = pick_scheme(chip, &current, params)?;
-            schedule.push(scheme);
-            // Apply: workload at tile t moves to scheme(t).
-            let mut next = vec![0.0; n];
-            for (tile, &cur) in current.iter().enumerate() {
-                let c = mesh.coord(hotnoc_noc::NodeId::new(tile as u16));
-                let dst = scheme.apply(c, mesh);
-                next[mesh.node_id(dst).expect("on mesh").index()] = cur;
-            }
-            current = next;
-            let cost = migration_cost(chip, scheme, params, current.iter().sum::<f64>());
-            stall_time_total += cost.stall_seconds;
-            if let Some(ev) = events.as_deref_mut() {
-                let cycle = (fi as f64 * params.dt * clock).round() as u64;
-                ev.push(TraceEvent::PolicyDecision {
-                    cycle,
-                    decision: schedule.len() as u64,
-                    scheme: scheme.to_string(),
-                });
-                ev.push(cost.plan.trace_event(cycle, cost.energy_j));
-            }
-        }
-        let mut power = current.clone();
-        let leak = leakage::leakage_per_block(&areas, sim.block_temps(), chip.tech());
-        for (p, l) in power.iter_mut().zip(&leak) {
-            *p += l;
-        }
-        sim.step(&power)?;
-        check_runaway(sim.block_temps())?;
-        stats.observe(sim.block_temps());
-        if let (Some(ev), Some(w)) = (events.as_deref_mut(), watcher.as_mut()) {
-            let cycle = ((fi + 1) as f64 * params.dt * clock).round() as u64;
-            w.observe(cycle, sim.block_temps(), ev);
-        }
-        time_in_period += params.dt;
-        active_time_total += params.dt;
-    }
-
-    let (peak, _) = stats.finish();
-
+    let base_peak = peak_of(&chip.steady_with_leakage(&cal.dynamic)?);
+    let policy = Box::new(|power: &[f64]| pick_scheme(chip, power, params));
+    let (peak, _, migrations) = co_simulate(chip, cal, params, policy, events)?;
     Ok(AdaptiveResult {
         base_peak,
         peak,
         reduction: base_peak - peak,
-        schedule,
-        throughput_penalty: stall_time_total / (active_time_total + stall_time_total),
+        throughput_penalty: migrations.throughput_penalty(),
+        schedule: migrations.schedule,
     })
 }
 
@@ -258,6 +181,34 @@ mod tests {
                 best_fixed
             );
         }
+    }
+
+    #[test]
+    fn constant_schedule_is_periodic_migration() {
+        // E's centre hotspot makes every decision xy-shift, so the adaptive
+        // run must be the periodic xy-shift run, migration heat included.
+        let (chip, cal) = chip_and_cal(ChipConfigId::E);
+        let params = CosimParams::quick();
+        let adaptive = run_adaptive_cosim(&chip, &cal, &params).unwrap();
+        let periodic = run_cosim(&chip, &cal, Some(MigrationScheme::XYShift), &params).unwrap();
+        assert!(
+            adaptive
+                .schedule
+                .iter()
+                .all(|&s| s == MigrationScheme::XYShift),
+            "{:?}",
+            adaptive.schedule
+        );
+        assert_eq!(adaptive.schedule.len() as u64, periodic.migrations);
+        assert_eq!(adaptive.peak.to_bits(), periodic.peak.to_bits());
+        assert_eq!(adaptive.reduction.to_bits(), periodic.reduction.to_bits());
+        let rel = (adaptive.throughput_penalty / periodic.throughput_penalty - 1.0).abs();
+        assert!(
+            rel <= 1e-12,
+            "penalty {} vs {}",
+            adaptive.throughput_penalty,
+            periodic.throughput_penalty
+        );
     }
 
     #[test]

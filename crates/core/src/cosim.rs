@@ -1,4 +1,4 @@
-//! Transient thermal co-simulation with periodic migration.
+//! Transient thermal co-simulation with runtime migration.
 //!
 //! The chip decodes blocks continuously; after every `period_blocks` blocks
 //! the reconfiguration controller halts the PEs, executes the
@@ -6,11 +6,14 @@
 //! simulations also include the energy consumed during the migration
 //! operation"), and decoding resumes with the workload spatially remapped.
 //! The thermal solver integrates the resulting time-varying power map.
+//!
+//! One frame loop serves the periodic and the adaptive ([`crate::adaptive`])
+//! policies alike, so a migration costs the same heat under either.
 
 use crate::chip::{check_runaway, CalibratedPower, Chip};
 use crate::error::CoreError;
 use hotnoc_obs::TraceEvent;
-use hotnoc_power::leakage;
+use hotnoc_power::leakage::leakage_power;
 use hotnoc_reconfig::phases::PhaseCostModel;
 use hotnoc_reconfig::{MigrationPlan, MigrationScheme, OrbitDecomposition, StateSpec};
 use hotnoc_thermal::{Integrator, ThresholdWatcher, TransientSim};
@@ -74,6 +77,12 @@ impl CosimParams {
             period_blocks: 24,
             ..CosimParams::default()
         }
+    }
+
+    /// Thermal frames in the horizon: `sim_time / dt`, rounded. A horizon
+    /// under half a frame has none and cannot be co-simulated.
+    pub fn frames(&self) -> usize {
+        (self.sim_time / self.dt).round() as usize
     }
 }
 
@@ -162,7 +171,11 @@ pub fn migration_cost(
 ///
 /// Propagates thermal-solver failures and fails with
 /// [`CoreError::ThermalRunaway`] when a block passes
-/// [`crate::chip::MAX_BLOCK_TEMP_C`]; parameters are validated up front.
+/// [`crate::chip::MAX_BLOCK_TEMP_C`].
+///
+/// # Panics
+///
+/// With a scheme, if `params` holds no thermal frame ([`CosimParams::frames`]).
 pub fn run_cosim(
     chip: &Chip,
     cal: &CalibratedPower,
@@ -189,16 +202,13 @@ pub fn run_cosim_traced(
     cal: &CalibratedPower,
     scheme: Option<MigrationScheme>,
     params: &CosimParams,
-    mut events: Option<&mut Vec<TraceEvent>>,
+    events: Option<&mut Vec<TraceEvent>>,
 ) -> Result<CosimResult, CoreError> {
-    let n = chip.spec().n_tiles();
-    let areas = chip.tile_areas_mm2();
-    let clock = chip.noc_config().clock_hz;
-
     // Static baseline: leakage-coupled steady state.
     let base_temps = chip.steady_with_leakage(&cal.dynamic)?;
     let base_peak = peak_of(&base_temps);
     let base_mean = mean_of(&base_temps);
+    let period_s = cal.block_seconds * params.period_blocks as f64;
 
     let Some(scheme) = scheme else {
         return Ok(CosimResult {
@@ -210,144 +220,16 @@ pub fn run_cosim_traced(
             base_mean_temp: base_mean,
             throughput_penalty: 0.0,
             stall_seconds: 0.0,
-            period_seconds: cal.block_seconds * params.period_blocks as f64,
+            period_seconds: period_s,
             migration_energy_j: 0.0,
             phases: 0,
             migrations: 0,
         });
     };
 
-    let mesh = chip.mesh();
-    let MigrationCost {
-        plan,
-        stall_seconds: stall_s,
-        energy_j: migration_energy,
-    } = migration_cost(chip, scheme, params, cal.total_dynamic);
-    let period_s = cal.block_seconds * params.period_blocks as f64;
-    let super_s = period_s + stall_s;
-    let per_tile_hops = plan.per_tile_flit_hops(mesh);
-    let per_tile_endpoints = plan.per_tile_endpoint_flits(mesh);
-
-    // Power maps for every migration state (the permutation cycles with the
-    // scheme's group order).
-    let order = scheme.order(mesh);
-    let mut maps: Vec<Vec<f64>> = Vec::with_capacity(order);
-    for k in 0..order {
-        let mut m = vec![0.0; n];
-        for tile in 0..n {
-            let c = mesh.coord(hotnoc_noc::NodeId::new(tile as u16));
-            let dst = scheme.apply_k(c, mesh, k);
-            let dst_idx = mesh.node_id(dst).expect("on mesh").index();
-            m[dst_idx] = cal.dynamic[tile];
-        }
-        maps.push(m);
-    }
-
-    // Stall power map: each tile keeps `stall_power_fraction` of its own
-    // dynamic power (clock distribution is not gated during the halt); the
-    // state-transfer energy lands on the tiles whose routers forward the
-    // streams and on the endpoints doing the conversion/copy work. The
-    // local component follows the permutation like the active map; the
-    // transfer component is fixed in physical space (the plan's routes).
-    let per_tile_transfer: Vec<f64> = per_tile_hops
-        .iter()
-        .zip(&per_tile_endpoints)
-        .map(|(&h, &e)| h as f64 * params.e_flit_hop + e as f64 * params.e_convert_flit)
-        .collect();
-    let mut stall_maps: Vec<Vec<f64>> = Vec::with_capacity(order);
-    for m in &maps {
-        let sm: Vec<f64> = m
-            .iter()
-            .zip(&per_tile_transfer)
-            .map(|(p, t)| params.stall_power_fraction * p + t / stall_s)
-            .collect();
-        stall_maps.push(sm);
-    }
-
-    // Initialize at the long-run operating point: the time-averaged power
-    // the package integrates (active decode, reduced stall power, transfer
-    // energy).
-    let init_dyn: Vec<f64> = cal
-        .dynamic
-        .iter()
-        .zip(&per_tile_transfer)
-        .map(|(p, t)| (p * (period_s + params.stall_power_fraction * stall_s) + t) / super_s)
-        .collect();
-    let init_temps = chip.steady_with_leakage(&init_dyn)?;
-    check_runaway(&init_temps)?;
-    let init_leak = leakage::leakage_per_block(&areas, &init_temps, chip.tech());
-    let init_total: Vec<f64> = init_dyn
-        .iter()
-        .zip(&init_leak)
-        .map(|(d, l)| d + l)
-        .collect();
-
-    let mut sim = TransientSim::new(chip.thermal(), params.dt, Integrator::BackwardEuler)?;
-    sim.init_from_steady(&init_total)?;
-
-    let frames = (params.sim_time / params.dt).round() as usize;
-    let warmup_frames = (params.warmup / params.dt).round() as usize;
-    let mut stats = PeakMean::new(frames, warmup_frames);
-    let mut watcher = events
-        .as_ref()
-        .map(|_| ThresholdWatcher::new(TRACE_TEMP_THRESHOLD_C, TRACE_TEMP_HYSTERESIS_C, n));
-
-    let mut k = 0usize; // migrations so far
-    let mut tau = 0.0f64; // position within the current super-period
-    let mut frame_power = vec![0.0f64; n];
-    for fi in 0..frames {
-        frame_power.iter_mut().for_each(|p| *p = 0.0);
-        let mut remaining = params.dt;
-        while remaining > 1e-15 {
-            if tau < period_s {
-                let seg = remaining.min(period_s - tau);
-                let w = seg / params.dt;
-                let map = &maps[k % order];
-                for (fp, m) in frame_power.iter_mut().zip(map) {
-                    *fp += w * m;
-                }
-                tau += seg;
-                remaining -= seg;
-            } else {
-                let seg = remaining.min(super_s - tau);
-                let w = seg / params.dt;
-                let sm = &stall_maps[k % order];
-                for (fp, s) in frame_power.iter_mut().zip(sm) {
-                    *fp += w * s;
-                }
-                tau += seg;
-                remaining -= seg;
-                if super_s - tau < 1e-12 {
-                    tau = 0.0;
-                    k += 1;
-                    if let Some(ev) = events.as_deref_mut() {
-                        let elapsed = fi as f64 * params.dt + (params.dt - remaining);
-                        let cycle = (elapsed * clock).round() as u64;
-                        ev.push(TraceEvent::PolicyDecision {
-                            cycle,
-                            decision: k as u64,
-                            scheme: scheme.to_string(),
-                        });
-                        ev.push(plan.trace_event(cycle, migration_energy));
-                    }
-                }
-            }
-        }
-        // Temperature-coupled leakage from the previous frame's state.
-        let leak = leakage::leakage_per_block(&areas, sim.block_temps(), chip.tech());
-        for (fp, l) in frame_power.iter_mut().zip(&leak) {
-            *fp += l;
-        }
-        sim.step(&frame_power)?;
-        check_runaway(sim.block_temps())?;
-        stats.observe(sim.block_temps());
-        if let (Some(ev), Some(w)) = (events.as_deref_mut(), watcher.as_mut()) {
-            let cycle = ((fi + 1) as f64 * params.dt * clock).round() as u64;
-            w.observe(cycle, sim.block_temps(), ev);
-        }
-    }
-    let (peak, mean) = stats.finish();
-
+    let policy: Policy = Box::new(move |_: &[f64]| Ok(scheme));
+    let (peak, mean, migrations) = co_simulate(chip, cal, params, policy, events)?;
+    let cost = &migrations.priced[0].cost;
     Ok(CosimResult {
         scheme: Some(scheme),
         base_peak,
@@ -355,13 +237,221 @@ pub fn run_cosim_traced(
         reduction: base_peak - peak,
         mean_temp: mean,
         base_mean_temp: base_mean,
-        throughput_penalty: stall_s / super_s,
-        stall_seconds: stall_s,
+        throughput_penalty: cost.stall_seconds / (period_s + cost.stall_seconds),
+        stall_seconds: cost.stall_seconds,
         period_seconds: period_s,
-        migration_energy_j: migration_energy,
-        phases: plan.num_phases(),
-        migrations: k as u64,
+        migration_energy_j: cost.energy_j,
+        phases: cost.plan.num_phases(),
+        migrations: migrations.schedule.len() as u64,
     })
+}
+
+/// Names the next migration's scheme from the current physical per-tile
+/// dynamic power map: a fixed scheme, or [`crate::adaptive::pick_scheme`].
+pub(crate) type Policy<'c> = Box<dyn FnMut(&[f64]) -> Result<MigrationScheme, CoreError> + 'c>;
+
+/// The frame loop behind every migration policy, starting at the long-run
+/// operating point of the first scheme. Returns the peak and mean block
+/// temperature over the frames after warm-up (°C) and the migration clock,
+/// which holds the committed schedule. Panics if there is no frame.
+pub(crate) fn co_simulate<'c>(
+    chip: &'c Chip,
+    cal: &CalibratedPower,
+    params: &'c CosimParams,
+    policy: Policy<'c>,
+    mut events: Option<&mut Vec<TraceEvent>>,
+) -> Result<(f64, f64, Migrations<'c>), CoreError> {
+    let n = cal.dynamic.len();
+    let (areas, tech) = (chip.tile_areas_mm2(), chip.tech());
+    let frames = params.frames();
+    assert!(frames > 0, "no thermal frame in the horizon");
+    let skip = ((params.warmup / params.dt).round() as usize).min(frames - 1);
+
+    let mut migrations = Migrations::new(chip, cal, params, policy)?;
+    // The long-run operating point: the time-averaged power the package
+    // integrates (active decode, reduced stall power, transfer energy).
+    let first = &migrations.priced[migrations.pending];
+    let (period_s, stall_s) = (migrations.period_s, first.cost.stall_seconds);
+    let active_s = period_s + params.stall_power_fraction * stall_s;
+    let mut power: Vec<f64> = (cal.dynamic.iter().zip(&first.transfer_j))
+        .map(|(p, t)| (p * active_s + t) / (period_s + stall_s))
+        .collect();
+    let init_temps = chip.steady_with_leakage(&power)?;
+    check_runaway(&init_temps)?;
+    for ((p, &a), &t) in power.iter_mut().zip(&areas).zip(&init_temps) {
+        *p += leakage_power(a, t, tech);
+    }
+    let mut sim = TransientSim::new(chip.thermal(), params.dt, Integrator::BackwardEuler)?;
+    sim.init_from_steady(&power)?;
+
+    let mut watcher = events
+        .as_ref()
+        .map(|_| ThresholdWatcher::new(TRACE_TEMP_THRESHOLD_C, TRACE_TEMP_HYSTERESIS_C, n));
+    let (mut peak, mut sum) = (f64::NEG_INFINITY, 0.0);
+    for fi in 0..frames {
+        migrations.fill(&mut power, fi, events.as_deref_mut())?;
+        // Temperature-coupled leakage from the previous frame's state.
+        for ((p, &a), &t) in power.iter_mut().zip(&areas).zip(sim.block_temps()) {
+            *p += leakage_power(a, t, tech);
+        }
+        sim.step(&power)?;
+        let temps = sim.block_temps();
+        check_runaway(temps)?;
+        if let (Some(ev), Some(w)) = (events.as_deref_mut(), watcher.as_mut()) {
+            let cycle = ((fi + 1) as f64 * params.dt * chip.noc_config().clock_hz).round();
+            w.observe(cycle as u64, temps, ev);
+        }
+        if fi >= skip {
+            for &t in temps {
+                peak = peak.max(t);
+                sum += t;
+            }
+        }
+    }
+    Ok((peak, sum / ((frames - skip) * n) as f64, migrations))
+}
+
+/// One scheme's migration as the frame loop charges it: the §2.2 cost and
+/// each tile's share of the state-transfer energy (router hops, conversion), J.
+struct Priced {
+    cost: MigrationCost,
+    transfer_j: Vec<f64>,
+}
+
+/// The super-period clock: `period_blocks` blocks of decoding on the
+/// current placement, the pending migration's stall, then its commit, which
+/// moves the workload and asks the policy for the next migration.
+pub(crate) struct Migrations<'c> {
+    chip: &'c Chip,
+    params: &'c CosimParams,
+    total_dynamic: f64,
+    policy: Policy<'c>,
+    /// Every scheme the policy has named, priced once.
+    priced: Vec<Priced>,
+    /// Index in `priced` of the migration that closes this super-period.
+    pending: usize,
+    /// Physical per-tile dynamic power of the current placement, W.
+    placement: Vec<f64>,
+    period_s: f64,
+    /// Time into the current super-period, s.
+    tau: f64,
+    /// Committed migrations, in order.
+    pub(crate) schedule: Vec<MigrationScheme>,
+    /// Total stall time of the committed migrations, s.
+    stalled_s: f64,
+}
+
+impl<'c> Migrations<'c> {
+    fn new(
+        chip: &'c Chip,
+        cal: &CalibratedPower,
+        params: &'c CosimParams,
+        policy: Policy<'c>,
+    ) -> Result<Self, CoreError> {
+        let mut migrations = Migrations {
+            chip,
+            params,
+            total_dynamic: cal.total_dynamic,
+            policy,
+            priced: Vec::new(),
+            pending: 0,
+            placement: cal.dynamic.clone(),
+            period_s: cal.block_seconds * params.period_blocks as f64,
+            tau: 0.0,
+            schedule: Vec::new(),
+            stalled_s: 0.0,
+        };
+        migrations.decide()?;
+        Ok(migrations)
+    }
+
+    /// Asks the policy for the next migration, pricing its scheme the first
+    /// time it is named.
+    fn decide(&mut self) -> Result<(), CoreError> {
+        let scheme = (self.policy)(&self.placement)?;
+        let known = self
+            .priced
+            .iter()
+            .position(|m| m.cost.plan.scheme == scheme);
+        self.pending = known.unwrap_or(self.priced.len());
+        if known.is_none() {
+            let (mesh, p) = (self.chip.mesh(), self.params);
+            let cost = migration_cost(self.chip, scheme, p, self.total_dynamic);
+            let ends = cost.plan.per_tile_endpoint_flits(mesh);
+            let transfer_j = (cost.plan.per_tile_flit_hops(mesh).iter().zip(ends))
+                .map(|(&h, e)| h as f64 * p.e_flit_hop + e as f64 * p.e_convert_flit)
+                .collect();
+            self.priced.push(Priced { cost, transfer_j });
+        }
+        Ok(())
+    }
+
+    /// Writes frame `fi`'s dynamic power (per tile, averaged over `dt`) into
+    /// `frame`, committing each migration whose stall ends in it. A stalled
+    /// tile keeps `stall_power_fraction` of its dynamic power (the clocks
+    /// are not gated) and burns its share of the transfer energy.
+    fn fill(
+        &mut self,
+        frame: &mut [f64],
+        fi: usize,
+        mut events: Option<&mut Vec<TraceEvent>>,
+    ) -> Result<(), CoreError> {
+        let (dt, spf) = (self.params.dt, self.params.stall_power_fraction);
+        frame.fill(0.0);
+        let mut remaining = dt;
+        while remaining > 1e-15 {
+            let m = &self.priced[self.pending];
+            let stall_s = m.cost.stall_seconds;
+            let stalled = self.tau >= self.period_s;
+            let end = self.period_s + if stalled { stall_s } else { 0.0 };
+            let seg = remaining.min(end - self.tau);
+            let w = seg / dt;
+            for ((fp, p), t) in frame.iter_mut().zip(&self.placement).zip(&m.transfer_j) {
+                *fp += if stalled {
+                    w * (spf * p + t / stall_s)
+                } else {
+                    w * p
+                };
+            }
+            self.tau += seg;
+            remaining -= seg;
+            if !stalled || end - self.tau >= 1e-12 {
+                continue;
+            }
+            // Commit: the workload at tile t moves to scheme(t).
+            let (mesh, scheme) = (self.chip.mesh(), m.cost.plan.scheme);
+            let mut next = vec![0.0; self.placement.len()];
+            for (tile, &p) in self.placement.iter().enumerate() {
+                let c = scheme.apply(mesh.coord(hotnoc_noc::NodeId::new(tile as u16)), mesh);
+                next[mesh.node_id(c).expect("on mesh").index()] = p;
+            }
+            self.placement = next;
+            self.tau = 0.0;
+            self.stalled_s += stall_s;
+            self.schedule.push(scheme);
+            if let Some(ev) = events.as_deref_mut() {
+                let elapsed = fi as f64 * dt + (dt - remaining);
+                let cycle = (elapsed * self.chip.noc_config().clock_hz).round() as u64;
+                ev.push(TraceEvent::PolicyDecision {
+                    cycle,
+                    decision: self.schedule.len() as u64,
+                    scheme: scheme.to_string(),
+                });
+                ev.push(m.cost.plan.trace_event(cycle, m.cost.energy_j));
+            }
+            self.decide()?;
+        }
+        Ok(())
+    }
+
+    /// Σ stall / Σ (period + stall) over the committed migrations; 0 when
+    /// none was committed.
+    pub(crate) fn throughput_penalty(&self) -> f64 {
+        match self.schedule.len() {
+            0 => 0.0,
+            m => self.stalled_s / (m as f64 * self.period_s + self.stalled_s),
+        }
+    }
 }
 
 /// Analytic predictor: the peak-temperature reduction implied by the
@@ -385,53 +475,7 @@ pub fn predicted_reduction(
     Ok(peak_of(&base) - peak_of(&migrated))
 }
 
-/// Streaming peak and mean block temperature over the frames after
-/// warm-up, summed frame by frame in block order. At least the last frame
-/// is measured, however long the warm-up.
-pub(crate) struct PeakMean {
-    skip: usize,
-    seen: usize,
-    peak: f64,
-    sum: f64,
-    samples: usize,
-}
-
-impl PeakMean {
-    pub(crate) fn new(frames: usize, warmup_frames: usize) -> Self {
-        PeakMean {
-            skip: warmup_frames.min(frames.saturating_sub(1)),
-            seen: 0,
-            peak: f64::NEG_INFINITY,
-            sum: 0.0,
-            samples: 0,
-        }
-    }
-
-    pub(crate) fn observe(&mut self, block_temps: &[f64]) {
-        if self.seen >= self.skip {
-            for &t in block_temps {
-                if t > self.peak {
-                    self.peak = t;
-                }
-                self.sum += t;
-            }
-            self.samples += block_temps.len();
-        }
-        self.seen += 1;
-    }
-
-    /// `(peak, mean)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no frame was observed.
-    pub(crate) fn finish(&self) -> (f64, f64) {
-        assert!(self.samples > 0, "at least one measured frame");
-        (self.peak, self.sum / self.samples as f64)
-    }
-}
-
-fn peak_of(t: &[f64]) -> f64 {
+pub(crate) fn peak_of(t: &[f64]) -> f64 {
     t.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
 }
 
@@ -536,6 +580,61 @@ mod tests {
             cycles.windows(2).all(|w| w[0] <= w[1]),
             "trace must be in sim-time order: {cycles:?}"
         );
+    }
+
+    /// Drives the migration clock alone over the horizon of `params` and
+    /// checks the dynamic energy it integrated (Σ frame power × dt) against
+    /// the energy its committed migrations are charged, plus the open
+    /// super-period's share. Returns the committed schedule.
+    fn assert_energy_balance(
+        chip: &Chip,
+        cal: &CalibratedPower,
+        params: &CosimParams,
+        policy: Policy,
+    ) -> Vec<MigrationScheme> {
+        let mut clock = Migrations::new(chip, cal, params, policy).unwrap();
+        let mut frame = vec![0.0; cal.dynamic.len()];
+        let mut integrated = 0.0;
+        for fi in 0..params.frames() {
+            clock.fill(&mut frame, fi, None).unwrap();
+            integrated += frame.iter().sum::<f64>() * params.dt;
+        }
+        let energy_j = |scheme: MigrationScheme| {
+            let m = clock.priced.iter().find(|m| m.cost.plan.scheme == scheme);
+            m.unwrap().cost.energy_j
+        };
+        let decoding = clock.period_s * cal.total_dynamic;
+        let committed: f64 = clock.schedule.iter().map(|&s| decoding + energy_j(s)).sum();
+        let pending = &clock.priced[clock.pending];
+        let decoded = clock.tau.min(clock.period_s);
+        let open = decoded * cal.total_dynamic
+            + (clock.tau - decoded) / pending.cost.stall_seconds * pending.cost.energy_j;
+        let expected = committed + open;
+        assert!(
+            ((integrated - expected) / expected).abs() <= 1e-9,
+            "integrated {integrated} J, charged {expected} J over {} migrations",
+            clock.schedule.len()
+        );
+        clock.schedule
+    }
+
+    #[test]
+    fn integrated_dynamic_energy_is_what_the_migrations_are_charged() {
+        let (chip, cal) = chip_and_cal(ChipConfigId::A);
+        let params = CosimParams::quick();
+        for scheme in MigrationScheme::FIGURE1 {
+            let policy = Box::new(move |_: &[f64]| Ok(scheme));
+            let schedule = assert_energy_balance(&chip, &cal, &params, policy);
+            assert!(!schedule.is_empty(), "{scheme}: no migration committed");
+        }
+        let pick = Box::new(|power: &[f64]| crate::adaptive::pick_scheme(&chip, power, &params));
+        let adaptive = assert_energy_balance(&chip, &cal, &params, pick);
+        for scheme in [
+            MigrationScheme::XTranslation { offset: 1 },
+            MigrationScheme::Rotation,
+        ] {
+            assert!(adaptive.contains(&scheme), "{scheme} unused: {adaptive:?}");
+        }
     }
 
     #[test]

@@ -587,6 +587,13 @@ impl ScenarioSpec {
             if !(ms > 0.0 && ms <= 10_000.0) {
                 return Err(format!("sim_time_ms {ms} outside (0, 10000]"));
             }
+            let params = crate::run::params_of(self);
+            if params.frames() == 0 {
+                return Err(format!(
+                    "sim_time_ms {ms} is under half of one {} ms thermal frame",
+                    params.dt * 1e3
+                ));
+            }
         }
         if self.seed > (1 << 53) {
             return Err("seed exceeds 2^53 (not exactly representable in JSON)".into());
@@ -850,6 +857,12 @@ mod tests {
             period_blocks: 0,
         };
         assert!(bad.validate().is_err(), "zero period");
+
+        let mut bad = cosim_spec();
+        bad.sim_time_ms = Some(0.001);
+        assert!(bad.validate().is_err(), "no thermal frame");
+        bad.sim_time_ms = Some(0.005);
+        assert_eq!(bad.validate(), Ok(()), "one thermal frame");
 
         let mut bad = traffic_spec();
         bad.workload = Workload::Traffic {

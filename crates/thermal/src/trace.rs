@@ -36,11 +36,6 @@ impl ThresholdWatcher {
         }
     }
 
-    /// The threshold being watched, °C.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
     /// Observes one frame of block temperatures at sim cycle `cycle`,
     /// pushing a crossing event per block that changed side onto `events`.
     ///
