@@ -16,11 +16,10 @@
 
 use hotnoc_core::configs::{ChipConfigId, ChipSpec, Fidelity};
 use hotnoc_core::cosim::predicted_reduction;
-use hotnoc_core::report::{self, Fig1Row, Fig1Table};
 use hotnoc_core::Chip;
 use hotnoc_reconfig::MigrationScheme;
 use hotnoc_scenario::builtin::builtin;
-use hotnoc_scenario::exhibits;
+use hotnoc_scenario::exhibits::{self, Fig1Table};
 use hotnoc_scenario::runner::{run_campaign, RunnerOptions};
 use std::error::Error;
 
@@ -48,9 +47,9 @@ fn main() -> Result<(), Box<dyn Error>> {
         },
     )?;
     let table = exhibits::fig1_table(&run.completed).map_err(std::io::Error::other)?;
-    println!("{}", report::fig1_ascii(&table));
-    print_notes(&table);
-    hotnoc_bench::save("fig1.csv", &report::fig1_csv(&table))?;
+    println!("{}", exhibits::fig1_ascii(&table));
+    print_notes(&table, spec.periods[0]);
+    hotnoc_bench::save("fig1.csv", &exhibits::fig1_csv(&table))?;
     Ok(())
 }
 
@@ -77,7 +76,7 @@ fn run_predictor(fidelity: Fidelity) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn print_notes(table: &Fig1Table) {
+fn print_notes(table: &Fig1Table, period_blocks: u64) {
     let avg = table.average_reductions();
     println!("\nSection 3 cross-checks:");
     println!(
@@ -88,21 +87,17 @@ fn print_notes(table: &Fig1Table) {
         "  Rotation  average reduction: {:.2} C (paper: 4.15 C, second)",
         avg[0]
     );
-    let e_row: &Fig1Row = &table.rows[4];
+    let rot_e = &table.rows[4].1[0];
     println!(
         "  Rotation on E: reduction {:.2} C (paper: negative), mean-temp increase {:.2} C (paper: ~0.3 C)",
-        e_row.results[0].reduction,
-        e_row.results[0].mean_temp_increase()
+        rot_e.reduction,
+        rot_e.mean_temp - rot_e.base_mean_temp
     );
-    let a_row = &table.rows[0];
-    let best_a = a_row
-        .results
-        .iter()
-        .map(|r| r.reduction)
-        .fold(f64::MIN, f64::max);
+    let a = &table.rows[0].1;
+    let best_a = a.iter().map(|r| r.reduction).fold(f64::MIN, f64::max);
     println!("  Best reduction on A: {best_a:.2} C (paper: up to 8 C)");
     println!(
-        "  X-Y Shift throughput penalty at 1-block period: {:.2}% (paper: 1.6%)",
-        a_row.results[4].throughput_penalty * 100.0
+        "  X-Y Shift throughput penalty at {period_blocks}-block period: {:.2}% (paper: 1.6%)",
+        a[4].throughput_penalty * 100.0
     );
 }

@@ -10,7 +10,6 @@
 //! CSV per chip. Exits non-zero on failure.
 
 use hotnoc_core::configs::{ChipConfigId, Fidelity};
-use hotnoc_core::report;
 use hotnoc_scenario::builtin::builtin;
 use hotnoc_scenario::exhibits;
 use hotnoc_scenario::runner::{run_campaign, RunnerOptions};
@@ -35,11 +34,11 @@ fn main() -> Result<(), Box<dyn Error>> {
         let rows =
             exhibits::migration_cost_rows(&run.completed, id).map_err(std::io::Error::other)?;
         println!("Migration cost — {label} (config {id}):");
-        println!("{}", report::migration_cost_ascii(&rows));
-        let rot = &rows[0];
+        println!("{}", exhibits::migration_cost_ascii(&rows));
+        let rot = &rows[0].1;
         let max_other = rows[1..]
             .iter()
-            .map(|r| r.energy_uj)
+            .map(|(_, r)| r.energy_uj)
             .fold(f64::MIN, f64::max);
         println!(
             "Rotation energy {:.1} uJ vs best-of-others {:.1} uJ (paper: rotation largest)\n",
@@ -47,7 +46,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         );
         hotnoc_bench::save(
             &format!("migration_cost_{id}.csv"),
-            &report::migration_cost_csv(&rows),
+            &exhibits::migration_cost_csv(&rows),
         )?;
     }
     Ok(())

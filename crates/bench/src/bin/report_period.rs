@@ -12,7 +12,6 @@
 //! `period_sweep.csv`. Exits non-zero on failure.
 
 use hotnoc_core::configs::{ChipConfigId, Fidelity};
-use hotnoc_core::report;
 use hotnoc_reconfig::MigrationScheme;
 use hotnoc_scenario::builtin::builtin;
 use hotnoc_scenario::exhibits;
@@ -36,15 +35,15 @@ fn main() -> Result<(), Box<dyn Error>> {
     )?;
     let table = exhibits::period_table(&run.completed, ChipConfigId::A, MigrationScheme::XYShift)
         .map_err(std::io::Error::other)?;
-    println!("{}", report::period_ascii(&table));
+    println!("{}", exhibits::period_ascii(&table));
     if table.rows.len() == 3 {
-        let rise = table.rows[1].peak - table.rows[0].peak;
+        let rise = table.rows[1].1.peak - table.rows[0].1.peak;
         println!("Peak rise from 1-block to 4-block period: {rise:.3} C (paper: < 0.1 C)");
-        let rise8 = table.rows[2].peak - table.rows[0].peak;
+        let rise8 = table.rows[2].1.peak - table.rows[0].1.peak;
         println!(
             "Peak rise from 1-block to 8-block period: {rise8:.3} C (paper: no significant impact)"
         );
     }
-    hotnoc_bench::save("period_sweep.csv", &report::period_csv(&table))?;
+    hotnoc_bench::save("period_sweep.csv", &exhibits::period_csv(&table))?;
     Ok(())
 }

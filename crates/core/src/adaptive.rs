@@ -16,10 +16,11 @@
 //! configuration in advance.
 
 use crate::chip::{CalibratedPower, Chip};
-use crate::cosim::{co_simulate, migration_cost, peak_of, CosimParams};
+use crate::cosim::{co_simulate, migration_cost, CosimParams};
 use crate::error::CoreError;
 use hotnoc_obs::TraceEvent;
 use hotnoc_reconfig::{MigrationScheme, OrbitDecomposition};
+use hotnoc_thermal::rc_model;
 
 /// Outcome of an adaptive co-simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,8 +60,7 @@ pub fn pick_scheme(
             continue;
         }
         let averaged = OrbitDecomposition::new(scheme, mesh).time_averaged_power(current_power);
-        let temps = chip.steady_with_leakage(&averaged)?;
-        let peak = temps.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let peak = rc_model::peak(&chip.steady_with_leakage(&averaged)?);
         // Energy tie-breaker: one migration's energy spread over a period,
         // expressed as an equivalent temperature penalty through the
         // package's shared resistance (~0.5 K/W effective).
@@ -112,7 +112,7 @@ pub fn run_adaptive_cosim_traced(
     params: &CosimParams,
     events: Option<&mut Vec<TraceEvent>>,
 ) -> Result<AdaptiveResult, CoreError> {
-    let base_peak = peak_of(&chip.steady_with_leakage(&cal.dynamic)?);
+    let base_peak = rc_model::peak(&chip.steady_with_leakage(&cal.dynamic)?);
     let policy = Box::new(|power: &[f64]| pick_scheme(chip, power, params));
     let (peak, _, migrations) = co_simulate(chip, cal, params, policy, events)?;
     Ok(AdaptiveResult {

@@ -8,7 +8,7 @@ use hotnoc_ldpc::schedule::MessageParams;
 use hotnoc_ldpc::{ClusterMapping, LdpcCode};
 use hotnoc_noc::{Mesh, Network, NocConfig};
 use hotnoc_power::{leakage, pe_power, router_power, TechParams, TileActivity};
-use hotnoc_thermal::{Floorplan, PackageConfig, RcNetwork};
+use hotnoc_thermal::{rc_model, Floorplan, PackageConfig, RcNetwork};
 
 /// The paper's functional-unit area: 4.36 mm² per PE tile.
 pub const TILE_AREA_M2: f64 = 4.36e-6;
@@ -191,16 +191,10 @@ impl Chip {
     fn solve_scale(&self, raw: &[f64], target: f64) -> Result<f64, CoreError> {
         let peak_at = |s: f64| -> Result<f64, CoreError> {
             let dynamic: Vec<f64> = raw.iter().map(|p| p * s).collect();
-            let temps = self.steady_with_leakage(&dynamic)?;
-            Ok(temps.iter().cloned().fold(f64::NEG_INFINITY, f64::max))
+            Ok(rc_model::peak(&self.steady_with_leakage(&dynamic)?))
         };
         let amb = self.thermal.ambient();
-        let peak1 = self
-            .thermal
-            .steady_state(raw)?
-            .iter()
-            .cloned()
-            .fold(f64::NEG_INFINITY, f64::max);
+        let peak1 = rc_model::peak(&self.thermal.steady_state(raw)?);
         // NaN peaks must land in the error arm, hence the negated > rather
         // than <=.
         let bracket_ok = peak1 > amb && target > amb;

@@ -16,7 +16,7 @@ use hotnoc_obs::TraceEvent;
 use hotnoc_power::leakage::leakage_power;
 use hotnoc_reconfig::phases::PhaseCostModel;
 use hotnoc_reconfig::{MigrationPlan, MigrationScheme, OrbitDecomposition, StateSpec};
-use hotnoc_thermal::{Integrator, ThresholdWatcher, TransientSim};
+use hotnoc_thermal::{rc_model, Integrator, ThresholdWatcher, TransientSim};
 
 /// Temperature threshold watched by traced co-simulation runs, °C. Not part
 /// of [`CosimParams`] (which is serialized into artifacts) — the watcher is
@@ -89,8 +89,6 @@ impl CosimParams {
 /// The outcome of one co-simulation run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CosimResult {
-    /// Scheme simulated (`None` = static baseline).
-    pub scheme: Option<MigrationScheme>,
     /// Steady-state peak of the static placement (°C) — the Figure 1 base.
     pub base_peak: f64,
     /// Peak temperature under migration, measured after warm-up (°C).
@@ -113,13 +111,6 @@ pub struct CosimResult {
     pub phases: usize,
     /// Migrations executed during the simulated horizon.
     pub migrations: u64,
-}
-
-impl CosimResult {
-    /// Average-temperature increase attributable to migration energy (°C).
-    pub fn mean_temp_increase(&self) -> f64 {
-        self.mean_temp - self.base_mean_temp
-    }
 }
 
 /// One migration's §2.1–2.2 cost: the congestion-free plan of a scheme on
@@ -206,13 +197,12 @@ pub fn run_cosim_traced(
 ) -> Result<CosimResult, CoreError> {
     // Static baseline: leakage-coupled steady state.
     let base_temps = chip.steady_with_leakage(&cal.dynamic)?;
-    let base_peak = peak_of(&base_temps);
+    let base_peak = rc_model::peak(&base_temps);
     let base_mean = mean_of(&base_temps);
     let period_s = cal.block_seconds * params.period_blocks as f64;
 
     let Some(scheme) = scheme else {
         return Ok(CosimResult {
-            scheme: None,
             base_peak,
             peak: base_peak,
             reduction: 0.0,
@@ -231,7 +221,6 @@ pub fn run_cosim_traced(
     let (peak, mean, migrations) = co_simulate(chip, cal, params, policy, events)?;
     let cost = &migrations.priced[0].cost;
     Ok(CosimResult {
-        scheme: Some(scheme),
         base_peak,
         peak,
         reduction: base_peak - peak,
@@ -472,11 +461,7 @@ pub fn predicted_reduction(
     let orbit = OrbitDecomposition::new(scheme, chip.mesh());
     let averaged = orbit.time_averaged_power(&cal.dynamic);
     let migrated = chip.steady_with_leakage(&averaged)?;
-    Ok(peak_of(&base) - peak_of(&migrated))
-}
-
-pub(crate) fn peak_of(t: &[f64]) -> f64 {
-    t.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
+    Ok(rc_model::peak(&base) - rc_model::peak(&migrated))
 }
 
 fn mean_of(t: &[f64]) -> f64 {

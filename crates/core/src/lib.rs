@@ -15,10 +15,10 @@
 //!    migration operation".
 //! 4. [`adaptive`] re-selects the migration scheme at every migration point
 //!    (§2.3's runtime-alterable migration function).
-//! 5. [`report`] holds the paper's exhibit tables — Figure 1 (peak-
-//!    temperature reductions), the migration-period sweep and the migration
-//!    cost table — and renders them. The tables are filled from the
-//!    built-in campaigns of `hotnoc-scenario`.
+//! 5. [`report`] renders per-tile fields (temperatures, power) as ASCII
+//!    heatmaps. The paper's exhibit tables — Figure 1, the migration-period
+//!    sweep and the migration cost table — live in `hotnoc-scenario`'s
+//!    `exhibits` module, next to the campaign records they are built from.
 //!
 //! ```no_run
 //! use hotnoc_core::configs::{ChipConfigId, Fidelity};

@@ -240,7 +240,7 @@ mod tests {
         assert!(jobs[0].faults.is_empty());
         let degraded: Vec<_> = jobs.iter().filter(|j| j.name.contains("/fr2/")).collect();
         assert_eq!(degraded.len(), spec.seeds.len());
-        assert!(degraded.iter().all(|j| j.faults.len() == 2));
+        assert!(degraded.iter().all(|j| j.faults.events().len() == 2));
     }
 
     #[test]

@@ -25,11 +25,11 @@
 
 use crate::json::Json;
 use crate::spec::{
-    fidelity_from_name, fidelity_name, scheme_from_name, scheme_name, ChipKind, FaultEventSpec,
-    FaultKindSpec, Mode, Policy, ScenarioSpec, Workload,
+    fidelity_from_name, fidelity_name, scheme_from_name, scheme_name, ChipKind, Mode, Policy,
+    ScenarioSpec, Workload,
 };
 use hotnoc_core::configs::Fidelity;
-use hotnoc_noc::Coord;
+use hotnoc_noc::{Coord, FaultPlan};
 use hotnoc_reconfig::MigrationScheme;
 
 /// Schema tag of campaign spec documents.
@@ -280,15 +280,11 @@ impl CampaignSpec {
     /// count realized as a deterministic [`degraded_fabric`] plan), tagged
     /// `/frN` / `/flM` in the job name. Healthy expansion — both axes empty
     /// or a non-traffic workload — is a single untagged empty plan.
-    fn fault_variants(
-        &self,
-        workload: &Workload,
-        chip: &ChipKind,
-    ) -> Vec<(Vec<FaultEventSpec>, String)> {
+    fn fault_variants(&self, workload: &Workload, chip: &ChipKind) -> Vec<(FaultPlan, String)> {
         if !matches!(workload, Workload::Traffic { .. })
             || (self.failed_routers.is_empty() && self.failed_links.is_empty())
         {
-            return vec![(Vec::new(), String::new())];
+            return vec![(FaultPlan::new(), String::new())];
         }
         let side = chip.mesh_side();
         let router_counts: &[u64] = if self.failed_routers.is_empty() {
@@ -401,13 +397,7 @@ impl CampaignSpec {
             ("name", Json::Str(self.name.clone())),
             ("seed", Json::int(self.seed)),
             ("fidelity", Json::str(fidelity_name(self.fidelity))),
-            (
-                "mode",
-                Json::str(match self.mode {
-                    Mode::Cosim => "cosim",
-                    Mode::PlanCost => "plan-cost",
-                }),
-            ),
+            ("mode", Json::str(self.mode.name())),
         ];
         if let Some(ms) = self.sim_time_ms {
             fields.push(("sim_time_ms", Json::Num(ms)));
@@ -462,12 +452,7 @@ impl CampaignSpec {
             "seeds",
             Json::Array(self.seeds.iter().map(|&s| Json::int(s)).collect()),
         ));
-        Json::Object(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
+        Json::object(fields)
     }
 
     /// Deserializes and validates a campaign spec document.
@@ -492,11 +477,9 @@ impl CampaignSpec {
             name: j.req_str("name")?.to_string(),
             seed: j.req_u64("seed")?,
             fidelity: fidelity_from_name(j.req_str("fidelity")?)?,
-            mode: match j.get("mode").map(|m| m.as_str()) {
+            mode: match j.get("mode") {
                 None => Mode::Cosim,
-                Some(Some("cosim")) => Mode::Cosim,
-                Some(Some("plan-cost")) => Mode::PlanCost,
-                Some(other) => return Err(format!("unknown mode {other:?}")),
+                Some(m) => Mode::from_name(m.as_str().ok_or("field \"mode\" is not a string")?)?,
             },
             sim_time_ms: match j.get("sim_time_ms") {
                 None => None,
@@ -560,13 +543,7 @@ impl CampaignSpec {
     /// The runner journals it in the manifest header so a resume against an
     /// edited campaign is detected and restarted instead of mixing results.
     pub fn fingerprint(&self) -> String {
-        let text = self.to_json().to_string();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in text.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        format!("{h:016x}")
+        self.to_json().fingerprint()
     }
 }
 
@@ -579,9 +556,9 @@ impl CampaignSpec {
 /// `n = side²` nodes). Link failures start half a side away from node 0 and
 /// walk the id space, skipping endpoints already dead (a link into a failed
 /// router would be redundant) and preferring the east edge, then north.
-pub fn degraded_fabric(side: usize, routers: u64, links: u64) -> Vec<FaultEventSpec> {
+pub fn degraded_fabric(side: usize, routers: u64, links: u64) -> FaultPlan {
     let n = (side * side) as u64;
-    let mut events = Vec::new();
+    let mut plan = FaultPlan::new();
     let coord = |id: u64| Coord {
         x: (id % side as u64) as u8,
         y: (id / side as u64) as u8,
@@ -590,10 +567,7 @@ pub fn degraded_fabric(side: usize, routers: u64, links: u64) -> Vec<FaultEventS
     for i in 0..routers.min(n) {
         let id = i * n / routers;
         dead[id as usize] = true;
-        events.push(FaultEventSpec {
-            at: 0,
-            kind: FaultKindSpec::FailRouter(coord(id)),
-        });
+        plan = plan.fail_router(0, coord(id));
     }
     let mut placed = 0;
     let mut cursor = (side as u64 / 2) % n;
@@ -618,13 +592,10 @@ pub fn degraded_fabric(side: usize, routers: u64, links: u64) -> Vec<FaultEventS
         if dead[usize::from(peer.y) * side + usize::from(peer.x)] {
             continue;
         }
-        events.push(FaultEventSpec {
-            at: 0,
-            kind: FaultKindSpec::FailLink(c, peer),
-        });
+        plan = plan.fail_link(0, c, peer);
         placed += 1;
     }
-    events
+    plan
 }
 
 /// SplitMix64, the workspace's standard seed scrambler.
@@ -648,7 +619,7 @@ pub fn derive_job_seed(campaign_seed: u64, axis_seed: u64, job_index: u64) -> u6
 mod tests {
     use super::*;
     use hotnoc_core::configs::ChipConfigId;
-    use hotnoc_noc::TrafficPattern;
+    use hotnoc_noc::{FaultKind, TrafficPattern};
 
     fn sweep() -> CampaignSpec {
         CampaignSpec {
@@ -808,9 +779,9 @@ mod tests {
             .all(|jb| jb.faults.is_empty()));
         // Both axes tag the name; the plan size matches the counts.
         assert_eq!(traffic[0].name, "A/w1:traffic:uniform/baseline/fr0/fl1/s1");
-        assert_eq!(traffic[0].faults.len(), 1);
+        assert_eq!(traffic[0].faults.events().len(), 1);
         assert_eq!(traffic[2].name, "A/w1:traffic:uniform/baseline/fr2/fl1/s1");
-        assert_eq!(traffic[2].faults.len(), 3);
+        assert_eq!(traffic[2].faults.events().len(), 3);
         // Every produced job passes scenario validation (plans in-bounds).
         for jb in &jobs {
             jb.validate().unwrap_or_else(|e| panic!("{}: {e}", jb.name));
@@ -876,19 +847,20 @@ mod tests {
     fn degraded_fabric_is_deterministic_and_in_bounds() {
         let plan = degraded_fabric(4, 3, 2);
         assert_eq!(plan, degraded_fabric(4, 3, 2), "pure function");
-        assert_eq!(plan.len(), 5);
-        assert!(plan.iter().all(|e| e.at == 0));
+        assert_eq!(plan.events().len(), 5);
+        assert!(plan.events().iter().all(|e| e.at == 0));
         let failed: Vec<_> = plan
+            .events()
             .iter()
             .filter_map(|e| match e.kind {
-                FaultKindSpec::FailRouter(c) => Some(c),
+                FaultKind::FailRouter(c) => Some(c),
                 _ => None,
             })
             .collect();
         assert_eq!(failed.len(), 3);
         // Link failures never touch a failed router's ports.
-        for e in &plan {
-            if let FaultKindSpec::FailLink(a, b) = e.kind {
+        for e in plan.events() {
+            if let FaultKind::FailLink(a, b) = e.kind {
                 assert!(!failed.contains(&a) && !failed.contains(&b), "{a:?}-{b:?}");
             }
         }
@@ -931,6 +903,17 @@ mod tests {
         let mut edited = spec.clone();
         edited.periods = vec![8, 64];
         assert_ne!(edited.fingerprint(), spec.fingerprint());
+    }
+
+    #[test]
+    fn bad_modes_are_named_and_an_absent_mode_is_cosim() {
+        let text = sweep().to_json().to_string();
+        let with_mode = |m: &str| text.replace("\"mode\": \"cosim\"", &format!("\"mode\": {m}"));
+        let err = |m: &str| CampaignSpec::parse(&with_mode(m)).unwrap_err();
+        assert_eq!(err("\"plan_cost\""), "unknown mode \"plan_cost\"");
+        assert_eq!(err("3"), "field \"mode\" is not a string");
+        let absent = text.replace("\"mode\": \"cosim\", ", "");
+        assert_eq!(CampaignSpec::parse(&absent).expect("parses"), sweep());
     }
 
     #[test]

@@ -1,27 +1,93 @@
-//! Reassembles the paper's exhibit tables from campaign results, so the
-//! `report_*` binaries are thin wrappers over the engine: run (or resume) a
-//! built-in campaign, then project its records onto the
-//! `hotnoc_core::report` tables for rendering. This is the only path to
-//! each exhibit.
+//! The paper's exhibit tables — Figure 1, the §3 period sweep and the
+//! §2.1–2.2 migration cost — built straight from campaign records and
+//! rendered as ASCII and CSV, so the `report_*` binaries are thin wrappers
+//! over the engine: run (or resume) a built-in campaign, then read its
+//! records here. This is the only path to each exhibit. The module also
+//! renders the latency-vs-load curve of traffic campaigns.
 
-use crate::outcome::ScenarioOutcome;
+use crate::outcome::{CosimMetrics, PlanCostMetrics, ScenarioOutcome};
 use crate::runner::JobRecord;
 use crate::spec::{ChipKind, Policy, Workload};
 use crate::stats::{GroupKey, SummaryStats};
 use hotnoc_core::configs::ChipConfigId;
-use hotnoc_core::report::{Fig1Row, Fig1Table, MigrationCostRow, PeriodRow, PeriodTable};
 use hotnoc_reconfig::MigrationScheme;
 use std::fmt::Write as _;
 
-/// The records of one chip configuration, in campaign order.
-fn records_of(records: &[JobRecord], id: ChipConfigId) -> Vec<&JobRecord> {
-    records
-        .iter()
-        .filter(|r| r.spec.chip == ChipKind::Config(id))
-        .collect()
+/// The regenerated Figure 1.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Fig1Table {
+    /// One row per configuration A–E: the configuration and its co-sim
+    /// metrics per scheme, in [`MigrationScheme::FIGURE1`] order.
+    pub rows: Vec<(ChipConfigId, Vec<CosimMetrics>)>,
 }
 
-/// Rebuilds the Figure 1 table from a `fig1`-shaped campaign (every config
+impl Fig1Table {
+    /// Mean peak-temperature reduction per scheme across configurations
+    /// (the §3 ranking: X-Y shift 4.62 °C, rotation 4.15 °C in the paper).
+    pub fn average_reductions(&self) -> Vec<f64> {
+        let k = MigrationScheme::FIGURE1.len();
+        let mut avg = vec![0.0; k];
+        for (_, results) in &self.rows {
+            for (i, r) in results.iter().enumerate() {
+                avg[i] += r.reduction;
+            }
+        }
+        for a in avg.iter_mut() {
+            *a /= self.rows.len() as f64;
+        }
+        avg
+    }
+}
+
+/// The §3 period sweep for one configuration and scheme.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PeriodTable {
+    /// Configuration swept.
+    pub config: ChipConfigId,
+    /// Migration scheme used.
+    pub scheme: MigrationScheme,
+    /// One row per period: the period in decoded blocks and its co-sim
+    /// metrics.
+    pub rows: Vec<(u64, CosimMetrics)>,
+}
+
+/// The records of config `id` migrating periodically under `scheme`, in
+/// campaign order, each with its period in decoded blocks.
+fn periodic(
+    records: &[JobRecord],
+    id: ChipConfigId,
+    scheme: MigrationScheme,
+) -> impl Iterator<Item = (u64, &JobRecord)> {
+    records.iter().filter_map(move |r| match r.spec.policy {
+        Policy::Periodic {
+            scheme: s,
+            period_blocks,
+        } if s == scheme && r.spec.chip == ChipKind::Config(id) => Some((period_blocks, r)),
+        _ => None,
+    })
+}
+
+/// The first record of config `id` under `scheme`.
+fn first_periodic(
+    records: &[JobRecord],
+    id: ChipConfigId,
+    scheme: MigrationScheme,
+) -> Result<&JobRecord, String> {
+    periodic(records, id, scheme)
+        .next()
+        .map(|(_, r)| r)
+        .ok_or_else(|| format!("no record for config {id}, scheme {scheme}"))
+}
+
+/// A record's co-sim metrics.
+fn cosim_metrics(rec: &JobRecord) -> Result<CosimMetrics, String> {
+    match &rec.outcome {
+        ScenarioOutcome::Cosim(m) => Ok(m.clone()),
+        _ => Err(format!("record {} is not a cosim outcome", rec.spec.name)),
+    }
+}
+
+/// Builds the Figure 1 table from a `fig1`-shaped campaign (every config
 /// in [`ChipConfigId::ALL`] x every scheme in [`MigrationScheme::FIGURE1`],
 /// cosim outcomes).
 ///
@@ -29,32 +95,19 @@ fn records_of(records: &[JobRecord], id: ChipConfigId) -> Vec<&JobRecord> {
 ///
 /// Reports the first missing (config, scheme) cell or non-cosim outcome.
 pub fn fig1_table(records: &[JobRecord]) -> Result<Fig1Table, String> {
-    let mut rows = Vec::new();
-    for id in ChipConfigId::ALL {
-        let of_config = records_of(records, id);
-        let mut results = Vec::new();
-        for scheme in MigrationScheme::FIGURE1 {
-            let rec = of_config
-                .iter()
-                .find(
-                    |r| matches!(r.spec.policy, Policy::Periodic { scheme: s, .. } if s == scheme),
-                )
-                .ok_or_else(|| format!("no record for config {id}, scheme {scheme}"))?;
-            let ScenarioOutcome::Cosim(m) = &rec.outcome else {
-                return Err(format!("record {} is not a cosim outcome", rec.spec.name));
-            };
-            results.push(m.to_cosim_result(Some(scheme)));
-        }
-        rows.push(Fig1Row {
-            config: id,
-            base_peak: results[0].base_peak,
-            results,
-        });
-    }
-    Ok(Fig1Table { rows })
+    let rows = ChipConfigId::ALL.iter().map(|&id| {
+        let results = MigrationScheme::FIGURE1
+            .iter()
+            .map(|&scheme| cosim_metrics(first_periodic(records, id, scheme)?))
+            .collect::<Result<_, _>>()?;
+        Ok((id, results))
+    });
+    Ok(Fig1Table {
+        rows: rows.collect::<Result<_, String>>()?,
+    })
 }
 
-/// Rebuilds the §3 period-sweep table for one config and scheme from a
+/// Builds the §3 period-sweep table for one config and scheme from a
 /// `period-sweep`-shaped campaign. Rows come out in campaign (axis) order.
 ///
 /// # Errors
@@ -65,29 +118,9 @@ pub fn period_table(
     id: ChipConfigId,
     scheme: MigrationScheme,
 ) -> Result<PeriodTable, String> {
-    let mut rows = Vec::new();
-    for rec in records_of(records, id) {
-        let Policy::Periodic {
-            scheme: s,
-            period_blocks,
-        } = rec.spec.policy
-        else {
-            continue;
-        };
-        if s != scheme {
-            continue;
-        }
-        let ScenarioOutcome::Cosim(m) = &rec.outcome else {
-            return Err(format!("record {} is not a cosim outcome", rec.spec.name));
-        };
-        rows.push(PeriodRow {
-            period_blocks,
-            period_us: m.period_seconds * 1e6,
-            penalty_pct: m.throughput_penalty * 100.0,
-            peak: m.peak,
-            reduction: m.reduction,
-        });
-    }
+    let rows = periodic(records, id, scheme)
+        .map(|(period_blocks, r)| Ok((period_blocks, cosim_metrics(r)?)))
+        .collect::<Result<Vec<_>, String>>()?;
     if rows.is_empty() {
         return Err(format!(
             "no periodic records for config {id} under {scheme}"
@@ -100,7 +133,7 @@ pub fn period_table(
     })
 }
 
-/// Rebuilds the §2.1–2.2 migration-cost table for one config from a
+/// Builds the §2.1–2.2 migration-cost table for one config from a
 /// `migration-cost`-shaped campaign (plan-cost outcomes), in
 /// [`MigrationScheme::FIGURE1`] order.
 ///
@@ -110,30 +143,149 @@ pub fn period_table(
 pub fn migration_cost_rows(
     records: &[JobRecord],
     id: ChipConfigId,
-) -> Result<Vec<MigrationCostRow>, String> {
-    let of_config = records_of(records, id);
-    let mut rows = Vec::new();
-    for scheme in MigrationScheme::FIGURE1 {
-        let rec = of_config
-            .iter()
-            .find(|r| matches!(r.spec.policy, Policy::Periodic { scheme: s, .. } if s == scheme))
-            .ok_or_else(|| format!("no record for config {id}, scheme {scheme}"))?;
-        let ScenarioOutcome::PlanCost(m) = &rec.outcome else {
-            return Err(format!(
-                "record {} is not a plan-cost outcome",
-                rec.spec.name
-            ));
-        };
-        rows.push(MigrationCostRow {
-            scheme,
-            phases: m.phases as usize,
-            stall_us: m.stall_us,
-            flit_hops: m.flit_hops,
-            energy_uj: m.energy_uj,
-            moves: m.moves as usize,
-        });
+) -> Result<Vec<(MigrationScheme, PlanCostMetrics)>, String> {
+    MigrationScheme::FIGURE1
+        .iter()
+        .map(|&scheme| {
+            let rec = first_periodic(records, id, scheme)?;
+            match &rec.outcome {
+                ScenarioOutcome::PlanCost(m) => Ok((scheme, m.clone())),
+                _ => Err(format!(
+                    "record {} is not a plan-cost outcome",
+                    rec.spec.name
+                )),
+            }
+        })
+        .collect()
+}
+
+/// Renders the regenerated Figure 1 as an ASCII table (reductions in °C).
+pub fn fig1_ascii(table: &Fig1Table) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "Figure 1: Reduction in Peak Temps (degrees C)");
+    let _ = write!(out, "{:<14}", "Config (base)");
+    for s in MigrationScheme::FIGURE1 {
+        let _ = write!(out, "{:>12}", s.to_string());
     }
-    Ok(rows)
+    let _ = writeln!(out);
+    for (config, results) in &table.rows {
+        let label = format!("{config} ({:.2})", results[0].base_peak);
+        let _ = write!(out, "{label:<14}");
+        for r in results {
+            let _ = write!(out, "{:>12.2}", r.reduction);
+        }
+        let _ = writeln!(out);
+    }
+    let _ = write!(out, "{:<14}", "Average");
+    for a in table.average_reductions() {
+        let _ = write!(out, "{a:>12.2}");
+    }
+    let _ = writeln!(out);
+    out
+}
+
+/// Renders Figure 1 as CSV (`config,base_peak,rot,...`).
+pub fn fig1_csv(table: &Fig1Table) -> String {
+    let mut out = String::from("config,base_peak_c");
+    for s in MigrationScheme::FIGURE1 {
+        let _ = write!(out, ",{}", s.to_string().replace(' ', "_").to_lowercase());
+    }
+    out.push('\n');
+    for (config, results) in &table.rows {
+        let _ = write!(out, "{config},{:.2}", results[0].base_peak);
+        for r in results {
+            let _ = write!(out, ",{:.3}", r.reduction);
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// Renders the period sweep as an ASCII table.
+pub fn period_ascii(table: &PeriodTable) -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "Migration period sweep — config {}, scheme {}",
+        table.config, table.scheme
+    );
+    let _ = writeln!(
+        out,
+        "{:>8} {:>12} {:>14} {:>10} {:>12}",
+        "blocks", "period (us)", "penalty (%)", "peak (C)", "redn (C)"
+    );
+    for (blocks, m) in &table.rows {
+        let _ = writeln!(
+            out,
+            "{:>8} {:>12.1} {:>14.2} {:>10.2} {:>12.2}",
+            blocks,
+            m.period_seconds * 1e6,
+            m.throughput_penalty * 100.0,
+            m.peak,
+            m.reduction
+        );
+    }
+    out
+}
+
+/// Renders the period sweep as CSV
+/// (`blocks,period_us,penalty_pct,peak_c,reduction_c`).
+pub fn period_csv(table: &PeriodTable) -> String {
+    let mut out = String::from("blocks,period_us,penalty_pct,peak_c,reduction_c\n");
+    for (blocks, m) in &table.rows {
+        let _ = writeln!(
+            out,
+            "{},{:.3},{:.4},{:.3},{:.3}",
+            blocks,
+            m.period_seconds * 1e6,
+            m.throughput_penalty * 100.0,
+            m.peak,
+            m.reduction
+        );
+    }
+    out
+}
+
+/// Renders the migration cost table as CSV
+/// (`scheme,phases,stall_us,flit_hops,energy_uj,moves`).
+pub fn migration_cost_csv(rows: &[(MigrationScheme, PlanCostMetrics)]) -> String {
+    let mut out = String::from("scheme,phases,stall_us,flit_hops,energy_uj,moves\n");
+    for (scheme, m) in rows {
+        let _ = writeln!(
+            out,
+            "{},{},{:.3},{},{:.3},{}",
+            scheme.to_string().replace(' ', "_").to_lowercase(),
+            m.phases,
+            m.stall_us,
+            m.flit_hops,
+            m.energy_uj,
+            m.moves
+        );
+    }
+    out
+}
+
+/// Renders the migration cost table.
+pub fn migration_cost_ascii(rows: &[(MigrationScheme, PlanCostMetrics)]) -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "{:<12} {:>7} {:>10} {:>11} {:>12} {:>7}",
+        "Scheme", "phases", "stall(us)", "flit-hops", "energy(uJ)", "moves"
+    );
+    for (scheme, m) in rows {
+        let _ = writeln!(
+            out,
+            "{:<12} {:>7} {:>10.2} {:>11} {:>12.1} {:>7}",
+            scheme.to_string(),
+            m.phases,
+            m.stall_us,
+            m.flit_hops,
+            m.energy_uj,
+            m.moves
+        );
+    }
+    out
 }
 
 /// One operating point of a latency-vs-load saturation curve, aggregated
@@ -283,6 +435,63 @@ mod tests {
     use crate::builtin::builtin;
     use crate::runner::{run_campaign, RunnerOptions};
     use hotnoc_core::configs::Fidelity;
+
+    fn dummy_result(reduction: f64) -> CosimMetrics {
+        CosimMetrics {
+            base_peak: 85.44,
+            peak: 85.44 - reduction,
+            reduction,
+            mean_temp: 70.0,
+            base_mean_temp: 69.8,
+            throughput_penalty: 0.016,
+            stall_seconds: 1.7e-6,
+            period_seconds: 109.3e-6,
+            migration_energy_j: 1e-5,
+            phases: 1,
+            migrations: 100,
+        }
+    }
+
+    fn dummy_table() -> Fig1Table {
+        let results = (0..MigrationScheme::FIGURE1.len())
+            .map(|i| dummy_result(i as f64))
+            .collect();
+        Fig1Table {
+            rows: vec![(ChipConfigId::A, results)],
+        }
+    }
+
+    #[test]
+    fn fig1_ascii_contains_all_schemes() {
+        let s = fig1_ascii(&dummy_table());
+        for scheme in MigrationScheme::FIGURE1 {
+            assert!(s.contains(&scheme.to_string()), "missing {scheme}");
+        }
+        assert!(s.contains("A (85.44)"));
+        assert!(s.contains("Average"));
+    }
+
+    #[test]
+    fn fig1_csv_shape() {
+        let csv = fig1_csv(&dummy_table());
+        let lines: Vec<&str> = csv.lines().collect();
+        assert_eq!(lines.len(), 2);
+        assert_eq!(lines[0].split(',').count(), 7);
+        assert!(lines[1].starts_with("A,85.44"));
+    }
+
+    #[test]
+    fn average_and_best_scheme() {
+        let t = dummy_table();
+        let avg = t.average_reductions();
+        assert_eq!(avg, vec![0.0, 1.0, 2.0, 3.0, 4.0]);
+        // The best average belongs to X-Y shift, the last Figure 1 scheme.
+        let best = avg.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1));
+        assert_eq!(
+            MigrationScheme::FIGURE1[best.unwrap().0],
+            MigrationScheme::XYShift
+        );
+    }
 
     #[test]
     fn latency_load_campaign_produces_a_monotone_saturation_curve() {

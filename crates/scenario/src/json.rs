@@ -159,6 +159,17 @@ impl Json {
         Ok(v)
     }
 
+    /// 64-bit FNV-1a hash of the canonical text, as 16 lowercase hex
+    /// digits: two hosts agree on it iff they agree on the canonical bytes.
+    pub(crate) fn fingerprint(&self) -> String {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in self.to_string().bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        format!("{h:016x}")
+    }
+
     fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),

@@ -21,9 +21,9 @@
 //!   `hotnoc serve` result cache.
 //! * [`builtin`] names the paper's exhibits (Figure 1, the period sweep,
 //!   migration cost, adaptive comparison, the latency-vs-load saturation
-//!   curve) as ready-made campaigns; [`exhibits`] projects campaign
-//!   results onto the `hotnoc_core::report` exhibit tables (and renders
-//!   the latency-load curve).
+//!   curve) as ready-made campaigns; [`exhibits`] builds the exhibit
+//!   tables straight from campaign records and renders them (and the
+//!   latency-load curve) as ASCII and CSV.
 //! * [`stats`] collapses records across the seed axis into per-group
 //!   summary statistics (mean / std-dev / min / max / median / p95 /
 //!   t-based 95% CI) and serializes them as the

@@ -8,11 +8,10 @@
 
 use crate::json::Json;
 use crate::spec::{scheme_from_name, scheme_name};
-use hotnoc_core::CosimResult;
-use hotnoc_reconfig::MigrationScheme;
+use hotnoc_core::{AdaptiveResult, CosimResult};
 
 /// Thermal co-simulation metrics (LDPC workload, baseline or periodic
-/// policy). Mirrors [`CosimResult`] minus the scheme (the spec carries it).
+/// policy): a [`CosimResult`] as campaign artifacts record it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CosimMetrics {
     /// Steady-state peak of the static placement, °C.
@@ -56,41 +55,6 @@ impl CosimMetrics {
             migrations: r.migrations,
         }
     }
-
-    /// Reassembles a [`CosimResult`] (for the exhibit tables; `scheme` comes
-    /// from the owning spec).
-    pub fn to_cosim_result(&self, scheme: Option<MigrationScheme>) -> CosimResult {
-        CosimResult {
-            scheme,
-            base_peak: self.base_peak,
-            peak: self.peak,
-            reduction: self.reduction,
-            mean_temp: self.mean_temp,
-            base_mean_temp: self.base_mean_temp,
-            throughput_penalty: self.throughput_penalty,
-            stall_seconds: self.stall_seconds,
-            period_seconds: self.period_seconds,
-            migration_energy_j: self.migration_energy_j,
-            phases: self.phases as usize,
-            migrations: self.migrations,
-        }
-    }
-}
-
-/// Adaptive co-simulation metrics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveMetrics {
-    /// Static baseline peak, °C.
-    pub base_peak: f64,
-    /// Peak under adaptive migration after warm-up, °C.
-    pub peak: f64,
-    /// `base_peak - peak`, °C.
-    pub reduction: f64,
-    /// Time-weighted throughput penalty.
-    pub throughput_penalty: f64,
-    /// The schemes the controller chose, in canonical-name form, one per
-    /// migration.
-    pub schedule: Vec<MigrationScheme>,
 }
 
 /// Migration-plan cost metrics (plan-cost mode; no transient solve).
@@ -156,7 +120,7 @@ pub enum ScenarioOutcome {
     /// Thermal co-simulation (baseline or periodic policy).
     Cosim(CosimMetrics),
     /// Adaptive co-simulation.
-    Adaptive(AdaptiveMetrics),
+    Adaptive(AdaptiveResult),
     /// Migration-plan cost analysis.
     PlanCost(PlanCostMetrics),
     /// Synthetic traffic on the bare NoC.
@@ -265,7 +229,7 @@ impl ScenarioOutcome {
                 phases: j.req_u64("phases")?,
                 migrations: j.req_u64("migrations")?,
             })),
-            "adaptive" => Ok(ScenarioOutcome::Adaptive(AdaptiveMetrics {
+            "adaptive" => Ok(ScenarioOutcome::Adaptive(AdaptiveResult {
                 base_peak: j.req_f64("base_peak")?,
                 peak: j.req_f64("peak")?,
                 reduction: j.req_f64("reduction")?,
@@ -367,6 +331,7 @@ impl ScenarioOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hotnoc_reconfig::MigrationScheme;
 
     fn outcomes() -> Vec<ScenarioOutcome> {
         vec![
@@ -383,7 +348,7 @@ mod tests {
                 phases: 3,
                 migrations: 457,
             }),
-            ScenarioOutcome::Adaptive(AdaptiveMetrics {
+            ScenarioOutcome::Adaptive(AdaptiveResult {
                 base_peak: 75.98,
                 peak: 71.0,
                 reduction: 4.98,

@@ -7,9 +7,7 @@
 //! bit-identical metrics on any machine at any `HOTNOC_THREADS`.
 
 use crate::error::ScenarioError;
-use crate::outcome::{
-    AdaptiveMetrics, CosimMetrics, PlanCostMetrics, ScenarioOutcome, TrafficMetrics,
-};
+use crate::outcome::{CosimMetrics, PlanCostMetrics, ScenarioOutcome, TrafficMetrics};
 use crate::spec::{fidelity_name, ChipKind, Mode, Policy, ScenarioSpec, Workload};
 use hotnoc_core::adaptive::run_adaptive_cosim_traced;
 use hotnoc_core::configs::Fidelity;
@@ -175,13 +173,7 @@ fn run_ldpc(
         }
         (Policy::Adaptive { .. }, _) => {
             let r = run_adaptive_cosim_traced(chip, cal, &params, events)?;
-            Ok(ScenarioOutcome::Adaptive(AdaptiveMetrics {
-                base_peak: r.base_peak,
-                peak: r.peak,
-                reduction: r.reduction,
-                throughput_penalty: r.throughput_penalty,
-                schedule: r.schedule,
-            }))
+            Ok(ScenarioOutcome::Adaptive(r))
         }
     }
 }
@@ -200,7 +192,7 @@ fn run_traffic(
         net.start_trace();
     }
     if !spec.faults.is_empty() {
-        net.install_fault_plan(crate::spec::fault_plan_of(&spec.faults))?;
+        net.install_fault_plan(spec.faults.clone())?;
     }
     let mut gen = TrafficGenerator::new(mesh, pattern, rate, packet_len, spec.seed);
     let budget = cycles.saturating_mul(DRAIN_BUDGET_PER_CYCLE) + DRAIN_BUDGET_FLOOR;
@@ -229,7 +221,7 @@ mod tests {
     use super::*;
     use crate::spec::ChipKind;
     use hotnoc_core::configs::ChipConfigId;
-    use hotnoc_noc::TrafficPattern;
+    use hotnoc_noc::{FaultPlan, TrafficPattern};
     use hotnoc_reconfig::MigrationScheme;
 
     fn traffic_spec(seed: u64) -> ScenarioSpec {
@@ -246,7 +238,7 @@ mod tests {
             mode: Mode::Cosim,
             fidelity: Fidelity::Quick,
             sim_time_ms: None,
-            faults: vec![],
+            faults: FaultPlan::new(),
             seed,
         }
     }
@@ -267,19 +259,11 @@ mod tests {
 
     #[test]
     fn traced_traffic_run_brackets_and_matches_untraced() {
-        use crate::spec::{FaultEventSpec, FaultKindSpec};
         use hotnoc_noc::Coord;
         let mut spec = traffic_spec(9);
-        spec.faults = vec![
-            FaultEventSpec {
-                at: 100,
-                kind: FaultKindSpec::FailRouter(Coord::new(1, 1)),
-            },
-            FaultEventSpec {
-                at: 250,
-                kind: FaultKindSpec::RepairRouter(Coord::new(1, 1)),
-            },
-        ];
+        spec.faults = FaultPlan::new()
+            .fail_router(100, Coord::new(1, 1))
+            .repair_router(250, Coord::new(1, 1));
         let plain = run_scenario(&spec).unwrap();
         let (traced, events) = run_scenario_traced(&spec).unwrap();
         assert_eq!(plain, traced, "tracing must not perturb the run");
@@ -318,7 +302,7 @@ mod tests {
             mode: Mode::Cosim,
             fidelity: Fidelity::Quick,
             sim_time_ms: None,
-            faults: vec![],
+            faults: FaultPlan::new(),
             seed: 0,
         };
         let out = run_scenario(&spec).unwrap();

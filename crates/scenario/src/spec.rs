@@ -10,7 +10,7 @@
 
 use crate::json::Json;
 use hotnoc_core::configs::{ChipConfigId, ChipSpec, Fidelity};
-use hotnoc_noc::{Coord, FaultPlan, Mesh, TrafficPattern};
+use hotnoc_noc::{Coord, FaultEvent, FaultKind, FaultPlan, Mesh, TrafficPattern};
 use hotnoc_reconfig::MigrationScheme;
 
 /// Which chip a scenario runs on.
@@ -187,7 +187,10 @@ impl Workload {
             "traffic" => Ok(Workload::Traffic {
                 pattern: pattern_from_json(j.req("pattern")?)?,
                 rate: j.req_f64("rate")?,
-                packet_len: j.req_u64("packet_len")? as u32,
+                packet_len: {
+                    let n = j.req_u64("packet_len")?;
+                    u32::try_from(n).map_err(|_| format!("packet_len {n} exceeds {}", u32::MAX))?
+                },
                 cycles: j.req_u64("cycles")?,
             }),
             other => Err(format!("unknown workload kind {other:?}")),
@@ -224,107 +227,60 @@ impl Workload {
     }
 }
 
-/// One scheduled fault event of a scenario's fault plan. Events fire at
-/// the start of the named cycle, before any flit moves that cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultEventSpec {
-    /// Cycle the event fires.
-    pub at: u64,
-    /// What fails (or comes back).
-    pub kind: FaultKindSpec,
-}
-
-/// The component a [`FaultEventSpec`] disables or repairs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKindSpec {
-    /// Disable the router (and every link touching it).
-    FailRouter(Coord),
-    /// Re-enable a previously failed router.
-    RepairRouter(Coord),
-    /// Disable the bidirectional link between two adjacent routers.
-    FailLink(Coord, Coord),
-    /// Re-enable a previously failed link.
-    RepairLink(Coord, Coord),
-}
-
+/// Encodes a mesh coordinate as `[x, y]`.
 fn coord_to_json(c: Coord) -> Json {
     Json::Array(vec![Json::int(u64::from(c.x)), Json::int(u64::from(c.y))])
 }
 
-fn coord_from_json(j: &Json) -> Result<Coord, String> {
-    let pair = j
-        .as_array()
-        .ok_or("fault coordinate is not an [x, y] pair")?;
-    if pair.len() != 2 {
-        return Err("fault coordinate is not an [x, y] pair".to_string());
-    }
+/// Decodes an `[x, y]` mesh coordinate; `what` names it in errors.
+fn coord_from_json(j: &Json, what: &str) -> Result<Coord, String> {
+    let Some([x, y]) = j.as_array() else {
+        return Err(format!("{what} is not an [x, y] pair"));
+    };
     let axis = |v: &Json| {
         v.as_u64()
             .filter(|&c| c < 256)
-            .ok_or("fault coordinate component is not an integer in 0..256".to_string())
+            .ok_or_else(|| format!("{what} component is not an integer in 0..256"))
     };
-    Ok(Coord::new(axis(&pair[0])? as u8, axis(&pair[1])? as u8))
+    Ok(Coord::new(axis(x)? as u8, axis(y)? as u8))
 }
 
-impl FaultEventSpec {
-    pub(crate) fn to_json(self) -> Json {
-        let mut fields = vec![("at", Json::int(self.at))];
-        match self.kind {
-            FaultKindSpec::FailRouter(c) => fields.push(("fail_router", coord_to_json(c))),
-            FaultKindSpec::RepairRouter(c) => fields.push(("repair_router", coord_to_json(c))),
-            FaultKindSpec::FailLink(a, b) => fields.push((
-                "fail_link",
-                Json::Array(vec![coord_to_json(a), coord_to_json(b)]),
-            )),
-            FaultKindSpec::RepairLink(a, b) => fields.push((
-                "repair_link",
-                Json::Array(vec![coord_to_json(a), coord_to_json(b)]),
-            )),
-        }
-        Json::object(fields)
-    }
-
-    pub(crate) fn from_json(j: &Json) -> Result<FaultEventSpec, String> {
-        let at = j.req_u64("at")?;
-        let link = |j: &Json| -> Result<(Coord, Coord), String> {
-            let pair = j.as_array().ok_or("fault link is not an [a, b] pair")?;
-            if pair.len() != 2 {
-                return Err("fault link is not an [a, b] pair".to_string());
-            }
-            Ok((coord_from_json(&pair[0])?, coord_from_json(&pair[1])?))
-        };
-        let kind = if let Some(c) = j.get("fail_router") {
-            FaultKindSpec::FailRouter(coord_from_json(c)?)
-        } else if let Some(c) = j.get("repair_router") {
-            FaultKindSpec::RepairRouter(coord_from_json(c)?)
-        } else if let Some(l) = j.get("fail_link") {
-            let (a, b) = link(l)?;
-            FaultKindSpec::FailLink(a, b)
-        } else if let Some(l) = j.get("repair_link") {
-            let (a, b) = link(l)?;
-            FaultKindSpec::RepairLink(a, b)
-        } else {
-            return Err(
-                "fault event needs one of fail_router / repair_router / fail_link / repair_link"
-                    .into(),
-            );
-        };
-        Ok(FaultEventSpec { at, kind })
-    }
+/// Encodes one fault event as `{"at": cycle, "<kind>": coordinate(s)}`.
+fn fault_to_json(e: &FaultEvent) -> Json {
+    let link = |a, b| Json::Array(vec![coord_to_json(a), coord_to_json(b)]);
+    let (key, value) = match e.kind {
+        FaultKind::FailRouter(c) => ("fail_router", coord_to_json(c)),
+        FaultKind::RepairRouter(c) => ("repair_router", coord_to_json(c)),
+        FaultKind::FailLink(a, b) => ("fail_link", link(a, b)),
+        FaultKind::RepairLink(a, b) => ("repair_link", link(a, b)),
+    };
+    Json::object(vec![("at", Json::int(e.at)), (key, value)])
 }
 
-/// Builds the runtime [`FaultPlan`] a list of fault events describes.
-pub fn fault_plan_of(events: &[FaultEventSpec]) -> FaultPlan {
-    let mut plan = FaultPlan::new();
-    for e in events {
-        plan = match e.kind {
-            FaultKindSpec::FailRouter(c) => plan.fail_router(e.at, c),
-            FaultKindSpec::RepairRouter(c) => plan.repair_router(e.at, c),
-            FaultKindSpec::FailLink(a, b) => plan.fail_link(e.at, a, b),
-            FaultKindSpec::RepairLink(a, b) => plan.repair_link(e.at, a, b),
-        };
-    }
-    plan
+/// Decodes one fault event written by [`fault_to_json`].
+fn fault_from_json(j: &Json) -> Result<FaultEvent, String> {
+    let at = j.req_u64("at")?;
+    let coord = |c: &Json| coord_from_json(c, "fault coordinate");
+    let link = |l: &Json| match l.as_array() {
+        Some([a, b]) => Ok((coord(a)?, coord(b)?)),
+        _ => Err("fault link is not an [a, b] pair".to_string()),
+    };
+    let kind = if let Some(c) = j.get("fail_router") {
+        FaultKind::FailRouter(coord(c)?)
+    } else if let Some(c) = j.get("repair_router") {
+        FaultKind::RepairRouter(coord(c)?)
+    } else if let Some(l) = j.get("fail_link") {
+        let (a, b) = link(l)?;
+        FaultKind::FailLink(a, b)
+    } else if let Some(l) = j.get("repair_link") {
+        let (a, b) = link(l)?;
+        FaultKind::RepairLink(a, b)
+    } else {
+        return Err(
+            "fault event needs one of fail_router / repair_router / fail_link / repair_link".into(),
+        );
+    };
+    Ok(FaultEvent { at, kind })
 }
 
 /// The migration policy applied while the workload runs.
@@ -441,7 +397,7 @@ pub struct ScenarioSpec {
     pub sim_time_ms: Option<f64>,
     /// Scheduled router/link failures and repairs applied while the
     /// workload runs (traffic workloads only; empty = healthy fabric).
-    pub faults: Vec<FaultEventSpec>,
+    pub faults: FaultPlan,
     /// RNG seed (drives traffic generation; campaign expansion derives it
     /// from the campaign seed and job index).
     pub seed: u64,
@@ -466,7 +422,7 @@ impl ScenarioSpec {
             // campaign fingerprints) keep their exact pre-fault JSON.
             fields.push((
                 "faults",
-                Json::Array(self.faults.iter().map(|e| e.to_json()).collect()),
+                Json::Array(self.faults.events().iter().map(fault_to_json).collect()),
             ));
         }
         fields.push(("seed", Json::int(self.seed)));
@@ -492,13 +448,14 @@ impl ScenarioSpec {
                 Some(v) => Some(v.as_f64().ok_or("sim_time_ms is not a finite number")?),
             },
             faults: match j.get("faults") {
-                None => Vec::new(),
-                Some(v) => v
-                    .as_array()
-                    .ok_or("faults is not an array")?
-                    .iter()
-                    .map(FaultEventSpec::from_json)
-                    .collect::<Result<_, _>>()?,
+                None => FaultPlan::new(),
+                Some(v) => {
+                    let mut plan = FaultPlan::new();
+                    for e in v.as_array().ok_or("faults is not an array")? {
+                        plan.push(fault_from_json(e)?);
+                    }
+                    plan
+                }
             },
             seed: j.req_u64("seed")?,
         };
@@ -577,11 +534,8 @@ impl ScenarioSpec {
                         .into(),
                 );
             }
-            let side = self.chip.mesh_side();
-            let mesh = Mesh::square(side).map_err(|e| e.to_string())?;
-            fault_plan_of(&self.faults)
-                .validate(mesh)
-                .map_err(|e| e.to_string())?;
+            let mesh = Mesh::square(self.chip.mesh_side()).map_err(|e| e.to_string())?;
+            self.faults.validate(mesh).map_err(|e| e.to_string())?;
         }
         if let Some(ms) = self.sim_time_ms {
             if !(ms > 0.0 && ms <= 10_000.0) {
@@ -607,13 +561,7 @@ impl ScenarioSpec {
     /// canonical bytes. The serving layer keys its result cache on
     /// `(fingerprint, seed)`.
     pub fn fingerprint(&self) -> String {
-        let text = self.to_json().to_string();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in text.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        format!("{h:016x}")
+        self.to_json().fingerprint()
     }
 }
 
@@ -695,14 +643,7 @@ fn pattern_to_json(p: &TrafficPattern) -> Json {
             ("kind", Json::str("hotspot")),
             (
                 "nodes",
-                Json::Array(
-                    nodes
-                        .iter()
-                        .map(|c| {
-                            Json::Array(vec![Json::int(u64::from(c.x)), Json::int(u64::from(c.y))])
-                        })
-                        .collect(),
-                ),
+                Json::Array(nodes.iter().map(|&c| coord_to_json(c)).collect()),
             ),
             ("fraction", Json::Num(*fraction)),
         ]),
@@ -725,18 +666,7 @@ fn pattern_from_json(j: &Json) -> Result<TrafficPattern, String> {
         let nodes = j
             .req_array("nodes")?
             .iter()
-            .map(|n| {
-                let pair = n.as_array().ok_or("hotspot node is not an [x, y] pair")?;
-                if pair.len() != 2 {
-                    return Err("hotspot node is not an [x, y] pair".to_string());
-                }
-                let coord = |v: &Json| {
-                    v.as_u64()
-                        .filter(|&c| c < 256)
-                        .ok_or("hotspot coordinate is not an integer in 0..256".to_string())
-                };
-                Ok(Coord::new(coord(&pair[0])? as u8, coord(&pair[1])? as u8))
-            })
+            .map(|n| coord_from_json(n, "hotspot node"))
             .collect::<Result<Vec<Coord>, String>>()?;
         return Ok(TrafficPattern::Hotspot {
             nodes,
@@ -767,7 +697,7 @@ mod tests {
             mode: Mode::Cosim,
             fidelity: Fidelity::Quick,
             sim_time_ms: None,
-            faults: vec![],
+            faults: FaultPlan::new(),
             seed: 7,
         }
     }
@@ -784,19 +714,40 @@ mod tests {
             mode: Mode::Cosim,
             fidelity: Fidelity::Quick,
             sim_time_ms: Some(6.0),
-            faults: vec![],
+            faults: FaultPlan::new(),
             seed: 1,
         }
     }
 
     #[test]
     fn spec_json_roundtrip_is_byte_stable() {
-        for spec in [traffic_spec(), cosim_spec()] {
+        let (hub, east) = (Coord::new(1, 1), Coord::new(2, 1));
+        let faulted = ScenarioSpec {
+            faults: FaultPlan::new()
+                .fail_router(10, hub)
+                .fail_link(20, hub, east)
+                .repair_router(30, hub)
+                .repair_link(40, hub, east),
+            ..traffic_spec()
+        };
+        for spec in [traffic_spec(), cosim_spec(), faulted] {
             let text = spec.to_json().to_string();
             let back = ScenarioSpec::parse(&text).expect("parses");
             assert_eq!(back, spec);
             assert_eq!(back.to_json().to_string(), text);
         }
+    }
+
+    #[test]
+    fn parse_rejects_a_packet_len_beyond_u32() {
+        let text = traffic_spec().to_json().to_string();
+        let with_len = |n: u64| text.replace("\"packet_len\": 4", &format!("\"packet_len\": {n}"));
+        let max = ScenarioSpec::parse(&with_len(u64::from(u32::MAX))).expect("u32::MAX parses");
+        assert!(
+            matches!(max.workload, Workload::Traffic { packet_len, .. } if packet_len == u32::MAX)
+        );
+        let err = ScenarioSpec::parse(&with_len(1 << 32 | 1)).unwrap_err();
+        assert_eq!(err, "packet_len 4294967297 exceeds 4294967295");
     }
 
     #[test]
@@ -813,7 +764,7 @@ mod tests {
             mode: Mode::Cosim,
             fidelity: Fidelity::Quick,
             sim_time_ms: None,
-            faults: vec![],
+            faults: FaultPlan::new(),
             seed: 0,
         };
         let text = spec.to_json().to_string();

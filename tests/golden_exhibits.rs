@@ -1,8 +1,8 @@
 //! Golden fingerprints for the paper's exhibits.
 //!
-//! Each exhibit has exactly one path: a built-in campaign, projected onto
-//! the report tables by `scenario::exhibits` and rendered by
-//! `core::report`. This file pins the bytes of that path at quick fidelity:
+//! Each exhibit has exactly one path: a built-in campaign whose records
+//! `scenario::exhibits` reads into the exhibit tables and renders. This
+//! file pins the bytes of that path at quick fidelity:
 //!
 //! * the `CAMPAIGN_<name>.json` artifacts of `fig1`, `period-sweep`,
 //!   `migration-cost` and `adaptive-compare`;
@@ -19,7 +19,6 @@
 //! `cargo test --test golden_exhibits -- --nocapture` and update the table.
 
 use hotnoc::core::configs::{ChipConfigId, Fidelity};
-use hotnoc::core::report;
 use hotnoc::reconfig::MigrationScheme;
 use hotnoc::scenario::builtin::builtin;
 use hotnoc::scenario::exhibits;
@@ -116,8 +115,8 @@ fn fig1_exhibit_reproduces_recorded_bytes() {
         ],
         &[
             ("CAMPAIGN_fig1.json", run.artifact),
-            ("fig1_ascii", report::fig1_ascii(&table)),
-            ("fig1_csv", report::fig1_csv(&table)),
+            ("fig1_ascii", exhibits::fig1_ascii(&table)),
+            ("fig1_csv", exhibits::fig1_csv(&table)),
         ],
     );
 }
@@ -135,8 +134,8 @@ fn period_sweep_exhibit_reproduces_recorded_bytes() {
         ],
         &[
             ("CAMPAIGN_period-sweep.json", run.artifact),
-            ("period_ascii", report::period_ascii(&table)),
-            ("period_csv", report::period_csv(&table)),
+            ("period_ascii", exhibits::period_ascii(&table)),
+            ("period_csv", exhibits::period_csv(&table)),
         ],
     );
 }
@@ -147,10 +146,10 @@ fn migration_cost_exhibit_reproduces_recorded_bytes() {
     let rows = |id| exhibits::migration_cost_rows(&run.records, id).expect("cost rows");
     let (a, e) = (rows(ChipConfigId::A), rows(ChipConfigId::E));
     assert_eq!(a.len(), 5);
-    assert!(a.iter().all(|r| r.energy_uj > 0.0));
+    assert!(a.iter().all(|(_, r)| r.energy_uj > 0.0));
     // Rotation stalls longest (most phases) — the paper's "largest energy
     // penalty".
-    let (rot, xys) = (&a[0], &a[4]);
+    let (rot, xys) = (&a[0].1, &a[4].1);
     assert!(rot.stall_us > xys.stall_us);
     assert!(rot.energy_uj > xys.energy_uj);
     assert_golden(
@@ -163,10 +162,10 @@ fn migration_cost_exhibit_reproduces_recorded_bytes() {
         ],
         &[
             ("CAMPAIGN_migration-cost.json", run.artifact),
-            ("migration_cost_ascii_A", report::migration_cost_ascii(&a)),
-            ("migration_cost_csv_A", report::migration_cost_csv(&a)),
-            ("migration_cost_ascii_E", report::migration_cost_ascii(&e)),
-            ("migration_cost_csv_E", report::migration_cost_csv(&e)),
+            ("migration_cost_ascii_A", exhibits::migration_cost_ascii(&a)),
+            ("migration_cost_csv_A", exhibits::migration_cost_csv(&a)),
+            ("migration_cost_ascii_E", exhibits::migration_cost_ascii(&e)),
+            ("migration_cost_csv_E", exhibits::migration_cost_csv(&e)),
         ],
     );
 }

@@ -27,7 +27,6 @@ use hotnoc::core::configs::{ChipConfigId, ChipSpec, Fidelity};
 use hotnoc::noc::{Coord, FaultPlan, Mesh, Network, NocConfig, TrafficGenerator, TrafficPattern};
 use hotnoc::obs::TraceEvent;
 use hotnoc::scenario::runner::{run_campaign, RunnerOptions};
-use hotnoc::scenario::spec::{FaultEventSpec, FaultKindSpec};
 use hotnoc::scenario::{
     CampaignSpec, ChipKind, Mode, Policy, PolicyAxis, ScenarioSpec, TraceDoc, Workload,
 };
@@ -293,10 +292,7 @@ fn scenario_trace_round_trips_through_the_file_format() {
         mode: Mode::Cosim,
         fidelity: Fidelity::Quick,
         sim_time_ms: None,
-        faults: vec![FaultEventSpec {
-            at: 100,
-            kind: FaultKindSpec::FailRouter(Coord::new(side - 2, side - 2)),
-        }],
+        faults: FaultPlan::new().fail_router(100, Coord::new(side - 2, side - 2)),
         seed: 3,
     };
     let (_, events) = hotnoc::scenario::run_scenario_traced(&spec).expect("traced run");
