@@ -3,11 +3,11 @@
 
 use crate::configs::ChipSpec;
 use crate::error::CoreError;
-use hotnoc_ldpc::app::{BlockRun, ComputeModel, LdpcNocApp};
+use hotnoc_ldpc::app::{ComputeModel, LdpcNocApp};
 use hotnoc_ldpc::schedule::MessageParams;
 use hotnoc_ldpc::{ClusterMapping, LdpcCode};
 use hotnoc_noc::{Mesh, Network, NocConfig};
-use hotnoc_power::{leakage, pe_power, router_power, TechParams, TileActivity};
+use hotnoc_power::{leakage, pe_power, router_power, TechParams};
 use hotnoc_thermal::{rc_model, Floorplan, PackageConfig, RcNetwork};
 
 /// The paper's functional-unit area: 4.36 mm² per PE tile.
@@ -52,8 +52,6 @@ pub struct CalibratedPower {
     pub block_seconds: f64,
     /// Total calibrated dynamic chip power (W).
     pub total_dynamic: f64,
-    /// The raw block-run measurement behind the power map.
-    pub block_run: BlockRun,
 }
 
 impl Chip {
@@ -106,7 +104,7 @@ impl Chip {
         &self.tech
     }
 
-    /// The NoC configuration (clock, flit width, buffering).
+    /// The NoC configuration (clock, buffering, link latency).
     pub fn noc_config(&self) -> &NocConfig {
         &self.noc_cfg
     }
@@ -116,11 +114,11 @@ impl Chip {
         vec![TILE_AREA_M2 * 1e6; self.spec.n_tiles()]
     }
 
-    /// Runs one block on the cycle-accurate NoC, derives per-tile dynamic
-    /// power from the measured switching activity, and calibrates its scale
-    /// so the steady-state peak (with temperature-coupled leakage) equals
-    /// the configuration's base peak temperature — the paper's measured
-    /// operating point.
+    /// Runs one block on a fresh cycle-accurate NoC, prices each router's
+    /// own activity counters and each PE's operations as per-tile dynamic
+    /// power over the block, and calibrates its scale so the steady-state
+    /// peak (with temperature-coupled leakage) equals the configuration's
+    /// base peak temperature — the paper's measured operating point.
     ///
     /// # Errors
     ///
@@ -130,37 +128,31 @@ impl Chip {
         let mut net = Network::new(self.mesh, self.noc_cfg);
         let iterations = self.spec.iterations;
         let run = self.app.run_block(&mut net, iterations)?;
+        let block_seconds = self.noc_cfg.cycles_to_seconds(run.cycles);
 
-        // Raw per-tile dynamic power over the block window.
-        let n = self.spec.n_tiles();
-        let mut raw = vec![0.0f64; n];
-        for (tile, slot) in raw.iter_mut().enumerate() {
-            let r = run.activity.routers[tile];
-            let act = TileActivity {
-                buffer_writes: r.buffer_writes,
-                buffer_reads: r.buffer_reads,
-                xbar_traversals: r.xbar_traversals,
-                arbitrations: r.arbitrations,
-                link_flits: r.total_link_flits(),
-                bit_transitions: r.bit_transitions,
-                pe_ops: run.ops_per_node[tile],
-            };
-            *slot = router_power::router_dynamic_power(&act, run.cycles, &self.tech)
-                + pe_power::pe_dynamic_power(act.pe_ops, run.cycles, &self.tech);
-        }
+        // Raw per-tile dynamic power over the block window. The network is
+        // fresh, so each router's counters hold exactly this block.
+        let raw: Vec<f64> = self
+            .mesh
+            .iter_nodes()
+            .zip(&run.ops_per_node)
+            .map(|(id, &ops)| {
+                let act = net.router(id).activity();
+                router_power::router_dynamic_power(&act, block_seconds, &self.tech)
+                    + pe_power::pe_dynamic_power(ops, block_seconds, &self.tech)
+            })
+            .collect();
 
         let target = self.spec.base_peak_celsius;
         let scale = self.solve_scale(&raw, target)?;
         let dynamic: Vec<f64> = raw.iter().map(|p| p * scale).collect();
         let total_dynamic = dynamic.iter().sum();
-        let block_seconds = self.noc_cfg.cycles_to_seconds(run.cycles);
         Ok(CalibratedPower {
             dynamic,
             scale,
             block_cycles: run.cycles,
             block_seconds,
             total_dynamic,
-            block_run: run,
         })
     }
 
@@ -224,17 +216,6 @@ impl Chip {
             }
         }
         Ok(0.5 * (lo + hi))
-    }
-
-    /// Mutable access to the application model (placement changes during
-    /// full re-simulation experiments).
-    pub fn app_mut(&mut self) -> &mut LdpcNocApp {
-        &mut self.app
-    }
-
-    /// The application model.
-    pub fn app(&self) -> &LdpcNocApp {
-        &self.app
     }
 }
 

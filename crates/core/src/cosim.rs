@@ -144,7 +144,7 @@ pub fn migration_cost(
         &StateSpec::default(),
         &PhaseCostModel::default(),
     );
-    let stall_seconds = plan.total_cycles() as f64 / chip.noc_config().clock_hz;
+    let stall_seconds = chip.noc_config().cycles_to_seconds(plan.total_cycles());
     let energy_j = plan.total_flit_hops() as f64 * params.e_flit_hop
         + plan.per_tile_endpoint_flits(mesh).iter().sum::<u64>() as f64 * params.e_convert_flit
         + stall_seconds * params.stall_power_fraction * chip_power;
@@ -287,8 +287,10 @@ pub(crate) fn co_simulate<'c>(
         let temps = sim.block_temps();
         check_runaway(temps)?;
         if let (Some(ev), Some(w)) = (events.as_deref_mut(), watcher.as_mut()) {
-            let cycle = ((fi + 1) as f64 * params.dt * chip.noc_config().clock_hz).round();
-            w.observe(cycle as u64, temps, ev);
+            let cycle = chip
+                .noc_config()
+                .seconds_to_cycles((fi + 1) as f64 * params.dt);
+            w.observe(cycle, temps, ev);
         }
         if fi >= skip {
             for &t in temps {
@@ -305,6 +307,8 @@ pub(crate) fn co_simulate<'c>(
 struct Priced {
     cost: MigrationCost,
     transfer_j: Vec<f64>,
+    /// The scheme's [`MigrationScheme::permutation`], which each commit applies.
+    perm: Vec<usize>,
 }
 
 /// The super-period clock: `period_blocks` blocks of decoding on the
@@ -370,7 +374,11 @@ impl<'c> Migrations<'c> {
             let transfer_j = (cost.plan.per_tile_flit_hops(mesh).iter().zip(ends))
                 .map(|(&h, e)| h as f64 * p.e_flit_hop + e as f64 * p.e_convert_flit)
                 .collect();
-            self.priced.push(Priced { cost, transfer_j });
+            self.priced.push(Priced {
+                cost,
+                transfer_j,
+                perm: scheme.permutation(mesh),
+            });
         }
         Ok(())
     }
@@ -408,11 +416,10 @@ impl<'c> Migrations<'c> {
                 continue;
             }
             // Commit: the workload at tile t moves to scheme(t).
-            let (mesh, scheme) = (self.chip.mesh(), m.cost.plan.scheme);
+            let scheme = m.cost.plan.scheme;
             let mut next = vec![0.0; self.placement.len()];
-            for (tile, &p) in self.placement.iter().enumerate() {
-                let c = scheme.apply(mesh.coord(hotnoc_noc::NodeId::new(tile as u16)), mesh);
-                next[mesh.node_id(c).expect("on mesh").index()] = p;
+            for (&p, &to) in self.placement.iter().zip(&m.perm) {
+                next[to] = p;
             }
             self.placement = next;
             self.tau = 0.0;
@@ -420,7 +427,7 @@ impl<'c> Migrations<'c> {
             self.schedule.push(scheme);
             if let Some(ev) = events.as_deref_mut() {
                 let elapsed = fi as f64 * dt + (dt - remaining);
-                let cycle = (elapsed * self.chip.noc_config().clock_hz).round() as u64;
+                let cycle = self.chip.noc_config().seconds_to_cycles(elapsed);
                 ev.push(TraceEvent::PolicyDecision {
                     cycle,
                     decision: self.schedule.len() as u64,

@@ -6,14 +6,16 @@
 //! `hotnoc_noc::Network` with the message-passing traffic of the decoder
 //! (functionally decoupled — no numeric decode runs; the network carries
 //! the traffic volume of a fixed iteration count, which is what the
-//! switching-rate methodology needs) and reports per-tile activity and
-//! block latency.
+//! switching-rate methodology needs) and reports the block's latency and
+//! per-tile PE operations. The routers' switching activity stays on the
+//! network, in each router's own counters
+//! (`Network::router(id).activity()`).
 
 use crate::code::LdpcCode;
 use crate::error::LdpcError;
 use crate::mapping::ClusterMapping;
 use crate::schedule::{phase_traffic, IterPhase, MessageParams, PhaseTraffic};
-use hotnoc_noc::{ActivitySnapshot, Network, NocError, NodeId, Packet, PacketClass};
+use hotnoc_noc::{Network, NocError, NodeId, Packet, PacketClass};
 
 /// Compute-model parameters of a PE.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,12 +42,6 @@ pub struct BlockRun {
     pub cycles: u64,
     /// Edge operations executed per tile (node-id indexed).
     pub ops_per_node: Vec<u64>,
-    /// Switching-activity delta over the block (node-id indexed routers).
-    pub activity: ActivitySnapshot,
-    /// Packets delivered during the block.
-    pub packets_delivered: u64,
-    /// Decoding iterations simulated.
-    pub iterations: usize,
 }
 
 /// The application model: a code, a cluster mapping, and the placement of
@@ -125,7 +121,8 @@ impl LdpcNocApp {
     }
 
     /// Simulates the decoding of one block taking `iterations`
-    /// message-passing iterations, driving `net` cycle by cycle.
+    /// message-passing iterations, driving `net` cycle by cycle. The
+    /// block's router events accumulate in `net`'s activity counters.
     ///
     /// # Errors
     ///
@@ -137,8 +134,6 @@ impl LdpcNocApp {
         iterations: usize,
     ) -> Result<BlockRun, NocError> {
         let start_cycle = net.cycle();
-        let start_snapshot = net.snapshot();
-        let start_delivered = net.stats().packets_delivered;
 
         let v2c = phase_traffic(
             &self.mapping,
@@ -164,14 +159,9 @@ impl LdpcNocApp {
         for (cluster, node) in self.placement.iter().enumerate() {
             ops_per_node[node.index()] = (var_ops[cluster] + chk_ops[cluster]) * iterations as u64;
         }
-
-        let end_snapshot = net.snapshot();
         Ok(BlockRun {
             cycles: net.cycle() - start_cycle,
             ops_per_node,
-            activity: end_snapshot.delta_since(&start_snapshot),
-            packets_delivered: net.stats().packets_delivered - start_delivered,
-            iterations,
         })
     }
 
@@ -232,13 +222,16 @@ mod tests {
         let (mut app, mut net) = setup(16, 4);
         let run = app.run_block(&mut net, 5).unwrap();
         assert!(run.cycles > 0);
-        assert_eq!(run.iterations, 5);
-        assert!(run.packets_delivered > 0);
+        assert!(net.stats().packets_delivered > 0);
         // Total ops = 2 * edges * iterations.
         let total_ops: u64 = run.ops_per_node.iter().sum();
         assert_eq!(total_ops, 2 * app.code().edges() as u64 * 5);
         // Activity landed on the routers.
-        let writes: u64 = run.activity.routers.iter().map(|r| r.buffer_writes).sum();
+        let writes: u64 = net
+            .mesh()
+            .iter_nodes()
+            .map(|id| net.router(id).activity().buffer_writes)
+            .sum();
         assert!(writes > 0);
     }
 

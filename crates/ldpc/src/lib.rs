@@ -12,8 +12,9 @@
 //! * [`schedule`] — the per-iteration message-passing traffic a mapping
 //!   induces between PEs,
 //! * [`app`] — a timing/activity-accurate application model that drives the
-//!   `hotnoc-noc` cycle-accurate simulator with that traffic and reports
-//!   switching activity per tile.
+//!   `hotnoc-noc` cycle-accurate simulator with that traffic and reports the
+//!   block's cycles and per-tile PE operations; the switching activity it
+//!   causes is counted by the network's own routers.
 //!
 //! ```
 //! use hotnoc_ldpc::app::{ComputeModel, LdpcNocApp};
@@ -33,7 +34,9 @@
 //! )?;
 //! let mut net = Network::new(Mesh::square(4)?, NocConfig::default());
 //! let run = app.run_block(&mut net, 5)?;
-//! assert!(run.cycles > 0 && run.packets_delivered > 0);
+//! assert!(run.cycles > 0 && net.stats().packets_delivered > 0);
+//! let origin = net.router(net.mesh().node_id_at(0, 0)?).activity();
+//! assert!(origin.total_link_flits() > 0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

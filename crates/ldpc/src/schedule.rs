@@ -66,18 +66,6 @@ pub struct PhaseTraffic {
     pub transfers: Vec<Transfer>,
 }
 
-impl PhaseTraffic {
-    /// Total flits across all transfers.
-    pub fn total_flits(&self) -> u64 {
-        self.transfers.iter().map(Transfer::total_flits).sum()
-    }
-
-    /// Total packets across all transfers.
-    pub fn total_packets(&self) -> usize {
-        self.transfers.iter().map(|t| t.packet_lens.len()).sum()
-    }
-}
-
 /// Computes the inter-cluster traffic of `phase` for `mapping` on `code`.
 ///
 /// Intra-cluster messages (diagonal of the traffic matrix) are excluded —

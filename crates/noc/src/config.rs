@@ -4,9 +4,11 @@ use crate::error::NocError;
 
 /// Microarchitectural parameters of the routers and links.
 ///
-/// The defaults model the paper's 160 nm LDPC-decoder NoC: 64-bit links, two
-/// virtual channels (one for data, one for reconfiguration traffic), 4-flit
-/// input buffers and single-cycle links at 500 MHz.
+/// The defaults model the paper's 160 nm LDPC-decoder NoC: two virtual
+/// channels (one for data, one for reconfiguration traffic), 4-flit input
+/// buffers and single-cycle links at 500 MHz. Flit width belongs to the
+/// traffic that packs payload into flits (`MessageParams` in `hotnoc-ldpc`,
+/// `StateSpec` in `hotnoc-reconfig`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NocConfig {
     /// Number of virtual channels per input port (1..=8).
@@ -15,9 +17,6 @@ pub struct NocConfig {
     pub buffer_depth: u32,
     /// Link traversal latency in cycles (>= 1).
     pub link_latency: u32,
-    /// Flit width in bits (payload word is 64-bit; widths above 64 model
-    /// parallel lanes and only affect energy accounting).
-    pub flit_bits: u32,
     /// Clock frequency in Hz, used to convert cycles to seconds.
     pub clock_hz: f64,
 }
@@ -28,7 +27,6 @@ impl Default for NocConfig {
             num_vcs: 2,
             buffer_depth: 4,
             link_latency: 1,
-            flit_bits: 64,
             clock_hz: 500.0e6,
         }
     }
@@ -55,11 +53,6 @@ impl NocConfig {
         if self.link_latency == 0 {
             return Err(NocError::InvalidConfig {
                 what: "link_latency must be >= 1",
-            });
-        }
-        if self.flit_bits == 0 || self.flit_bits > 1024 {
-            return Err(NocError::InvalidConfig {
-                what: "flit_bits must be in 1..=1024",
             });
         }
         if !(self.clock_hz.is_finite() && self.clock_hz > 0.0) {

@@ -268,25 +268,6 @@ impl FaultState {
         true
     }
 
-    /// Whether a head flit at router `cur` may take `dir` under the current
-    /// fabric (the downstream router and the link must both be live).
-    pub fn move_allowed(&self, mesh: Mesh, cur: usize, dir: Direction) -> bool {
-        if dir == Direction::Local {
-            return self.router_ok[cur];
-        }
-        if !self.link_ok[cur][dir.index()] {
-            return false;
-        }
-        let c = mesh.coord(crate::topology::NodeId::new(cur as u16));
-        match mesh.neighbor(c, dir) {
-            Some(nb) => {
-                let nb = mesh.node_id(nb).expect("neighbor inside mesh").index();
-                self.router_ok[nb]
-            }
-            None => false,
-        }
-    }
-
     /// Whether a legal detour path exists from `cur` to `dst`. Always true
     /// while the fabric is healthy.
     pub fn reachable(&self, cur: usize, dst: usize) -> bool {

@@ -11,8 +11,9 @@
 //!   algorithm on a healthy fabric (a degraded one detours through
 //!   [`fault`]'s surround routing),
 //! * network interfaces ([`nic`]) that packetize and reassemble messages,
-//! * per-component switching-activity counters and latency histograms
-//!   ([`stats`]) that feed the `hotnoc-power` model,
+//! * per-router switching-activity counters ([`RouterActivity`]), which
+//!   the `hotnoc-power` model prices directly, and latency histograms
+//!   ([`stats`]),
 //! * synthetic traffic patterns ([`traffic`]) for validation and benchmarks,
 //! * a chip I/O boundary with transparent address transformation hooks
 //!   ([`io_interface`]), the mechanism §2.3 of the paper uses to hide
@@ -55,6 +56,6 @@ pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultState};
 pub use flit::{Flit, FlitKind, Packet, PacketClass, PacketId};
 pub use io_interface::{AddressMap, IdentityMap};
 pub use network::{DeliveredPacket, Network};
-pub use stats::{ActivitySnapshot, NetworkStats, RouterActivity};
+pub use stats::{NetworkStats, RouterActivity};
 pub use topology::{Coord, Direction, Mesh, NodeId};
 pub use traffic::{TrafficGenerator, TrafficPattern};

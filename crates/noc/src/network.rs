@@ -8,7 +8,7 @@ use crate::io_interface::AddressMap;
 use crate::nic::Nic;
 use crate::router::{Router, VcState};
 use crate::routing;
-use crate::stats::{ActivitySnapshot, NetworkStats};
+use crate::stats::NetworkStats;
 use crate::topology::{Coord, Direction, Mesh, NodeId};
 use hotnoc_obs::event::{CONGESTION_WINDOW, DETOUR_BURST_MIN};
 use hotnoc_obs::TraceEvent;
@@ -403,7 +403,6 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
                             flits_left: len,
                             packet,
                         };
-                        router.activity.routes_computed += 1;
                     } else {
                         continue;
                     }
@@ -472,7 +471,6 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
             let Some((port, vc)) = winner else { continue };
             input_used[port] = true;
             router.outputs[d].rr_ptr = (port * num_vcs + vc + 1) % ctx.slots;
-            router.activity.arbitrations += 1;
 
             let ivc = &mut router.inputs[port].vcs[vc];
             let flit = ivc.buf.pop_front().expect("winner has a flit");
@@ -501,8 +499,6 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
             if drained {
                 occupied &= !(1 << (port * num_vcs + vc));
             }
-            router.activity.buffer_reads += 1;
-            router.activity.xbar_traversals += 1;
             let out_port = &mut router.outputs[d];
             router.activity.bit_transitions +=
                 (out_port.last_payload ^ flit.payload).count_ones() as u64;
@@ -652,11 +648,6 @@ impl Network {
     /// box allows the reconfiguration controller to own a shared handle.
     pub fn set_address_map(&mut self, map: Box<dyn AddressMap>) {
         self.address_map = Some(map);
-    }
-
-    /// Removes the I/O address map (reverting to identity behaviour).
-    pub fn clear_address_map(&mut self) -> Option<Box<dyn AddressMap>> {
-        self.address_map.take()
     }
 
     /// Injects a packet at its source NIC.
@@ -1160,17 +1151,8 @@ impl Network {
         Ok(self.stats.packets_delivered - delivered_before)
     }
 
-    /// Takes an activity snapshot (for windowed power computation).
-    pub fn snapshot(&self) -> ActivitySnapshot {
-        ActivitySnapshot {
-            cycle: self.cycle,
-            routers: self.routers.iter().map(Router::activity).collect(),
-            nic_injected: self.nics.iter().map(|n| n.flits_injected).collect(),
-            nic_ejected: self.nics.iter().map(|n| n.flits_ejected).collect(),
-        }
-    }
-
-    /// Read-only access to a router (for inspection in tests and tools).
+    /// Read-only access to a router: its coordinate, buffers and activity
+    /// counters.
     ///
     /// # Panics
     ///
@@ -1193,18 +1175,6 @@ impl Network {
             .sum();
         let queued: usize = self.nics.iter().map(Nic::pending_flits).sum();
         (buffered + on_links + queued) as u64
-    }
-
-    /// Resets all activity counters (cycle count and in-flight traffic are
-    /// preserved).
-    pub fn reset_activity(&mut self) {
-        for r in &mut self.routers {
-            r.reset_activity();
-        }
-        for nic in &mut self.nics {
-            nic.flits_injected = 0;
-            nic.flits_ejected = 0;
-        }
     }
 
     /// Installs (or replaces) the runtime fault schedule.
@@ -1811,42 +1781,18 @@ mod tests {
         let mut net = mk_net(4);
         net.inject(packet(0, &net, 0, 0, 2, 0, 5)).unwrap();
         net.run_until_idle(1_000).unwrap();
-        let snap = net.snapshot();
-        let total_writes: u64 = snap.routers.iter().map(|r| r.buffer_writes).sum();
-        let total_reads: u64 = snap.routers.iter().map(|r| r.buffer_reads).sum();
+        let total_writes: u64 = net.routers.iter().map(|r| r.activity.buffer_writes).sum();
+        let total_reads: u64 = net
+            .routers
+            .iter()
+            .map(|r| r.activity.total_link_flits())
+            .sum();
         // Every buffered flit is eventually read exactly once.
         assert_eq!(total_writes, total_reads);
         // 5 flits traverse 3 routers each (src, mid, dst).
         assert_eq!(total_reads, 15);
         // 2 link hops * 5 flits.
         assert_eq!(net.stats().flit_hops, 10);
-        let xbar: u64 = snap.routers.iter().map(|r| r.xbar_traversals).sum();
-        assert_eq!(xbar, 15);
-    }
-
-    #[test]
-    fn snapshot_delta_tracks_window() {
-        let mut net = mk_net(4);
-        net.inject(packet(0, &net, 0, 0, 3, 3, 4)).unwrap();
-        net.run_until_idle(1_000).unwrap();
-        let a = net.snapshot();
-        net.inject(packet(1, &net, 3, 3, 0, 0, 4)).unwrap();
-        net.run_until_idle(1_000).unwrap();
-        let b = net.snapshot();
-        let d = b.delta_since(&a);
-        let writes: u64 = d.routers.iter().map(|r| r.buffer_writes).sum();
-        assert_eq!(writes, 4 * 7); // 4 flits through 7 routers
-    }
-
-    #[test]
-    fn reset_activity_clears_counters() {
-        let mut net = mk_net(3);
-        net.inject(packet(0, &net, 0, 0, 2, 2, 2)).unwrap();
-        net.run_until_idle(1_000).unwrap();
-        net.reset_activity();
-        let snap = net.snapshot();
-        assert!(snap.routers.iter().all(|r| r.is_idle()));
-        assert!(snap.nic_injected.iter().all(|&x| x == 0));
     }
 
     #[test]

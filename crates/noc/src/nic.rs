@@ -1,7 +1,6 @@
 //! Network interface controllers: packet injection and reassembly.
 
 use crate::flit::{packetize, Flit, Packet, PacketId};
-use crate::topology::NodeId;
 use std::collections::{HashMap, VecDeque};
 
 /// Per-node network interface: an injection FIFO of serialized flits and a
@@ -12,10 +11,6 @@ pub(crate) struct Nic {
     pub inject_queue: VecDeque<Flit>,
     /// Packets being reassembled: id -> flits received so far.
     reassembly: HashMap<PacketId, u32>,
-    /// Flits injected (activity counter).
-    pub flits_injected: u64,
-    /// Flits ejected (activity counter).
-    pub flits_ejected: u64,
 }
 
 impl Nic {
@@ -31,21 +26,15 @@ impl Nic {
         self.inject_queue.front()
     }
 
-    /// Removes the flit returned by [`Nic::peek_inject`] and counts it as
-    /// injected. Called by the network once the router confirmed buffer
-    /// space for it.
+    /// Removes the flit returned by [`Nic::peek_inject`]. Called by the
+    /// network once the router confirmed buffer space for it.
     pub fn take_inject(&mut self) -> Option<Flit> {
-        let flit = self.inject_queue.pop_front();
-        if flit.is_some() {
-            self.flits_injected += 1;
-        }
-        flit
+        self.inject_queue.pop_front()
     }
 
     /// Accepts an ejected flit; returns the completed packet (and its
     /// delivery cycle) when the tail arrives.
     pub fn eject(&mut self, flit: Flit, now: u64) -> Option<(Packet, u64)> {
-        self.flits_ejected += 1;
         let count = self.reassembly.entry(flit.packet).or_insert(0);
         *count += 1;
         debug_assert!(*count <= flit.len, "duplicate flit for {}", flit.packet);
@@ -85,8 +74,7 @@ impl Nic {
     }
 
     /// Drops every queued and half-reassembled packet (router failure).
-    /// Returns the number of queued flits discarded; the activity counters
-    /// survive so windowed deltas stay monotone.
+    /// Returns the number of queued flits discarded.
     pub fn clear_for_fault(&mut self) -> usize {
         let dropped = self.inject_queue.len();
         self.inject_queue.clear();
@@ -95,25 +83,11 @@ impl Nic {
     }
 }
 
-/// A packet that completed its journey, as reported to the application.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Delivered {
-    /// The packet (payload seed is not preserved; contents travel in flits).
-    pub packet_id: PacketId,
-    /// Source node.
-    pub src: NodeId,
-    /// Destination node.
-    pub dst: NodeId,
-    /// Cycle the head was injected.
-    pub inject_cycle: u64,
-    /// Cycle the tail was ejected.
-    pub eject_cycle: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flit::PacketClass;
+    use crate::topology::NodeId;
 
     #[test]
     fn enqueue_serializes_all_flits() {
@@ -135,7 +109,6 @@ mod tests {
         assert_eq!(done.len_flits, 3);
         assert_eq!(at, 22);
         assert_eq!(nic.open_reassemblies(), 0);
-        assert_eq!(nic.flits_ejected, 3);
     }
 
     #[test]

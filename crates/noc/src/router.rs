@@ -115,15 +115,9 @@ impl Router {
         self.coord
     }
 
-    /// Cumulative switching activity since construction (or the last
-    /// [`Router::reset_activity`]).
+    /// Cumulative switching activity since the network was built.
     pub fn activity(&self) -> RouterActivity {
         self.activity
-    }
-
-    /// Clears the activity counters.
-    pub fn reset_activity(&mut self) {
-        self.activity = RouterActivity::default();
     }
 
     /// Number of flits currently buffered in this router.
@@ -226,14 +220,5 @@ mod tests {
         r.land_credits(10);
         assert_eq!(r.outputs[0].credits[0], 2);
         assert!(before >= 1);
-    }
-
-    #[test]
-    fn reset_activity_clears() {
-        let mut r = Router::new(Coord::new(0, 0), &cfg());
-        r.accept_flit(Direction::North, flit(), cfg().buffer_depth);
-        assert!(!r.activity().is_idle());
-        r.reset_activity();
-        assert!(r.activity().is_idle());
     }
 }

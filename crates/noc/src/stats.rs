@@ -1,43 +1,29 @@
 //! Switching-activity counters and network statistics.
 //!
-//! The thermal methodology of the paper derives per-component power from
-//! switching rates observed in the cycle-accurate simulation; these counters
-//! are the interface between the NoC simulator and the power model.
+//! The paper derives per-component power from switching rates observed in
+//! the cycle-accurate simulation. [`RouterActivity`] is that hand-off: each
+//! router counts its own events, and `hotnoc-power` prices the record as it
+//! stands.
 
 use hotnoc_obs::Log2Histogram;
-use std::ops::{Add, Sub};
 
-/// Per-router event counters for one simulation interval.
+/// Per-router event counters, cumulative since the router was built.
 ///
-/// Each counter corresponds to an energy-bearing micro-operation in the
-/// router (buffer write, buffer read, crossbar traversal, arbitration,
-/// outbound link flit). `RouterActivity` forms a commutative monoid under
-/// `+` and supports windowed deltas via `-`.
+/// A flit that wins switch allocation is read from its input buffer,
+/// arbitrated, crosses the crossbar and leaves on one output port, so
+/// `link_flits` counts all four of those events at once.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouterActivity {
     /// Flits written into input buffers.
     pub buffer_writes: u64,
-    /// Flits read out of input buffers.
-    pub buffer_reads: u64,
-    /// Flits that crossed the crossbar.
-    pub xbar_traversals: u64,
-    /// Switch-allocation decisions performed.
-    pub arbitrations: u64,
     /// Flits sent on each output port (N, E, S, W, Local).
     pub link_flits: [u64; 5],
     /// Payload bit transitions observed on outbound links (for bit-accurate
     /// dynamic power estimates).
     pub bit_transitions: u64,
-    /// Head flits routed (route computations).
-    pub routes_computed: u64,
 }
 
 impl RouterActivity {
-    /// Total flits sent on mesh links (excluding the local/ejection port).
-    pub fn mesh_link_flits(&self) -> u64 {
-        self.link_flits[..4].iter().sum()
-    }
-
     /// Total flits sent on all output ports.
     pub fn total_link_flits(&self) -> u64 {
         self.link_flits.iter().sum()
@@ -46,48 +32,6 @@ impl RouterActivity {
     /// `true` if no activity was recorded.
     pub fn is_idle(&self) -> bool {
         *self == RouterActivity::default()
-    }
-}
-
-impl Add for RouterActivity {
-    type Output = RouterActivity;
-
-    fn add(self, rhs: RouterActivity) -> RouterActivity {
-        let mut link_flits = [0u64; 5];
-        for (i, slot) in link_flits.iter_mut().enumerate() {
-            *slot = self.link_flits[i] + rhs.link_flits[i];
-        }
-        RouterActivity {
-            buffer_writes: self.buffer_writes + rhs.buffer_writes,
-            buffer_reads: self.buffer_reads + rhs.buffer_reads,
-            xbar_traversals: self.xbar_traversals + rhs.xbar_traversals,
-            arbitrations: self.arbitrations + rhs.arbitrations,
-            link_flits,
-            bit_transitions: self.bit_transitions + rhs.bit_transitions,
-            routes_computed: self.routes_computed + rhs.routes_computed,
-        }
-    }
-}
-
-impl Sub for RouterActivity {
-    type Output = RouterActivity;
-
-    /// Windowed delta; saturates at zero so a reset mid-window cannot
-    /// produce wrap-around garbage.
-    fn sub(self, rhs: RouterActivity) -> RouterActivity {
-        let mut link_flits = [0u64; 5];
-        for (i, slot) in link_flits.iter_mut().enumerate() {
-            *slot = self.link_flits[i].saturating_sub(rhs.link_flits[i]);
-        }
-        RouterActivity {
-            buffer_writes: self.buffer_writes.saturating_sub(rhs.buffer_writes),
-            buffer_reads: self.buffer_reads.saturating_sub(rhs.buffer_reads),
-            xbar_traversals: self.xbar_traversals.saturating_sub(rhs.xbar_traversals),
-            arbitrations: self.arbitrations.saturating_sub(rhs.arbitrations),
-            link_flits,
-            bit_transitions: self.bit_transitions.saturating_sub(rhs.bit_transitions),
-            routes_computed: self.routes_computed.saturating_sub(rhs.routes_computed),
-        }
     }
 }
 
@@ -163,58 +107,6 @@ impl NetworkStats {
     }
 }
 
-/// A point-in-time snapshot of every activity counter in the network.
-///
-/// Snapshots are cheap (a few hundred words) and subtractable, which is how
-/// the co-simulation extracts per-window activity for the power model.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ActivitySnapshot {
-    /// Cycle at which the snapshot was taken.
-    pub cycle: u64,
-    /// Per-router activity, indexed by node id.
-    pub routers: Vec<RouterActivity>,
-    /// Per-node injected flits (NIC activity).
-    pub nic_injected: Vec<u64>,
-    /// Per-node ejected flits (NIC activity).
-    pub nic_ejected: Vec<u64>,
-}
-
-impl ActivitySnapshot {
-    /// Computes the activity that happened between `earlier` and `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two snapshots come from differently sized networks.
-    pub fn delta_since(&self, earlier: &ActivitySnapshot) -> ActivitySnapshot {
-        assert_eq!(
-            self.routers.len(),
-            earlier.routers.len(),
-            "snapshots from different networks"
-        );
-        ActivitySnapshot {
-            cycle: self.cycle.saturating_sub(earlier.cycle),
-            routers: self
-                .routers
-                .iter()
-                .zip(&earlier.routers)
-                .map(|(a, b)| *a - *b)
-                .collect(),
-            nic_injected: self
-                .nic_injected
-                .iter()
-                .zip(&earlier.nic_injected)
-                .map(|(a, b)| a.saturating_sub(*b))
-                .collect(),
-            nic_ejected: self
-                .nic_ejected
-                .iter()
-                .zip(&earlier.nic_ejected)
-                .map(|(a, b)| a.saturating_sub(*b))
-                .collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,35 +114,14 @@ mod tests {
     fn sample(n: u64) -> RouterActivity {
         RouterActivity {
             buffer_writes: n,
-            buffer_reads: n + 1,
-            xbar_traversals: n + 2,
-            arbitrations: n + 3,
             link_flits: [n, n, n, n, n],
             bit_transitions: 10 * n,
-            routes_computed: n / 2,
         }
-    }
-
-    #[test]
-    fn activity_add_sub_roundtrip() {
-        let a = sample(10);
-        let b = sample(3);
-        assert_eq!((a + b) - b, a);
-    }
-
-    #[test]
-    fn activity_sub_saturates() {
-        let small = sample(1);
-        let big = sample(5);
-        let d = small - big;
-        assert_eq!(d.buffer_writes, 0);
-        assert_eq!(d.link_flits, [0; 5]);
     }
 
     #[test]
     fn mesh_vs_total_link_flits() {
         let a = sample(2);
-        assert_eq!(a.mesh_link_flits(), 8);
         assert_eq!(a.total_link_flits(), 10);
     }
 
@@ -309,44 +180,5 @@ mod tests {
         assert_eq!(s.mean_latency(), Some(25.0));
         assert!((s.throughput(100) - 0.5).abs() < 1e-12);
         assert_eq!(s.throughput(0), 0.0);
-    }
-
-    #[test]
-    fn snapshot_delta() {
-        let early = ActivitySnapshot {
-            cycle: 100,
-            routers: vec![sample(1), sample(2)],
-            nic_injected: vec![5, 6],
-            nic_ejected: vec![1, 2],
-        };
-        let late = ActivitySnapshot {
-            cycle: 300,
-            routers: vec![sample(4), sample(9)],
-            nic_injected: vec![15, 16],
-            nic_ejected: vec![11, 12],
-        };
-        let d = late.delta_since(&early);
-        assert_eq!(d.cycle, 200);
-        assert_eq!(d.routers[0].buffer_writes, 3);
-        assert_eq!(d.nic_injected, vec![10, 10]);
-        assert_eq!(d.nic_ejected, vec![10, 10]);
-    }
-
-    #[test]
-    #[should_panic(expected = "different networks")]
-    fn snapshot_delta_size_mismatch_panics() {
-        let a = ActivitySnapshot {
-            cycle: 0,
-            routers: vec![sample(1)],
-            nic_injected: vec![0],
-            nic_ejected: vec![0],
-        };
-        let b = ActivitySnapshot {
-            cycle: 0,
-            routers: vec![],
-            nic_injected: vec![],
-            nic_ejected: vec![],
-        };
-        let _ = a.delta_since(&b);
     }
 }

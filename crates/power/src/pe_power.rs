@@ -12,13 +12,13 @@ pub fn pe_dynamic_energy(ops: u64, tech: &TechParams) -> f64 {
     ops as f64 * tech.e_pe_op
 }
 
-/// Average PE dynamic power over a window of `cycles` cycles, in watts.
-/// Zero for an empty window.
-pub fn pe_dynamic_power(ops: u64, cycles: u64, tech: &TechParams) -> f64 {
-    if cycles == 0 {
+/// Average PE dynamic power over a window of `seconds`, in watts. Zero for
+/// an empty window.
+pub fn pe_dynamic_power(ops: u64, seconds: f64, tech: &TechParams) -> f64 {
+    if seconds == 0.0 {
         return 0.0;
     }
-    pe_dynamic_energy(ops, tech) / (cycles as f64 / tech.clock_hz)
+    pe_dynamic_energy(ops, tech) / seconds
 }
 
 #[cfg(test)]
@@ -39,13 +39,13 @@ mod tests {
         // watt in 160 nm — the band the paper's chips (72-86 C peaks over a
         // 40 C ambient) imply.
         let tech = TechParams::ldpc_160nm();
-        let p = pe_dynamic_power(8_000, 54_650, &tech);
+        let p = pe_dynamic_power(8_000, 109.3e-6, &tech);
         assert!((0.05..5.0).contains(&p), "PE power {p} W implausible");
     }
 
     #[test]
     fn zero_window_zero_power() {
         let tech = TechParams::ldpc_160nm();
-        assert_eq!(pe_dynamic_power(100, 0, &tech), 0.0);
+        assert_eq!(pe_dynamic_power(100, 0.0, &tech), 0.0);
     }
 }

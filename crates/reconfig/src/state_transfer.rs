@@ -21,9 +21,10 @@ pub struct StateSpec {
 }
 
 impl StateSpec {
-    /// The paper-calibrated default: ~6 KiB per PE over 64-bit flits, which
-    /// yields the ~1.7 µs migration stall that produces the paper's 1.6 %
-    /// throughput penalty at a 109.3 µs period (DESIGN.md §5).
+    /// The paper-calibrated default: 6 KiB per PE over 64-bit flits, i.e.
+    /// 768 flits per tile. An X-Y shift moves them in one phase, about
+    /// 1.7 µs at 500 MHz, which against a 109.3 µs period is the paper's
+    /// 1.6 % throughput penalty (`phases` checks the stall's range).
     pub fn ldpc_default() -> Self {
         StateSpec {
             config_bits: 4_096,

@@ -11,6 +11,7 @@
 //! value parsed back from a manifest re-serializes to exactly the bytes it
 //! was written as.
 
+use std::collections::HashSet;
 use std::fmt;
 
 /// A parsed JSON value. Objects preserve field order (insertion order on
@@ -146,6 +147,7 @@ impl Json {
     /// Returns a human-readable description of the first syntax violation.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -248,6 +250,7 @@ const MAX_DEPTH: usize = 128;
 
 /// Minimal strict recursive-descent parser.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -316,6 +319,7 @@ impl Parser<'_> {
     fn object(&mut self) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut fields: Vec<(String, Json)> = Vec::new();
+        let mut keys = HashSet::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -324,7 +328,7 @@ impl Parser<'_> {
         loop {
             self.skip_ws();
             let key = self.string()?;
-            if fields.iter().any(|(k, _)| *k == key) {
+            if !keys.insert(key.clone()) {
                 return Err(format!("duplicate key {key:?}"));
             }
             self.skip_ws();
@@ -410,12 +414,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash. Both
+                    // are ASCII, which never occurs inside a multi-byte
+                    // UTF-8 sequence, so the run is whole characters.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -460,6 +467,7 @@ mod tests {
                 "items",
                 Json::Array(vec![Json::int(1), Json::Num(-2.5), Json::str("a\"b")]),
             ),
+            ("raw", Json::str("café 😀 \\ é")),
         ]);
         let text = doc.to_string();
         let parsed = Json::parse(&text).expect("parses");
@@ -500,6 +508,8 @@ mod tests {
     #[test]
     fn rejects_duplicate_keys_and_trailing_garbage() {
         assert!(Json::parse("{\"a\": 1, \"a\": 2}").is_err());
+        let err = Json::parse("{\"a\": 1, \"b\": 2, \"a\": 3}").unwrap_err();
+        assert_eq!(err, "duplicate key \"a\"");
         assert!(Json::parse("{} x").is_err());
         assert!(Json::parse("[1, ]").is_err());
     }
@@ -514,6 +524,27 @@ mod tests {
         // Reasonable nesting still parses.
         let ok = format!("{}1{}", "[".repeat(64), "]".repeat(64));
         assert!(Json::parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn long_strings_and_wide_objects_parse_in_linear_time() {
+        // Parse time must stay linear in string length and object width:
+        // `serve` accepts request lines of up to 4 MiB.
+        let long = format!("\"{}é\"", "x".repeat(1 << 20));
+        let wide = format!(
+            "{{{}}}",
+            (0..100_000)
+                .map(|i| format!("\"k{i}\": {i}"))
+                .collect::<Vec<_>>()
+                .join(", ")
+        );
+        let start = std::time::Instant::now();
+        let s = Json::parse(&long).expect("long string parses");
+        assert_eq!(s, Json::Str(format!("{}é", "x".repeat(1 << 20))));
+        let o = Json::parse(&wide).expect("wide object parses");
+        assert_eq!(o.req_u64("k99999").unwrap(), 99_999);
+        let took = start.elapsed();
+        assert!(took.as_secs_f64() < 2.0, "parsing took {took:?}");
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! The thermal networks built here are small (tens of nodes), so a dense
 //! partial-pivoting LU is both simple and fast — and avoids pulling a large
-//! linear-algebra dependency into the workspace (see DESIGN.md §3).
+//! linear-algebra dependency into a workspace that builds offline from
+//! vendored path crates only.
 
 use crate::error::ThermalError;
 use std::fmt;

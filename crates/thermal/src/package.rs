@@ -9,8 +9,9 @@ use crate::materials::Material;
 /// a copper heat spreader and heat sink, and a lumped convection resistance
 /// to ambient. [`PackageConfig::date05_defaults`] additionally sets the
 /// paper's 40 °C ambient and a convection resistance sized for the small
-/// embedded package of a 160 nm LDPC decoder chip (see DESIGN.md §5,
-/// calibration notes).
+/// embedded package of a 160 nm LDPC decoder chip. Each configuration's
+/// power is then scaled so its steady-state peak matches the paper's
+/// measured base temperature (`Chip::calibrate` in `hotnoc-core`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PackageConfig {
     /// Die thickness in metres.
