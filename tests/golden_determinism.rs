@@ -8,13 +8,22 @@
 //! be cycle-for-cycle identical to the seed semantics, not merely
 //! statistically equivalent.
 //!
+//! A second table pins router configurations no product path builds. Every
+//! caller uses `NocConfig::default()` (2 VCs, 4-flit buffers) and sends only
+//! `PacketClass::Data`, so without it no golden would carry traffic on VC 1
+//! or arbitrate over more than 10 (port, VC) slots. Those fingerprints were
+//! recorded on commit e7ec519, before the allocation sweep moved to
+//! per-output request masks.
+//!
 //! If this test ever fails after an intentional semantic change to the
 //! router microarchitecture (not an optimization!), regenerate the constants
-//! with `cargo test --test golden_determinism -- --nocapture` after
-//! temporarily enabling the `print` below.
+//! from the `fingerprint` lines that
+//! `cargo test --test golden_determinism -- --nocapture` prints.
 
 use hotnoc::core::configs::{ChipConfigId, ChipSpec, Fidelity};
-use hotnoc::noc::{Coord, Mesh, Network, NocConfig, TrafficGenerator, TrafficPattern};
+use hotnoc::noc::{
+    Coord, Mesh, Network, NocConfig, NodeId, Packet, PacketClass, TrafficGenerator, TrafficPattern,
+};
 
 /// FNV-1a, the same stable 64-bit fold the vendored proptest uses for seeds.
 struct Fingerprint(u64);
@@ -53,21 +62,20 @@ fn scenario(id: ChipConfigId) -> (Mesh, TrafficGenerator) {
     (mesh, gen)
 }
 
-/// Drives the scenario and folds every observable per-cycle quantity into
-/// one 64-bit fingerprint.
-fn run_fingerprint(id: ChipConfigId) -> u64 {
-    let (mesh, mut gen) = scenario(id);
-    let mut net = Network::new(mesh, NocConfig::default());
-    // The configs' meshes are small, so without this the striped sweep
-    // would never engage: force striping at any worklist size so the CI
-    // matrix over HOTNOC_THREADS in {1, 2, 4} genuinely pins the parallel
-    // path to the same fingerprints as the serial one.
+/// Drives `net` for 600 injecting cycles (`tick` injects each cycle's
+/// packets), drains it and idles it, folding every observable per-cycle
+/// quantity into one fingerprint.
+fn drive(net: &mut Network, label: &str, mut tick: impl FnMut(&mut Network)) -> Fingerprint {
+    // The test meshes are small, so without this the striped sweep would
+    // never engage: force striping at any worklist size so the CI matrix
+    // over HOTNOC_THREADS in {1, 2, 4} genuinely pins the parallel path to
+    // the same fingerprints as the serial one.
     net.set_par_threshold(1);
     let mut fp = Fingerprint::new();
 
     // Phase 1: open-loop injection, fingerprinting per-cycle stats.
     for _ in 0..600 {
-        gen.tick(&mut net);
+        tick(net);
         net.step();
         let s = net.stats();
         fp.u64(s.packets_injected);
@@ -88,7 +96,7 @@ fn run_fingerprint(id: ChipConfigId) -> u64 {
         fp.u64(net.in_flight());
         budget -= 1;
     }
-    assert_eq!(net.in_flight(), 0, "{id}: network failed to drain");
+    assert_eq!(net.in_flight(), 0, "{label}: network failed to drain");
 
     // Phase 3: idle tail — trailing credits must land identically, and an
     // idle network must still advance its clock.
@@ -113,6 +121,72 @@ fn run_fingerprint(id: ChipConfigId) -> u64 {
     fp.u64(s.latency_histogram.count());
     for &b in s.latency_histogram.buckets() {
         fp.u64(b);
+    }
+    fp
+}
+
+/// Drives config `id`'s scenario and returns its fingerprint.
+fn run_fingerprint(id: ChipConfigId) -> u64 {
+    let (mesh, mut gen) = scenario(id);
+    let mut net = Network::new(mesh, NocConfig::default());
+    drive(&mut net, &id.to_string(), |net| {
+        gen.tick(net);
+    })
+    .0
+}
+
+/// Side of the mesh the router-configuration cases run on.
+const ROUTER_CASE_SIDE: usize = 6;
+
+/// Packet ids of the injected `State` packets start here, far above the
+/// traffic generator's ids.
+const STATE_ID_BASE: u64 = 1 << 40;
+
+/// Drives a 6x6 mesh built with `num_vcs` VCs of `buffer_depth` flits:
+/// uniform 4-flit Data traffic plus a 1-5-flit `State` packet every third
+/// cycle (VC 1 whenever there are two or more VCs). Folds in per-router
+/// switching activity on top of `drive`'s quantities.
+fn run_router_case(num_vcs: u8, buffer_depth: u32) -> u64 {
+    let mesh = Mesh::square(ROUTER_CASE_SIDE).expect("mesh");
+    let cfg = NocConfig {
+        num_vcs,
+        buffer_depth,
+        ..NocConfig::default()
+    };
+    let mut net = Network::new(mesh, cfg);
+    let seed = 0xC0FFEE + 16 * num_vcs as u64 + buffer_depth as u64;
+    let mut gen = TrafficGenerator::new(mesh, TrafficPattern::UniformRandom, 0.08, 4, seed);
+    let n = mesh.len() as u64;
+    let mut next_state_id = STATE_ID_BASE;
+    let label = format!("{num_vcs} VCs x {buffer_depth} flits");
+    let mut fp = drive(&mut net, &label, |net| {
+        gen.tick(net);
+        let c = net.cycle();
+        if c % 3 != 0 {
+            return;
+        }
+        let src = (c * 7 + 3) % n;
+        let mut dst = (c * 11 + 1) % n;
+        if dst == src {
+            dst = (dst + 1) % n;
+        }
+        let packet = Packet::new(
+            next_state_id,
+            NodeId::new(src as u16),
+            NodeId::new(dst as u16),
+            PacketClass::State,
+            1 + (c % 5) as u32,
+        );
+        next_state_id += 1;
+        net.inject(packet).expect("valid state packet");
+    });
+    for node in 0..mesh.len() {
+        let a = net.router(NodeId::new(node as u16)).activity();
+        fp.u64(a.buffer_writes);
+        for flits in a.link_flits {
+            fp.u64(flits);
+        }
+        fp.u64(a.bit_transitions);
     }
     fp.0
 }
@@ -141,6 +215,38 @@ fn step_loop_reproduces_seed_semantics_on_configs_a_to_e() {
             got, expected,
             "config {id}: step loop diverged from the seed semantics \
              (expected {expected:#018x}, got {got:#018x})"
+        );
+    }
+}
+
+/// Fingerprints of the router-configuration cases as
+/// `((num_vcs, buffer_depth), fingerprint)`, recorded on commit e7ec519.
+const ROUTER_GOLDEN: [((u8, u32), u64); 9] = [
+    ((1, 1), 0x6ffe94c1d9d72cec),
+    ((1, 2), 0x8a68e9e03d4af88b),
+    ((1, 8), 0x2bcd2dd791883bf4),
+    ((4, 1), 0x81b1dd8ebd3527c9),
+    ((4, 2), 0xa89ad0fc9a1bfb39),
+    ((4, 8), 0xc2d44c3d32f14f0b),
+    ((8, 1), 0x4f3c351e2d256672),
+    ((8, 2), 0xb217febe5a5e2f0a),
+    ((8, 8), 0x1bf0b4d398a7ed73),
+];
+
+#[test]
+fn step_loop_reproduces_recorded_semantics_across_router_configs() {
+    let results: Vec<u64> = ROUTER_GOLDEN
+        .iter()
+        .map(|&((vcs, depth), _)| run_router_case(vcs, depth))
+        .collect();
+    for (&((vcs, depth), _), got) in ROUTER_GOLDEN.iter().zip(&results) {
+        println!("{vcs} VCs x {depth} flits: fingerprint {got:#018x}");
+    }
+    for (&((vcs, depth), expected), &got) in ROUTER_GOLDEN.iter().zip(&results) {
+        assert_eq!(
+            got, expected,
+            "{vcs} VCs x {depth}-flit buffers: step loop diverged from the \
+             recorded semantics (expected {expected:#018x}, got {got:#018x})"
         );
     }
 }
