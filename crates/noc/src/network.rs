@@ -71,16 +71,17 @@ struct FaultDriver {
 /// pending work are visited each cycle. A fully idle mesh steps in O(1).
 /// The router-to-router adjacency is precomputed at construction
 /// (`neighbors`), so the hot loop never re-derives coordinates, and switch
-/// allocation walks a bitmask of occupied input VCs instead of scanning
-/// every `(port, vc)` slot.
+/// allocation walks, per output port, a bitmask of the occupied input VCs
+/// routed to it instead of scanning every `(port, vc)` slot.
 ///
 /// The allocation sweep itself (route computation + switch allocation +
 /// traversal) is a two-phase compute/commit design: the dirty worklist is
 /// partitioned into contiguous router-id stripes, each stripe computes its
 /// routers' route/VC/switch decisions and commits the effects it owns
-/// (buffer pops, outbound-link pushes, NIC ejections), and every effect
-/// that crosses a stripe boundary — credit events to upstream routers and
-/// the network-global counters — is buffered per stripe and committed in
+/// (buffer pops, outbound-link pushes, NIC ejections, credits to upstream
+/// routers inside the stripe), and every effect that crosses a stripe
+/// boundary — credits to upstream routers in other stripes and the
+/// network-global counters — is buffered per stripe and committed in
 /// stripe (= ascending router-id) order afterwards. Stripes share no
 /// mutable state, so they run in parallel on the [`minipool`] pool when
 /// more than [`Network::threads`] == 1 workers are configured
@@ -163,6 +164,12 @@ struct TraceState {
 #[inline]
 fn add_work(work: &mut [u32], queued: &mut [bool], incoming: &mut Vec<u32>, r: usize, amount: u32) {
     work[r] += amount;
+    enroll(queued, incoming, r);
+}
+
+/// Enrolls router `r` in the dirty list unless it is queued already.
+#[inline]
+fn enroll(queued: &mut [bool], incoming: &mut Vec<u32>, r: usize) {
     if !queued[r] {
         queued[r] = true;
         incoming.push(r as u32);
@@ -211,7 +218,8 @@ struct Stripe<'a> {
 /// serial sweep.
 #[derive(Default)]
 struct SweepOut {
-    /// Credits owed to upstream routers (which may sit in another stripe).
+    /// Credits owed to upstream routers in other stripes (in-stripe ones
+    /// are queued by the sweep itself).
     credits: Vec<CreditEvent>,
     /// Delta to fold into the network-wide statistics.
     stats: NetworkStats,
@@ -222,8 +230,9 @@ struct SweepOut {
     /// Pre-sweep (phases 1–3): link arrivals whose downstream router lies
     /// outside the stripe, as `(router, source direction index, flit)`.
     arrivals: Vec<(u32, u8, Flit)>,
-    /// Pre-sweep: in-stripe routers handed new work, to enroll in the
-    /// dirty list at commit (the stripe cannot touch `queued`/`incoming`).
+    /// In-stripe routers handed new work (link arrivals in the pre-sweep,
+    /// credits in the allocation sweep), to enroll in the dirty list at
+    /// commit (the stripe cannot touch `queued`/`incoming`).
     activated: Vec<u32>,
     /// Pre-sweep: flits that finished link traversal (`total_on_links`
     /// decrement).
@@ -358,23 +367,30 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
             out.peak_occ = stripe.buffered[i] as u64;
             out.peak_router = r_global as u32;
         }
-        let coord = ctx.mesh.coord(NodeId::new(r_global as u16));
         let router = &mut stripe.routers[i];
+        let coord = router.coord();
 
         // Route computation for head flits at the front of idle VCs, plus
-        // the occupancy mask switch allocation walks: bit
-        // `port * num_vcs + vc` is set iff that input VC is Active with at
-        // least one buffered flit (the only slots that can ever win
-        // arbitration).
+        // the masks switch allocation walks. Bit `port * num_vcs + vc` of
+        // `occupied` is set iff that input VC is Active with at least one
+        // buffered flit (the only slots that can ever win arbitration); of
+        // `req[d]`, iff it is also routed to output `d`; of `heads`, iff
+        // its front flit is a head (the only flit that may claim a free
+        // outbound channel).
         let mut occupied: u64 = 0;
+        let mut req = [0u64; 5];
+        let mut heads: u64 = 0;
         for port in 0..5 {
             for vc in 0..num_vcs {
                 let ivc = &mut router.inputs[port].vcs[vc];
-                if matches!(ivc.state, VcState::Idle) {
-                    let Some(front) = ivc.buf.front() else {
-                        continue;
-                    };
-                    if front.is_head() {
+                let Some(front) = ivc.buf.front() else {
+                    continue;
+                };
+                let is_head = front.is_head();
+                let out_dir = match ivc.state {
+                    VcState::Active { out_dir, .. } => out_dir,
+                    VcState::Idle if !is_head => continue,
+                    VcState::Idle => {
                         let (dst_id, len, packet, down) =
                             (front.dst, front.len, front.packet, front.down_phase);
                         let dst = ctx.mesh.coord(dst_id);
@@ -403,13 +419,15 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
                             flits_left: len,
                             packet,
                         };
-                    } else {
-                        continue;
+                        out_dir
                     }
-                } else if ivc.buf.is_empty() {
-                    continue;
+                };
+                let bit = 1u64 << (port * num_vcs + vc);
+                occupied |= bit;
+                req[out_dir.index()] |= bit;
+                if is_head {
+                    heads |= bit;
                 }
-                occupied |= 1 << (port * num_vcs + vc);
             }
         }
         if occupied == 0 {
@@ -417,39 +435,34 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
         }
 
         // Switch allocation: at most one flit per output port and one per
-        // input port each cycle, round-robin among requesters. The two
-        // masked passes visit exactly the occupied slots the dense scan
-        // would, in the same rotated order.
-        let mut input_used = [false; 5];
+        // input port each cycle, round-robin among requesters. Each output
+        // scans only `occupied & req[d]` in the dense scan's rotated order;
+        // a winning input port's bits leave `occupied`, which enforces the
+        // one-flit-per-input rule.
+        let port_bits = (1u64 << num_vcs) - 1;
         for out_dir in Direction::ALL {
             let d = out_dir.index();
-            let start = router.outputs[d].rr_ptr % ctx.slots;
+            let requests = occupied & req[d];
+            if requests == 0 {
+                continue;
+            }
+            let output = &router.outputs[d];
+            let start = output.rr_ptr % ctx.slots;
             let mut winner: Option<(usize, usize)> = None;
-            let above = occupied & (!0u64 << start);
-            let below = occupied & !(!0u64 << start);
+            let above = requests & (!0u64 << start);
+            let below = requests & !(!0u64 << start);
             'scan: for half in [above, below] {
                 let mut m = half;
                 while m != 0 {
                     let slot = m.trailing_zeros() as usize;
                     m &= m - 1;
                     let (port, vc) = (slot / num_vcs, slot % num_vcs);
-                    if input_used[port] {
-                        continue;
-                    }
-                    let ivc = &router.inputs[port].vcs[vc];
-                    let VcState::Active { out_dir: od, .. } = ivc.state else {
-                        unreachable!("masked slot must be active")
-                    };
-                    if od != out_dir {
-                        continue;
-                    }
                     // Wormhole VC allocation: only the owning input VC may
                     // send on an allocated outbound channel, and a free
                     // channel can only be claimed by a head flit.
-                    let front = ivc.buf.front().expect("masked slot is non-empty");
-                    match router.outputs[d].vc_owner[vc] {
+                    match output.vc_owner[vc] {
                         None => {
-                            if !front.is_head() {
+                            if heads & (1 << slot) == 0 {
                                 continue;
                             }
                         }
@@ -461,7 +474,7 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
                     }
                     // Body/tail flits may only move while credits (or the
                     // ejection port) allow.
-                    if out_dir != Direction::Local && router.outputs[d].credits[vc] == 0 {
+                    if out_dir != Direction::Local && output.credits[vc] == 0 {
                         continue;
                     }
                     winner = Some((port, vc));
@@ -469,7 +482,7 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
                 }
             }
             let Some((port, vc)) = winner else { continue };
-            input_used[port] = true;
+            occupied &= !(port_bits << (port * num_vcs));
             router.outputs[d].rr_ptr = (port * num_vcs + vc + 1) % ctx.slots;
 
             let ivc = &mut router.inputs[port].vcs[vc];
@@ -495,10 +508,6 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
                 }
                 VcState::Idle => unreachable!("winner VC must be active"),
             }
-            let drained = ivc.buf.is_empty() || matches!(ivc.state, VcState::Idle);
-            if drained {
-                occupied &= !(1 << (port * num_vcs + vc));
-            }
             let out_port = &mut router.outputs[d];
             router.activity.bit_transitions +=
                 (out_port.last_payload ^ flit.payload).count_ones() as u64;
@@ -507,7 +516,7 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
 
             // Return a credit to whoever fed this input buffer. The
             // upstream router may live in another stripe, so the event is
-            // deferred to the ordered commit.
+            // collected here and routed once the stripe's sweep is done.
             if port != Direction::Local.index() {
                 let in_dir = Direction::ALL[port];
                 let upstream_id = ctx.neighbors[r_global][in_dir.index()]
@@ -551,6 +560,28 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
             }
         }
     }
+
+    // Queue the credits owed to routers inside this stripe here, on the
+    // thread that owns (and next cycle lands) them; only cross-stripe ones
+    // wait for the ordered commit. Order cannot change: a credit queue is
+    // fed by one downstream router, which returns at most one credit per
+    // port per cycle, and nothing in this sweep reads a credit queue.
+    let (lo, hi) = (stripe.base, stripe.base + stripe.routers.len());
+    out.credits.retain(|ev| {
+        if !(lo..hi).contains(&ev.router) {
+            return true;
+        }
+        // Credits addressed to a disabled router vanish with it.
+        if ctx.faults.is_none_or(|fs| fs.router_enabled(ev.router)) {
+            let r = ev.router - lo;
+            stripe.routers[r].outputs[ev.out_port]
+                .credit_queue
+                .push_back((ev.vc, ev.at));
+            stripe.work[r] += 1;
+            out.activated.push(ev.router as u32);
+        }
+        false
+    });
 }
 
 impl std::fmt::Debug for Network {
@@ -952,11 +983,7 @@ impl Network {
                 add_work(&mut self.work, &mut self.queued, &mut self.incoming, nb, 1);
             }
             for nb in out.activated.drain(..) {
-                let nb = nb as usize;
-                if !self.queued[nb] {
-                    self.queued[nb] = true;
-                    self.incoming.push(nb as u32);
-                }
+                enroll(&mut self.queued, &mut self.incoming, nb as usize);
             }
         }
 
@@ -1012,6 +1039,9 @@ impl Network {
                     ev.router,
                     1,
                 );
+            }
+            for r in out.activated.drain(..) {
+                enroll(&mut self.queued, &mut self.incoming, r as usize);
             }
         }
 

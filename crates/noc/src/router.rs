@@ -78,30 +78,28 @@ pub(crate) struct OutputPort {
 #[derive(Debug, Clone)]
 pub struct Router {
     coord: Coord,
-    pub(crate) inputs: Vec<InputPort>,
-    pub(crate) outputs: Vec<OutputPort>,
+    /// Input ports, indexed by [`Direction::index`].
+    pub(crate) inputs: [InputPort; 5],
+    /// Output ports, indexed by [`Direction::index`].
+    pub(crate) outputs: [OutputPort; 5],
     pub(crate) activity: RouterActivity,
 }
 
 impl Router {
     /// Creates an idle router at `coord`.
     pub(crate) fn new(coord: Coord, cfg: &NocConfig) -> Self {
-        let inputs = (0..5)
-            .map(|_| InputPort {
-                vcs: (0..cfg.num_vcs)
-                    .map(|_| InputVc::new(cfg.buffer_depth))
-                    .collect(),
-            })
-            .collect();
-        let outputs = (0..5)
-            .map(|_| OutputPort {
-                credits: vec![cfg.buffer_depth; cfg.num_vcs as usize],
-                vc_owner: vec![None; cfg.num_vcs as usize],
-                rr_ptr: 0,
-                credit_queue: VecDeque::new(),
-                last_payload: 0,
-            })
-            .collect();
+        let inputs = std::array::from_fn(|_| InputPort {
+            vcs: (0..cfg.num_vcs)
+                .map(|_| InputVc::new(cfg.buffer_depth))
+                .collect(),
+        });
+        let outputs = std::array::from_fn(|_| OutputPort {
+            credits: vec![cfg.buffer_depth; cfg.num_vcs as usize],
+            vc_owner: vec![None; cfg.num_vcs as usize],
+            rr_ptr: 0,
+            credit_queue: VecDeque::new(),
+            last_payload: 0,
+        });
         Router {
             coord,
             inputs,
