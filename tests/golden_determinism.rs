@@ -12,8 +12,7 @@
 //! caller uses `NocConfig::default()` (2 VCs, 4-flit buffers) and sends only
 //! `PacketClass::Data`, so without it no golden would carry traffic on VC 1
 //! or arbitrate over more than 10 (port, VC) slots. Those fingerprints were
-//! recorded on commit e7ec519, before the allocation sweep moved to
-//! per-output request masks.
+//! recorded on commit e7ec519.
 //!
 //! If this test ever fails after an intentional semantic change to the
 //! router microarchitecture (not an optimization!), regenerate the constants
@@ -135,9 +134,6 @@ fn run_fingerprint(id: ChipConfigId) -> u64 {
     .0
 }
 
-/// Side of the mesh the router-configuration cases run on.
-const ROUTER_CASE_SIDE: usize = 6;
-
 /// Packet ids of the injected `State` packets start here, far above the
 /// traffic generator's ids.
 const STATE_ID_BASE: u64 = 1 << 40;
@@ -147,7 +143,7 @@ const STATE_ID_BASE: u64 = 1 << 40;
 /// cycle (VC 1 whenever there are two or more VCs). Folds in per-router
 /// switching activity on top of `drive`'s quantities.
 fn run_router_case(num_vcs: u8, buffer_depth: u32) -> u64 {
-    let mesh = Mesh::square(ROUTER_CASE_SIDE).expect("mesh");
+    let mesh = Mesh::square(6).expect("mesh");
     let cfg = NocConfig {
         num_vcs,
         buffer_depth,
