@@ -1883,23 +1883,42 @@ mod tests {
 
     #[test]
     fn occupancy_counters_match_recount_under_load() {
-        let mut net = mk_net(4);
-        let mesh = net.mesh();
-        let mut gen = crate::traffic::TrafficGenerator::new(
-            mesh,
-            crate::traffic::TrafficPattern::UniformRandom,
-            0.2,
-            4,
-            21,
-        );
-        for _ in 0..300 {
-            gen.tick(&mut net);
-            net.step();
-            assert_eq!(net.in_flight(), net.recount_in_flight());
+        use crate::fault::FaultPlan;
+        // A healthy mesh, then one whose fault epochs tear traffic down
+        // mid-flight: the ledger must match the walk on every cycle of both.
+        let faulty = FaultPlan::new()
+            .fail_router(40, Coord::new(1, 1))
+            .fail_link(60, Coord::new(2, 2), Coord::new(3, 2))
+            .repair_router(200, Coord::new(1, 1))
+            .repair_link(220, Coord::new(2, 2), Coord::new(3, 2));
+        for plan in [None, Some(faulty)] {
+            let mut net = mk_net(4);
+            let with_faults = plan.is_some();
+            if let Some(plan) = plan {
+                net.install_fault_plan(plan).unwrap();
+            }
+            let mesh = net.mesh();
+            let mut gen = crate::traffic::TrafficGenerator::new(
+                mesh,
+                crate::traffic::TrafficPattern::UniformRandom,
+                0.2,
+                4,
+                21,
+            );
+            for cycle in 0..300 {
+                gen.tick(&mut net);
+                net.step();
+                assert_eq!(
+                    net.in_flight(),
+                    net.recount_in_flight(),
+                    "cycle {cycle}, faults: {with_faults}"
+                );
+            }
+            net.run_until_idle(50_000).unwrap();
+            assert_eq!(net.in_flight(), 0);
+            assert_eq!(net.recount_in_flight(), 0);
+            assert_eq!(net.stats().flits_dropped > 0, with_faults);
         }
-        net.run_until_idle(50_000).unwrap();
-        assert_eq!(net.in_flight(), 0);
-        assert_eq!(net.recount_in_flight(), 0);
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! be cycle-for-cycle identical to the seed semantics, not merely
 //! statistically equivalent.
 //!
-//! A second table pins router configurations no product path builds. Every
-//! caller uses `NocConfig::default()` (2 VCs, 4-flit buffers) and sends only
-//! `PacketClass::Data`, so without it no golden would carry traffic on VC 1
-//! or arbitrate over more than 10 (port, VC) slots. Those fingerprints were
-//! recorded on commit e7ec519.
+//! A second table pins router configurations under mixed Data and `State`
+//! traffic. Every caller uses `NocConfig::default()` (2 VCs, 4-flit buffers)
+//! and sends only `PacketClass::Data`, so without it no golden would carry
+//! traffic on VC 1. Nine shapes no product path builds were recorded on
+//! commit e7ec519, the product shape `(2, 4)` on commit cdce9a5.
 //!
 //! If this test ever fails after an intentional semantic change to the
 //! router microarchitecture (not an optimization!), regenerate the constants
@@ -216,11 +216,13 @@ fn step_loop_reproduces_seed_semantics_on_configs_a_to_e() {
 }
 
 /// Fingerprints of the router-configuration cases as
-/// `((num_vcs, buffer_depth), fingerprint)`, recorded on commit e7ec519.
-const ROUTER_GOLDEN: [((u8, u32), u64); 9] = [
+/// `((num_vcs, buffer_depth), fingerprint)`, recorded on commit e7ec519
+/// (the product shape `(2, 4)` on commit cdce9a5).
+const ROUTER_GOLDEN: [((u8, u32), u64); 10] = [
     ((1, 1), 0x6ffe94c1d9d72cec),
     ((1, 2), 0x8a68e9e03d4af88b),
     ((1, 8), 0x2bcd2dd791883bf4),
+    ((2, 4), 0x0d1ab8492654401c),
     ((4, 1), 0x81b1dd8ebd3527c9),
     ((4, 2), 0xa89ad0fc9a1bfb39),
     ((4, 8), 0xc2d44c3d32f14f0b),
