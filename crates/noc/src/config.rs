@@ -2,33 +2,31 @@
 
 use crate::error::NocError;
 
-/// Microarchitectural parameters of the routers and links.
+/// Virtual channels per input port: one for application data, one for
+/// reconfiguration traffic ([`crate::PacketClass::virtual_channel`]).
+pub const NUM_VCS: usize = 2;
+
+/// Buffer depth per virtual channel, in flits.
+pub const BUFFER_DEPTH: u32 = 4;
+
+/// Link traversal latency, in cycles.
+pub const LINK_LATENCY: u64 = 1;
+
+/// The clock of the paper's 160 nm LDPC-decoder NoC.
 ///
-/// The defaults model the paper's 160 nm LDPC-decoder NoC: two virtual
-/// channels (one for data, one for reconfiguration traffic), 4-flit input
-/// buffers and single-cycle links at 500 MHz. Flit width belongs to the
-/// traffic that packs payload into flits (`MessageParams` in `hotnoc-ldpc`,
-/// `StateSpec` in `hotnoc-reconfig`).
+/// The router itself is fixed: [`NUM_VCS`] virtual channels, input buffers
+/// of [`BUFFER_DEPTH`] flits and links of [`LINK_LATENCY`] cycle. Flit width
+/// belongs to the traffic that packs payload into flits (`MessageParams` in
+/// `hotnoc-ldpc`, `StateSpec` in `hotnoc-reconfig`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NocConfig {
-    /// Number of virtual channels per input port (1..=8).
-    pub num_vcs: u8,
-    /// Buffer depth per virtual channel, in flits (1..=256).
-    pub buffer_depth: u32,
-    /// Link traversal latency in cycles (>= 1).
-    pub link_latency: u32,
     /// Clock frequency in Hz, used to convert cycles to seconds.
     pub clock_hz: f64,
 }
 
 impl Default for NocConfig {
     fn default() -> Self {
-        NocConfig {
-            num_vcs: 2,
-            buffer_depth: 4,
-            link_latency: 1,
-            clock_hz: 500.0e6,
-        }
+        NocConfig { clock_hz: 500.0e6 }
     }
 }
 
@@ -37,24 +35,9 @@ impl NocConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`NocError::InvalidConfig`] describing the first violated
-    /// constraint.
+    /// Returns [`NocError::InvalidConfig`] if the clock is not positive and
+    /// finite.
     pub fn validate(&self) -> Result<(), NocError> {
-        if self.num_vcs == 0 || self.num_vcs > 8 {
-            return Err(NocError::InvalidConfig {
-                what: "num_vcs must be in 1..=8",
-            });
-        }
-        if self.buffer_depth == 0 || self.buffer_depth > 256 {
-            return Err(NocError::InvalidConfig {
-                what: "buffer_depth must be in 1..=256",
-            });
-        }
-        if self.link_latency == 0 {
-            return Err(NocError::InvalidConfig {
-                what: "link_latency must be >= 1",
-            });
-        }
         if !(self.clock_hz.is_finite() && self.clock_hz > 0.0) {
             return Err(NocError::InvalidConfig {
                 what: "clock_hz must be positive and finite",
@@ -84,37 +67,8 @@ mod tests {
     }
 
     #[test]
-    fn rejects_zero_vcs() {
-        let cfg = NocConfig {
-            num_vcs: 0,
-            ..NocConfig::default()
-        };
-        assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn rejects_zero_buffer() {
-        let cfg = NocConfig {
-            buffer_depth: 0,
-            ..NocConfig::default()
-        };
-        assert!(cfg.validate().is_err());
-    }
-
-    #[test]
     fn rejects_zero_latency_and_bad_clock() {
-        assert!(NocConfig {
-            link_latency: 0,
-            ..NocConfig::default()
-        }
-        .validate()
-        .is_err());
-        assert!(NocConfig {
-            clock_hz: f64::NAN,
-            ..NocConfig::default()
-        }
-        .validate()
-        .is_err());
+        assert!(NocConfig { clock_hz: f64::NAN }.validate().is_err());
     }
 
     #[test]

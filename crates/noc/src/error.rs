@@ -24,13 +24,6 @@ pub enum NocError {
     },
     /// A packet declared zero flits.
     EmptyPacket,
-    /// The requested virtual-channel index does not exist.
-    InvalidVirtualChannel {
-        /// Requested VC index.
-        vc: u8,
-        /// Number of VCs configured.
-        num_vcs: u8,
-    },
     /// The simulation did not drain within the given cycle budget.
     Timeout {
         /// The cycle budget that was exhausted.
@@ -62,12 +55,6 @@ impl fmt::Display for NocError {
                 write!(f, "invalid mesh dimension {dim} (must be 1..=64)")
             }
             NocError::EmptyPacket => write!(f, "packet must contain at least one flit"),
-            NocError::InvalidVirtualChannel { vc, num_vcs } => {
-                write!(
-                    f,
-                    "virtual channel {vc} out of range (configured {num_vcs})"
-                )
-            }
             NocError::Timeout { budget, in_flight } => write!(
                 f,
                 "network failed to drain within {budget} cycles ({in_flight} flits in flight)"
@@ -94,13 +81,12 @@ mod tests {
             },
             NocError::InvalidMeshDimension { dim: 0 },
             NocError::EmptyPacket,
-            NocError::InvalidVirtualChannel { vc: 3, num_vcs: 2 },
             NocError::Timeout {
                 budget: 100,
                 in_flight: 7,
             },
             NocError::InvalidConfig {
-                what: "buffer depth",
+                what: "clock_hz must be positive and finite",
             },
             NocError::InvalidFaultPlan {
                 what: "router (9, 9) outside mesh".to_string(),

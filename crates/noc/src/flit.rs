@@ -33,15 +33,13 @@ pub enum PacketClass {
 }
 
 impl PacketClass {
-    /// Virtual channel used by this class given `num_vcs` configured channels.
-    ///
-    /// With a single VC everything shares channel 0; with two or more, the
-    /// migration traffic (`Config`/`State`/`Control`) uses channel 1 so that
-    /// it cannot be blocked behind in-flight data.
-    pub fn virtual_channel(self, num_vcs: u8) -> u8 {
+    /// Virtual channel used by this class: migration traffic
+    /// (`Config`/`State`/`Control`) uses channel 1 so that it cannot be
+    /// blocked behind in-flight data on channel 0.
+    pub fn virtual_channel(self) -> u8 {
         match self {
             PacketClass::Data => 0,
-            _ => 1.min(num_vcs.saturating_sub(1)),
+            _ => 1,
         }
     }
 }
@@ -159,8 +157,8 @@ impl Flit {
 /// The per-flit payloads are produced with a splitmix-style generator from the
 /// packet's payload seed, so two identical packets produce identical bit
 /// streams (reproducible switching-activity estimates).
-pub fn packetize(packet: &Packet, num_vcs: u8, inject_cycle: u64) -> Vec<Flit> {
-    let vc = packet.class.virtual_channel(num_vcs);
+pub fn packetize(packet: &Packet, inject_cycle: u64) -> Vec<Flit> {
+    let vc = packet.class.virtual_channel();
     let mut state = packet.payload;
     (0..packet.len_flits)
         .map(|seq| {
@@ -194,7 +192,7 @@ mod tests {
 
     #[test]
     fn flit_kinds_single() {
-        let flits = packetize(&mk_packet(1), 2, 0);
+        let flits = packetize(&mk_packet(1), 0);
         assert_eq!(flits.len(), 1);
         assert_eq!(flits[0].kind(), FlitKind::Single);
         assert!(flits[0].is_head() && flits[0].is_tail());
@@ -202,7 +200,7 @@ mod tests {
 
     #[test]
     fn flit_kinds_multi() {
-        let flits = packetize(&mk_packet(4), 2, 7);
+        let flits = packetize(&mk_packet(4), 7);
         let kinds: Vec<FlitKind> = flits.iter().map(Flit::kind).collect();
         assert_eq!(
             kinds,
@@ -219,14 +217,14 @@ mod tests {
 
     #[test]
     fn packetize_is_deterministic() {
-        let a = packetize(&mk_packet(8), 2, 0);
-        let b = packetize(&mk_packet(8), 2, 0);
+        let a = packetize(&mk_packet(8), 0);
+        let b = packetize(&mk_packet(8), 0);
         assert_eq!(a, b);
     }
 
     #[test]
     fn payloads_differ_between_flits() {
-        let flits = packetize(&mk_packet(8), 2, 0);
+        let flits = packetize(&mk_packet(8), 0);
         for w in flits.windows(2) {
             assert_ne!(w[0].payload, w[1].payload);
         }
@@ -234,10 +232,10 @@ mod tests {
 
     #[test]
     fn class_vc_assignment() {
-        assert_eq!(PacketClass::Data.virtual_channel(2), 0);
-        assert_eq!(PacketClass::State.virtual_channel(2), 1);
-        assert_eq!(PacketClass::Config.virtual_channel(1), 0);
-        assert_eq!(PacketClass::Control.virtual_channel(4), 1);
+        assert_eq!(PacketClass::Data.virtual_channel(), 0);
+        assert_eq!(PacketClass::State.virtual_channel(), 1);
+        assert_eq!(PacketClass::Config.virtual_channel(), 1);
+        assert_eq!(PacketClass::Control.virtual_channel(), 1);
     }
 
     #[test]

@@ -5,8 +5,11 @@
 //! Network-On-Chip* (Link & Vijaykrishnan) uses to obtain per-component
 //! switching rates. It models:
 //!
-//! * a 2-D mesh [`topology::Mesh`] of input-buffered wormhole routers with
-//!   virtual channels and credit-based flow control ([`router`], [`network`]),
+//! * a 2-D mesh [`topology::Mesh`] of the paper's input-buffered wormhole
+//!   router, with credit-based flow control ([`router`], [`network`]) and a
+//!   fixed shape: [`config::NUM_VCS`] virtual channels (data and
+//!   reconfiguration), [`config::BUFFER_DEPTH`]-flit buffers and
+//!   [`config::LINK_LATENCY`]-cycle links,
 //! * dimension-order XY routing ([`routing::next_hop`]), the only
 //!   algorithm on a healthy fabric (a degraded one detours through
 //!   [`fault`]'s surround routing),

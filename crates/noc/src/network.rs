@@ -1,6 +1,6 @@
 //! The cycle-accurate network: routers, links and NICs stepped in lockstep.
 
-use crate::config::NocConfig;
+use crate::config::{NocConfig, BUFFER_DEPTH, LINK_LATENCY, NUM_VCS};
 use crate::error::NocError;
 use crate::fault::{FaultKind, FaultPlan, FaultState};
 use crate::flit::{Flit, Packet, PacketClass, PacketId};
@@ -72,7 +72,9 @@ struct FaultDriver {
 /// The router-to-router adjacency is precomputed at construction
 /// (`neighbors`), so the hot loop never re-derives coordinates, and switch
 /// allocation walks, per output port, a bitmask of the occupied input VCs
-/// routed to it instead of scanning every `(port, vc)` slot.
+/// routed to it instead of scanning every `(port, vc)` slot. Flits have
+/// one ledger, [`NetworkStats`]: [`Network::in_flight`] is what it counts
+/// as injected and neither ejected nor dropped.
 ///
 /// The allocation sweep itself (route computation + switch allocation +
 /// traversal) is a two-phase compute/commit design: the dirty worklist is
@@ -128,10 +130,6 @@ pub struct Network {
     par_threshold: usize,
     /// Reused per-stripe sweep outputs (index = stripe).
     stripe_outs: Vec<SweepOut>,
-    /// Network-wide occupancy totals, kept for O(1) [`Network::in_flight`].
-    total_buffered: u64,
-    total_on_links: u64,
-    total_nic_queued: u64,
     /// Runtime fault schedule and live/dead fabric view; `None` until a
     /// [`FaultPlan`] is installed.
     faults: Option<Box<FaultDriver>>,
@@ -179,16 +177,14 @@ fn enroll(queued: &mut [bool], incoming: &mut Vec<u32>, r: usize) {
 /// Dirty-router count below which the sweep always runs serially.
 const DEFAULT_PAR_THRESHOLD: usize = 64;
 
+/// Round-robin arbitration slots per output: one per (input port, VC).
+const SLOTS: usize = 5 * NUM_VCS;
+
 /// Immutable per-cycle context shared by every stripe of the allocation
 /// sweep.
 struct SweepCtx<'a> {
     mesh: Mesh,
     now: u64,
-    link_latency: u64,
-    num_vcs: usize,
-    /// `5 * num_vcs`, the round-robin arbitration slot count.
-    slots: usize,
-    buffer_depth: u32,
     neighbors: &'a [[Option<u32>; 4]],
     /// Set only while the fabric is degraded; route computation then uses
     /// the surround-routing detour tables instead of XY.
@@ -223,10 +219,6 @@ struct SweepOut {
     credits: Vec<CreditEvent>,
     /// Delta to fold into the network-wide statistics.
     stats: NetworkStats,
-    /// Flits popped out of input buffers (`total_buffered` decrement).
-    flits_popped: u64,
-    /// Flits pushed onto outbound links (`total_on_links` increment).
-    flits_to_links: u64,
     /// Pre-sweep (phases 1–3): link arrivals whose downstream router lies
     /// outside the stripe, as `(router, source direction index, flit)`.
     arrivals: Vec<(u32, u8, Flit)>,
@@ -234,15 +226,6 @@ struct SweepOut {
     /// credits in the allocation sweep), to enroll in the dirty list at
     /// commit (the stripe cannot touch `queued`/`incoming`).
     activated: Vec<u32>,
-    /// Pre-sweep: flits that finished link traversal (`total_on_links`
-    /// decrement).
-    flits_arrived: u64,
-    /// Pre-sweep: flits landed in input buffers — link arrivals applied
-    /// in-stripe plus NIC injections (`total_buffered` increment).
-    flits_buffered: u64,
-    /// Pre-sweep: flits moved from NIC queues to the local input port
-    /// (`total_nic_queued` decrement).
-    nic_injected: u64,
     /// Tracing only: peak buffered-flit count of any single router this
     /// stripe visited this cycle (0 when no trace is recording).
     peak_occ: u64,
@@ -255,13 +238,8 @@ impl SweepOut {
     fn reset(&mut self) {
         self.credits.clear();
         self.stats = NetworkStats::default();
-        self.flits_popped = 0;
-        self.flits_to_links = 0;
         self.arrivals.clear();
         self.activated.clear();
-        self.flits_arrived = 0;
-        self.flits_buffered = 0;
-        self.nic_injected = 0;
         self.peak_occ = 0;
         self.peak_router = 0;
     }
@@ -318,12 +296,10 @@ fn pre_sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut Sweep
                 }
                 stripe.links[i][d].pop_front();
                 stripe.work[i] -= 1;
-                out.flits_arrived += 1;
                 if (lo..hi).contains(&nb) {
-                    stripe.routers[nb - lo].accept_flit(dir.opposite(), flit, ctx.buffer_depth);
+                    stripe.routers[nb - lo].accept_flit(dir.opposite(), flit);
                     stripe.buffered[nb - lo] += 1;
                     stripe.work[nb - lo] += 1;
-                    out.flits_buffered += 1;
                     out.activated.push(nb_id);
                 } else {
                     out.arrivals.push((nb_id, d as u8, flit));
@@ -340,13 +316,11 @@ fn pre_sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut Sweep
         };
         let router = &mut stripe.routers[i];
         let local = Direction::Local.index();
-        if router.inputs[local].vcs[flit.vc as usize].buf.len() < ctx.buffer_depth as usize {
+        if router.inputs[local].vcs[flit.vc as usize].buf.len() < BUFFER_DEPTH as usize {
             nic.take_inject();
-            router.accept_flit(Direction::Local, flit, ctx.buffer_depth);
+            router.accept_flit(Direction::Local, flit);
             // One work unit moves from the NIC queue to the buffers.
-            out.nic_injected += 1;
             stripe.buffered[i] += 1;
-            out.flits_buffered += 1;
         }
     }
 }
@@ -356,7 +330,6 @@ fn pre_sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut Sweep
 /// state the stripe owns; every effect that crosses a stripe boundary is
 /// deferred into `out` for the ordered commit phase.
 fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut) {
-    let num_vcs = ctx.num_vcs;
     for &r_global in stripe.ids {
         let r_global = r_global as usize;
         let i = r_global - stripe.base;
@@ -371,7 +344,7 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
         let coord = router.coord();
 
         // Route computation for head flits at the front of idle VCs, plus
-        // the masks switch allocation walks. Bit `port * num_vcs + vc` of
+        // the masks switch allocation walks. Bit `port * NUM_VCS + vc` of
         // `occupied` is set iff that input VC is Active with at least one
         // buffered flit (the only slots that can ever win arbitration); of
         // `req[d]`, iff it is also routed to output `d`; of `heads`, iff
@@ -381,7 +354,7 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
         let mut req = [0u64; 5];
         let mut heads: u64 = 0;
         for port in 0..5 {
-            for vc in 0..num_vcs {
+            for vc in 0..NUM_VCS {
                 let ivc = &mut router.inputs[port].vcs[vc];
                 let Some(front) = ivc.buf.front() else {
                     continue;
@@ -422,7 +395,7 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
                         out_dir
                     }
                 };
-                let bit = 1u64 << (port * num_vcs + vc);
+                let bit = 1u64 << (port * NUM_VCS + vc);
                 occupied |= bit;
                 req[out_dir.index()] |= bit;
                 if is_head {
@@ -439,7 +412,7 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
         // scans only `occupied & req[d]` in the dense scan's rotated order;
         // a winning input port's bits leave `occupied`, which enforces the
         // one-flit-per-input rule.
-        let port_bits = (1u64 << num_vcs) - 1;
+        let port_bits = (1u64 << NUM_VCS) - 1;
         for out_dir in Direction::ALL {
             let d = out_dir.index();
             let requests = occupied & req[d];
@@ -447,7 +420,7 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
                 continue;
             }
             let output = &router.outputs[d];
-            let start = output.rr_ptr % ctx.slots;
+            let start = output.rr_ptr % SLOTS;
             let mut winner: Option<(usize, usize)> = None;
             let above = requests & (!0u64 << start);
             let below = requests & !(!0u64 << start);
@@ -456,7 +429,7 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
                 while m != 0 {
                     let slot = m.trailing_zeros() as usize;
                     m &= m - 1;
-                    let (port, vc) = (slot / num_vcs, slot % num_vcs);
+                    let (port, vc) = (slot / NUM_VCS, slot % NUM_VCS);
                     // Wormhole VC allocation: only the owning input VC may
                     // send on an allocated outbound channel, and a free
                     // channel can only be claimed by a head flit.
@@ -482,13 +455,12 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
                 }
             }
             let Some((port, vc)) = winner else { continue };
-            occupied &= !(port_bits << (port * num_vcs));
-            router.outputs[d].rr_ptr = (port * num_vcs + vc + 1) % ctx.slots;
+            occupied &= !(port_bits << (port * NUM_VCS));
+            router.outputs[d].rr_ptr = (port * NUM_VCS + vc + 1) % SLOTS;
 
             let ivc = &mut router.inputs[port].vcs[vc];
             let flit = ivc.buf.pop_front().expect("winner has a flit");
             stripe.buffered[i] -= 1;
-            out.flits_popped += 1;
             stripe.work[i] -= 1;
             // Acquire/release the outbound wormhole channel.
             router.outputs[d].vc_owner[vc] = if flit.is_tail() {
@@ -553,8 +525,7 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
                 out.stats.flits_ejected += 1;
             } else {
                 router.outputs[d].credits[vc] -= 1;
-                stripe.links[i][d].push_back((flit, ctx.now + ctx.link_latency));
-                out.flits_to_links += 1;
+                stripe.links[i][d].push_back((flit, ctx.now + LINK_LATENCY));
                 stripe.work[i] += 1;
                 out.stats.flit_hops += 1;
             }
@@ -614,7 +585,7 @@ impl Network {
     pub fn try_new(mesh: Mesh, cfg: NocConfig) -> Result<Self, NocError> {
         cfg.validate()?;
         let n = mesh.len();
-        let routers = mesh.iter_coords().map(|c| Router::new(c, &cfg)).collect();
+        let routers = mesh.iter_coords().map(Router::new).collect();
         let neighbors = mesh
             .iter_coords()
             .map(|c| {
@@ -646,9 +617,6 @@ impl Network {
             threads: minipool::configured_threads(),
             par_threshold: DEFAULT_PAR_THRESHOLD,
             stripe_outs: Vec::new(),
-            total_buffered: 0,
-            total_on_links: 0,
-            total_nic_queued: 0,
             faults: None,
             trace: None,
         })
@@ -728,8 +696,7 @@ impl Network {
                 }
             }
         }
-        self.nics[packet.src.index()].enqueue(&packet, self.cfg.num_vcs, self.cycle);
-        self.total_nic_queued += packet.len_flits as u64;
+        self.nics[packet.src.index()].enqueue(&packet, self.cycle);
         add_work(
             &mut self.work,
             &mut self.queued,
@@ -793,10 +760,12 @@ impl Network {
         out
     }
 
-    /// Flits currently inside the network (buffers + links + NIC queues).
-    /// O(1): reads the occupancy counters the step loop maintains.
+    /// Flits currently inside the network (buffers + links + NIC queues):
+    /// those injected and neither ejected nor dropped yet, read off
+    /// [`NetworkStats`] in O(1).
     pub fn in_flight(&self) -> u64 {
-        self.total_buffered + self.total_on_links + self.total_nic_queued
+        let s = &self.stats;
+        s.flits_injected - s.flits_ejected - s.flits_dropped
     }
 
     /// Merges routers activated since the last merge into the ascending
@@ -870,10 +839,6 @@ impl Network {
         let ctx = SweepCtx {
             mesh: self.mesh,
             now,
-            link_latency: self.cfg.link_latency as u64,
-            num_vcs: self.cfg.num_vcs as usize,
-            slots: 5 * self.cfg.num_vcs as usize,
-            buffer_depth: self.cfg.buffer_depth,
             neighbors: &self.neighbors,
             faults: match &self.faults {
                 Some(d) if d.state.active() => Some(&d.state),
@@ -945,8 +910,8 @@ impl Network {
 
     /// Advances the simulation by one clock cycle.
     ///
-    /// Only routers with pending work (tracked by the occupancy counters)
-    /// are visited; an idle network advances its clock in O(1).
+    /// Only routers with pending work (tracked by the per-router work
+    /// counters) are visited; an idle network advances its clock in O(1).
     pub fn step(&mut self) {
         let now = self.cycle;
         if self.faults.is_some() {
@@ -971,15 +936,11 @@ impl Network {
         // partition the ascending worklist, cross-stripe arrivals replay in
         // exactly the dense serial loop's source-router order.
         for out in &mut self.stripe_outs[..n_pre] {
-            self.total_on_links -= out.flits_arrived;
-            self.total_buffered += out.flits_buffered;
-            self.total_nic_queued -= out.nic_injected;
             for (nb, d, flit) in out.arrivals.drain(..) {
                 let nb = nb as usize;
                 let dir = Direction::MESH[d as usize];
-                self.routers[nb].accept_flit(dir.opposite(), flit, self.cfg.buffer_depth);
+                self.routers[nb].accept_flit(dir.opposite(), flit);
                 self.buffered[nb] += 1;
-                self.total_buffered += 1;
                 add_work(&mut self.work, &mut self.queued, &mut self.incoming, nb, 1);
             }
             for nb in out.activated.drain(..) {
@@ -1018,8 +979,6 @@ impl Network {
                 }
             }
             self.stats.merge(&out.stats);
-            self.total_buffered -= out.flits_popped;
-            self.total_on_links += out.flits_to_links;
             for ev in out.credits.drain(..) {
                 // Credits addressed to a disabled router vanish with it; its
                 // credit counters are rebuilt from neighbor buffer occupancy
@@ -1193,7 +1152,7 @@ impl Network {
 
     /// Recomputes the in-flight count by walking every buffer, link and NIC
     /// queue — the seed implementation of [`Network::in_flight`]. Used by
-    /// tests to cross-check the O(1) occupancy counters.
+    /// tests to cross-check the stats ledger.
     #[cfg(test)]
     fn recount_in_flight(&self) -> u64 {
         let buffered: usize = self.routers.iter().map(Router::buffered_flits).sum();
@@ -1382,8 +1341,11 @@ impl Network {
         // wormhole spans a table change, so no stale channel claim can mix
         // the old and new channel orderings into a cycle.
         let mut doomed: HashSet<PacketId> = HashSet::new();
-        // Per packet: flits found, packet length, first container seen
-        // (encoded as router * 16 + slot).
+        // Per packet: flits found, packet length, first container seen,
+        // encoded as `router * CONTAINERS + slot` with input VC slots
+        // `port * NUM_VCS + vc`, outbound link slots `SLOTS + d` and the
+        // NIC queue at `SLOTS + 4`.
+        const CONTAINERS: u32 = SLOTS as u32 + 5;
         let mut seen: std::collections::HashMap<PacketId, (u32, u32, u32)> =
             std::collections::HashMap::new();
         let mesh = self.mesh;
@@ -1424,9 +1386,9 @@ impl Network {
         };
         for r in 0..n {
             let r_dead = !state.router_enabled(r);
-            let base = (r * 16) as u32;
+            let base = r as u32 * CONTAINERS;
             for flit in &self.nics[r].inject_queue {
-                note(flit, base + 15, r, r_dead, None, &mut doomed);
+                note(flit, base + SLOTS as u32 + 4, r, r_dead, None, &mut doomed);
             }
             for (p, port) in self.routers[r].inputs.iter().enumerate() {
                 let entry = if p < 4 {
@@ -1442,7 +1404,7 @@ impl Network {
                     for flit in &ivc.buf {
                         note(
                             flit,
-                            base + (p * 2 + vc) as u32,
+                            base + (p * NUM_VCS + vc) as u32,
                             r,
                             r_dead,
                             entry,
@@ -1462,7 +1424,7 @@ impl Network {
                 for (flit, _) in &self.links[r][d] {
                     note(
                         flit,
-                        base + 10 + d as u32,
+                        base + (SLOTS + d) as u32,
                         nb,
                         here_dead,
                         Some((r, Direction::MESH[d])),
@@ -1505,19 +1467,14 @@ impl Network {
                         }
                     }
                 }
-                self.total_buffered -= router.buffered_flits() as u64;
                 self.buffered[r] = 0;
                 for d in 0..4 {
-                    let on_link = self.links[r][d].len() as u64;
-                    self.total_on_links -= on_link;
-                    flits_dropped += on_link;
+                    flits_dropped += self.links[r][d].len() as u64;
                     self.links[r][d].clear();
                 }
-                let queued = self.nics[r].clear_for_fault() as u64;
-                self.total_nic_queued -= queued;
-                flits_dropped += queued;
+                flits_dropped += self.nics[r].clear_for_fault() as u64;
                 let activity = self.routers[r].activity;
-                self.routers[r] = Router::new(self.mesh.coord(NodeId::new(r as u16)), &self.cfg);
+                self.routers[r] = Router::new(self.mesh.coord(NodeId::new(r as u16)));
                 self.routers[r].activity = activity;
                 self.work[r] = 0;
                 continue;
@@ -1534,7 +1491,6 @@ impl Network {
             nic.inject_queue.retain(|f| !doomed.contains(&f.packet));
             let removed = (before - nic.inject_queue.len()) as u64;
             if removed > 0 {
-                self.total_nic_queued -= removed;
                 self.work[r] -= removed as u32;
                 flits_dropped += removed;
             }
@@ -1558,7 +1514,7 @@ impl Network {
                         }
                         None => false,
                     };
-                for vc in 0..self.cfg.num_vcs as usize {
+                for vc in 0..NUM_VCS {
                     let ivc = &mut router.inputs[p].vcs[vc];
                     let before = ivc.buf.len();
                     if before > 0 {
@@ -1586,7 +1542,6 @@ impl Network {
                         ivc.buf = kept;
                         if removed > 0 {
                             self.buffered[r] -= removed;
-                            self.total_buffered -= removed as u64;
                             self.work[r] -= removed;
                         }
                     }
@@ -1629,7 +1584,6 @@ impl Network {
                 let removed = (before - kept.len()) as u32;
                 *q = kept;
                 if removed > 0 {
-                    self.total_on_links -= removed as u64;
                     self.work[r] -= removed;
                 }
             }
@@ -1645,7 +1599,7 @@ impl Network {
     /// buffer occupancy of its neighbors. Flits the router sent before it
     /// failed may still sit in those buffers; their credits return through
     /// the normal queue as they drain, landing the counters exactly back at
-    /// `buffer_depth`.
+    /// [`BUFFER_DEPTH`].
     fn restore_router_credits(&mut self, r: usize, state: &FaultState) {
         for d in 0..4 {
             let Some(nb) = self.neighbors[r][d] else {
@@ -1656,9 +1610,9 @@ impl Network {
                 continue;
             }
             let facing = Direction::MESH[d].opposite().index();
-            for vc in 0..self.cfg.num_vcs as usize {
+            for vc in 0..NUM_VCS {
                 let occupied = self.routers[nb].inputs[facing].vcs[vc].buf.len() as u32;
-                self.routers[r].outputs[d].credits[vc] = self.cfg.buffer_depth - occupied;
+                self.routers[r].outputs[d].credits[vc] = BUFFER_DEPTH - occupied;
             }
         }
     }
@@ -1799,7 +1753,7 @@ mod tests {
             let r = net.router(node);
             for out in &r.outputs {
                 for &c in &out.credits {
-                    assert_eq!(c, net.config().buffer_depth);
+                    assert_eq!(c, BUFFER_DEPTH);
                 }
                 assert!(out.credit_queue.is_empty());
             }
@@ -2035,7 +1989,7 @@ mod tests {
             let r = net.router(node);
             for out in &r.outputs {
                 for &c in &out.credits {
-                    assert_eq!(c, net.config().buffer_depth, "credits corrupt at {node}");
+                    assert_eq!(c, BUFFER_DEPTH, "credits corrupt at {node}");
                 }
                 assert!(out.credit_queue.is_empty());
             }

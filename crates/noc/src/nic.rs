@@ -15,8 +15,8 @@ pub(crate) struct Nic {
 
 impl Nic {
     /// Serializes `packet` and queues its flits for injection.
-    pub fn enqueue(&mut self, packet: &Packet, num_vcs: u8, now: u64) {
-        for flit in packetize(packet, num_vcs, now) {
+    pub fn enqueue(&mut self, packet: &Packet, now: u64) {
+        for flit in packetize(packet, now) {
             self.inject_queue.push_back(flit);
         }
     }
@@ -54,8 +54,8 @@ impl Nic {
         }
     }
 
-    /// Flits still queued for injection. The network tracks occupancy
-    /// incrementally; this recount survives for tests cross-checking it.
+    /// Flits still queued for injection. The network reads its in-flight
+    /// count off the stats ledger; tests cross-check it with this recount.
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn pending_flits(&self) -> usize {
         self.inject_queue.len()
@@ -93,7 +93,7 @@ mod tests {
     fn enqueue_serializes_all_flits() {
         let mut nic = Nic::default();
         let p = Packet::new(9, NodeId::new(0), NodeId::new(1), PacketClass::Data, 5);
-        nic.enqueue(&p, 2, 0);
+        nic.enqueue(&p, 0);
         assert_eq!(nic.pending_flits(), 5);
     }
 
@@ -101,7 +101,7 @@ mod tests {
     fn eject_reassembles_in_order() {
         let mut nic = Nic::default();
         let p = Packet::new(3, NodeId::new(0), NodeId::new(1), PacketClass::Data, 3);
-        let flits = packetize(&p, 2, 10);
+        let flits = packetize(&p, 10);
         assert!(nic.eject(flits[0], 20).is_none());
         assert!(nic.eject(flits[1], 21).is_none());
         let (done, at) = nic.eject(flits[2], 22).expect("tail completes packet");
@@ -116,8 +116,8 @@ mod tests {
         let mut nic = Nic::default();
         let a = Packet::new(1, NodeId::new(0), NodeId::new(1), PacketClass::Data, 2);
         let b = Packet::new(2, NodeId::new(2), NodeId::new(1), PacketClass::Data, 2);
-        let fa = packetize(&a, 2, 0);
-        let fb = packetize(&b, 2, 0);
+        let fa = packetize(&a, 0);
+        let fb = packetize(&b, 0);
         assert!(nic.eject(fa[0], 5).is_none());
         assert!(nic.eject(fb[0], 6).is_none());
         assert_eq!(nic.open_reassemblies(), 2);

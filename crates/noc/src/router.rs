@@ -8,7 +8,7 @@
 //! preserves throughput and event counts (what the power model needs) while
 //! staying fast enough for multi-million-cycle co-simulation.
 
-use crate::config::NocConfig;
+use crate::config::{BUFFER_DEPTH, NUM_VCS};
 use crate::flit::{Flit, PacketId};
 use crate::stats::RouterActivity;
 use crate::topology::{Coord, Direction};
@@ -39,9 +39,9 @@ pub(crate) struct InputVc {
 }
 
 impl InputVc {
-    fn new(depth: u32) -> Self {
+    fn new() -> Self {
         InputVc {
-            buf: VecDeque::with_capacity(depth as usize),
+            buf: VecDeque::with_capacity(BUFFER_DEPTH as usize),
             state: VcState::Idle,
         }
     }
@@ -50,7 +50,7 @@ impl InputVc {
 /// An input port: one [`InputVc`] per virtual channel.
 #[derive(Debug, Clone)]
 pub(crate) struct InputPort {
-    pub vcs: Vec<InputVc>,
+    pub vcs: [InputVc; NUM_VCS],
 }
 
 /// An output port: downstream credit counters and the round-robin pointer
@@ -58,11 +58,11 @@ pub(crate) struct InputPort {
 #[derive(Debug, Clone)]
 pub(crate) struct OutputPort {
     /// Credits per downstream virtual channel.
-    pub credits: Vec<u32>,
+    pub credits: [u32; NUM_VCS],
     /// Wormhole ownership: which (input port, vc) currently holds each
     /// outbound virtual channel. `None` means the channel is free and only a
     /// head flit may claim it; ownership is released when the tail passes.
-    pub vc_owner: Vec<Option<(u8, u8)>>,
+    pub vc_owner: [Option<(u8, u8)>; NUM_VCS],
     /// Round-robin arbitration pointer over (input port, vc) pairs.
     pub rr_ptr: usize,
     /// Credits in flight back to this port: (vc, cycle at which they land).
@@ -87,15 +87,13 @@ pub struct Router {
 
 impl Router {
     /// Creates an idle router at `coord`.
-    pub(crate) fn new(coord: Coord, cfg: &NocConfig) -> Self {
+    pub(crate) fn new(coord: Coord) -> Self {
         let inputs = std::array::from_fn(|_| InputPort {
-            vcs: (0..cfg.num_vcs)
-                .map(|_| InputVc::new(cfg.buffer_depth))
-                .collect(),
+            vcs: std::array::from_fn(|_| InputVc::new()),
         });
         let outputs = std::array::from_fn(|_| OutputPort {
-            credits: vec![cfg.buffer_depth; cfg.num_vcs as usize],
-            vc_owner: vec![None; cfg.num_vcs as usize],
+            credits: [BUFFER_DEPTH; NUM_VCS],
+            vc_owner: [None; NUM_VCS],
             rr_ptr: 0,
             credit_queue: VecDeque::new(),
             last_payload: 0,
@@ -134,10 +132,10 @@ impl Router {
     ///
     /// Panics if the target buffer is full (credit protocol violated) or the
     /// VC index is out of range.
-    pub(crate) fn accept_flit(&mut self, port: Direction, flit: Flit, buffer_depth: u32) {
+    pub(crate) fn accept_flit(&mut self, port: Direction, flit: Flit) {
         let vc = &mut self.inputs[port.index()].vcs[flit.vc as usize];
         assert!(
-            vc.buf.len() < buffer_depth as usize,
+            vc.buf.len() < BUFFER_DEPTH as usize,
             "credit protocol violation: buffer overflow at {} port {}",
             self.coord,
             port
@@ -170,18 +168,14 @@ mod tests {
     use crate::flit::{packetize, Packet, PacketClass};
     use crate::topology::NodeId;
 
-    fn cfg() -> NocConfig {
-        NocConfig::default()
-    }
-
     fn flit() -> Flit {
         let p = Packet::new(1, NodeId::new(0), NodeId::new(3), PacketClass::Data, 1);
-        packetize(&p, cfg().num_vcs, 0)[0]
+        packetize(&p, 0)[0]
     }
 
     #[test]
     fn new_router_is_idle() {
-        let r = Router::new(Coord::new(1, 2), &cfg());
+        let r = Router::new(Coord::new(1, 2));
         assert_eq!(r.coord(), Coord::new(1, 2));
         assert!(r.activity().is_idle());
         assert_eq!(r.buffered_flits(), 0);
@@ -189,8 +183,8 @@ mod tests {
 
     #[test]
     fn accept_counts_buffer_write() {
-        let mut r = Router::new(Coord::new(0, 0), &cfg());
-        r.accept_flit(Direction::West, flit(), cfg().buffer_depth);
+        let mut r = Router::new(Coord::new(0, 0));
+        r.accept_flit(Direction::West, flit());
         assert_eq!(r.activity().buffer_writes, 1);
         assert_eq!(r.buffered_flits(), 1);
     }
@@ -198,15 +192,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "credit protocol violation")]
     fn overflow_panics() {
-        let mut r = Router::new(Coord::new(0, 0), &cfg());
-        for _ in 0..=cfg().buffer_depth {
-            r.accept_flit(Direction::West, flit(), cfg().buffer_depth);
+        let mut r = Router::new(Coord::new(0, 0));
+        for _ in 0..=BUFFER_DEPTH {
+            r.accept_flit(Direction::West, flit());
         }
     }
 
     #[test]
     fn credits_land_in_order() {
-        let mut r = Router::new(Coord::new(0, 0), &cfg());
+        let mut r = Router::new(Coord::new(0, 0));
         let before = r.outputs[0].credits[0];
         r.outputs[0].credits[0] = 0;
         r.outputs[0].credit_queue.push_back((0, 5));

@@ -53,8 +53,9 @@ pub struct NetworkStats {
     /// Total flit-hops (each flit crossing each mesh link counts once).
     pub flit_hops: u64,
     /// Flits physically removed from the network by fault teardown (never
-    /// ejected). Zero on a healthy fabric; flit conservation holds as
-    /// `flits_injected == flits_ejected + flits_dropped` once idle.
+    /// ejected). Zero on a healthy fabric. Flit conservation makes
+    /// `flits_injected - flits_ejected - flits_dropped` the flits still in
+    /// the network, which is how [`crate::Network::in_flight`] counts them.
     pub flits_dropped: u64,
     /// Packets dropped by fault teardown (each counted once, however many
     /// of its flits were still in flight).
@@ -95,15 +96,6 @@ impl NetworkStats {
     /// delivery. This is what latency-vs-load curves report as p50/p95.
     pub fn latency_quantile_upper(&self, q: f64) -> Option<u64> {
         self.latency_histogram.quantile_upper_bound(q)
-    }
-
-    /// Delivered throughput in flits per cycle over `cycles`.
-    pub fn throughput(&self, cycles: u64) -> f64 {
-        if cycles == 0 {
-            0.0
-        } else {
-            self.flits_ejected as f64 / cycles as f64
-        }
     }
 }
 
@@ -176,9 +168,6 @@ mod tests {
         assert_eq!(s.mean_latency(), None);
         s.packets_delivered = 4;
         s.total_packet_latency = 100;
-        s.flits_ejected = 50;
         assert_eq!(s.mean_latency(), Some(25.0));
-        assert!((s.throughput(100) - 0.5).abs() < 1e-12);
-        assert_eq!(s.throughput(0), 0.0);
     }
 }

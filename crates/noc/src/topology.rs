@@ -202,14 +202,6 @@ impl Mesh {
         self.len() == 0
     }
 
-    /// `true` if the mesh is square with odd side length (5x5 in the paper).
-    /// Rotation and mirroring transforms leave the centre tile of such meshes
-    /// in place, which §3 of the paper identifies as the cause of their poor
-    /// behaviour on configurations C, D and E.
-    pub const fn is_odd_square(self) -> bool {
-        self.width == self.height && self.width % 2 == 1
-    }
-
     /// Checks that a coordinate is inside the mesh.
     pub fn contains(self, c: Coord) -> bool {
         (c.x as usize) < self.width() && (c.y as usize) < self.height()
@@ -366,13 +358,6 @@ mod tests {
             seen[d.index()] = true;
             assert_eq!(d.opposite().opposite(), d);
         }
-    }
-
-    #[test]
-    fn odd_square_detection() {
-        assert!(Mesh::square(5).unwrap().is_odd_square());
-        assert!(!Mesh::square(4).unwrap().is_odd_square());
-        assert!(!Mesh::new(5, 3).unwrap().is_odd_square());
     }
 
     #[test]

@@ -90,17 +90,6 @@ impl TrafficGenerator {
         self.next_id
     }
 
-    /// The offered load: packets per node per cycle (0..=1).
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    /// Re-targets the offered load mid-run (clamped to 0..=1). Load sweeps
-    /// reuse one generator across operating points without re-seeding.
-    pub fn set_rate(&mut self, rate: f64) {
-        self.rate = rate.clamp(0.0, 1.0);
-    }
-
     /// Injects this cycle's packets into `net`. Returns how many were
     /// injected.
     ///
@@ -236,17 +225,6 @@ mod tests {
             }
         }
         assert!(hits > trials / 2, "only {hits}/{trials} hotspot hits");
-    }
-
-    #[test]
-    fn rate_accessors_clamp() {
-        let m = mesh();
-        let mut gen = TrafficGenerator::new(m, TrafficPattern::Neighbor, 0.1, 2, 0);
-        assert_eq!(gen.rate(), 0.1);
-        gen.set_rate(1.5);
-        assert_eq!(gen.rate(), 1.0);
-        gen.set_rate(0.25);
-        assert_eq!(gen.rate(), 0.25);
     }
 
     #[test]

@@ -109,7 +109,9 @@ struct State {
     spool: PathBuf,
     cache: Mutex<Cache>,
     journal: Option<Journal>,
-    events: Mutex<Vec<TraceEvent>>,
+    /// Cache-hit trace events, buffered only when a serving trace was
+    /// asked for.
+    events: Option<Mutex<Vec<TraceEvent>>>,
     hits: AtomicU64,
     computed: AtomicU64,
     requests: AtomicU64,
@@ -156,7 +158,7 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeSummary, ServeError> {
         spool: opts.spool.clone(),
         cache: Mutex::new(cache),
         journal,
-        events: Mutex::new(Vec::new()),
+        events: opts.trace.as_ref().map(|_| Mutex::new(Vec::new())),
         hits: AtomicU64::new(0),
         computed: AtomicU64::new(0),
         requests: AtomicU64::new(0),
@@ -187,8 +189,8 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeSummary, ServeError> {
     for h in conns {
         let _ = h.join();
     }
-    if let Some(path) = &opts.trace {
-        let events = std::mem::take(&mut *lock(&state.events));
+    if let (Some(path), Some(events)) = (&opts.trace, &state.events) {
+        let events = std::mem::take(&mut *lock(events));
         std::fs::write(path, TraceDoc::new("serve", events).to_jsonl())
             .map_err(|e| ServeError::new(format!("trace {}: {e}", path.display())))?;
     }
@@ -454,20 +456,27 @@ fn handle_submit(
     write_entry(out, id, &entry)
 }
 
-/// Records a cache hit on the observability plane: a `CacheHit` trace
-/// event keyed by hit ordinal (assigned under the event lock so the trace
-/// stays in non-descending order) plus a stderr log line. The response
-/// bytes themselves carry no marker — that is what keeps them
-/// byte-identical to the computed response.
+/// Records a cache hit on the observability plane: the hit counter, a
+/// stderr log line and, when a serving trace was asked for, a `CacheHit`
+/// trace event keyed by hit ordinal (assigned under the event lock so the
+/// trace stays in non-descending order). The response bytes themselves
+/// carry no marker — that is what keeps them byte-identical to the
+/// computed response.
 fn record_hit(state: &State, fingerprint: &str, name: &str) {
-    let mut events = lock(&state.events);
-    let ordinal = state.hits.fetch_add(1, Ordering::SeqCst) + 1;
-    events.push(TraceEvent::CacheHit {
-        cycle: ordinal,
-        fingerprint: fingerprint.to_string(),
-        name: name.to_string(),
-    });
-    drop(events);
+    match &state.events {
+        Some(events) => {
+            let mut events = lock(events);
+            let ordinal = state.hits.fetch_add(1, Ordering::SeqCst) + 1;
+            events.push(TraceEvent::CacheHit {
+                cycle: ordinal,
+                fingerprint: fingerprint.to_string(),
+                name: name.to_string(),
+            });
+        }
+        None => {
+            state.hits.fetch_add(1, Ordering::SeqCst);
+        }
+    }
     eprintln!("serve: cache hit {fingerprint} ({name})");
 }
 
@@ -593,22 +602,26 @@ mod tests {
         )
     }
 
-    /// Starts a daemon on a unix socket in `dir`, waits until it answers
-    /// pings, and returns the endpoint plus the serve() thread handle.
-    fn start_daemon(
-        dir: &Path,
-        journal: bool,
-    ) -> (
+    type Daemon = (
         Endpoint,
         std::thread::JoinHandle<Result<ServeSummary, ServeError>>,
-    ) {
-        let opts = ServeOptions {
+    );
+
+    /// Starts a traced daemon on a unix socket in `dir`, journaling when
+    /// `journal` is set.
+    fn start_daemon(dir: &Path, journal: bool) -> Daemon {
+        launch(ServeOptions {
             endpoint: Endpoint::Unix(dir.join("hotnoc.sock")),
             threads: 2,
             journal: journal.then(|| dir.join("serve.journal.jsonl")),
             trace: Some(dir.join("serve.trace.jsonl")),
             spool: dir.join("spool"),
-        };
+        })
+    }
+
+    /// Starts a daemon, waits until it answers pings, and returns the
+    /// endpoint plus the serve() thread handle.
+    fn launch(opts: ServeOptions) -> Daemon {
         let endpoint = opts.endpoint.clone();
         let handle = std::thread::spawn(move || serve(&opts));
         for _ in 0..200 {
@@ -656,6 +669,27 @@ mod tests {
         assert_eq!(doc.events.len(), 1);
         assert!(trace.contains("\"kind\": \"cache_hit\""), "{trace}");
         assert!(trace.contains("serve-a"), "{trace}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hits_are_counted_without_a_trace() {
+        let dir = tmp_dir("untraced");
+        let (endpoint, handle) = launch(ServeOptions {
+            endpoint: Endpoint::Unix(dir.join("hotnoc.sock")),
+            threads: 2,
+            journal: None,
+            trace: None,
+            spool: dir.join("spool"),
+        });
+        let spec = Json::parse(&scenario_text("serve-u", 5)).unwrap();
+        let line = client::submit_line("u", &spec);
+        let first = client::request(&endpoint, &line).unwrap();
+        assert_eq!(first, client::request(&endpoint, &line).unwrap());
+        client::shutdown(&endpoint).unwrap();
+        let summary = handle.join().unwrap().unwrap();
+        assert_eq!((summary.computed, summary.cache_hits), (1, 1));
+        assert!(!dir.join("serve.trace.jsonl").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -768,15 +802,17 @@ mod tests {
     fn new_connections_are_served_without_an_accept_poll_delay() {
         let dir = tmp_dir("accept");
         let (endpoint, handle) = start_daemon(&dir, false);
-        for i in 0..20 {
-            let started = std::time::Instant::now();
+        // The total is bounded, not each ping, so one late scheduling slice
+        // cannot fail the test; a 50 ms accept poll would cost about 1 s.
+        let started = std::time::Instant::now();
+        for _ in 0..20 {
             client::ping(&endpoint).expect("ping");
-            let took = started.elapsed();
-            assert!(
-                took < Duration::from_millis(10),
-                "ping {i} on a new connection took {took:?}"
-            );
         }
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_millis(200),
+            "20 pings on new connections took {took:?}"
+        );
         client::shutdown(&endpoint).unwrap();
         handle.join().unwrap().unwrap();
         let _ = std::fs::remove_dir_all(&dir);

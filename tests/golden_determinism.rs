@@ -8,11 +8,10 @@
 //! be cycle-for-cycle identical to the seed semantics, not merely
 //! statistically equivalent.
 //!
-//! A second table pins router configurations under mixed Data and `State`
-//! traffic. Every caller uses `NocConfig::default()` (2 VCs, 4-flit buffers)
-//! and sends only `PacketClass::Data`, so without it no golden would carry
-//! traffic on VC 1. Nine shapes no product path builds were recorded on
-//! commit e7ec519, the product shape `(2, 4)` on commit cdce9a5.
+//! A second case drives the router under mixed Data and `State` traffic.
+//! The A–E scenarios send only `PacketClass::Data`, so without it no golden
+//! would carry traffic on VC 1. Its fingerprint was recorded on commit
+//! cdce9a5.
 //!
 //! If this test ever fails after an intentional semantic change to the
 //! router microarchitecture (not an optimization!), regenerate the constants
@@ -20,6 +19,7 @@
 //! `cargo test --test golden_determinism -- --nocapture` prints.
 
 use hotnoc::core::configs::{ChipConfigId, ChipSpec, Fidelity};
+use hotnoc::noc::config::{BUFFER_DEPTH, NUM_VCS};
 use hotnoc::noc::{
     Coord, Mesh, Network, NocConfig, NodeId, Packet, PacketClass, TrafficGenerator, TrafficPattern,
 };
@@ -138,24 +138,17 @@ fn run_fingerprint(id: ChipConfigId) -> u64 {
 /// traffic generator's ids.
 const STATE_ID_BASE: u64 = 1 << 40;
 
-/// Drives a 6x6 mesh built with `num_vcs` VCs of `buffer_depth` flits:
-/// uniform 4-flit Data traffic plus a 1-5-flit `State` packet every third
-/// cycle (VC 1 whenever there are two or more VCs). Folds in per-router
-/// switching activity on top of `drive`'s quantities.
-fn run_router_case(num_vcs: u8, buffer_depth: u32) -> u64 {
+/// Drives a 6x6 mesh: uniform 4-flit Data traffic plus a 1-5-flit `State`
+/// packet (VC 1) every third cycle. Folds in per-router switching activity
+/// on top of `drive`'s quantities.
+fn run_router_case() -> u64 {
     let mesh = Mesh::square(6).expect("mesh");
-    let cfg = NocConfig {
-        num_vcs,
-        buffer_depth,
-        ..NocConfig::default()
-    };
-    let mut net = Network::new(mesh, cfg);
-    let seed = 0xC0FFEE + 16 * num_vcs as u64 + buffer_depth as u64;
+    let mut net = Network::new(mesh, NocConfig::default());
+    let seed = 0xC0FFEE + 16 * NUM_VCS as u64 + BUFFER_DEPTH as u64;
     let mut gen = TrafficGenerator::new(mesh, TrafficPattern::UniformRandom, 0.08, 4, seed);
     let n = mesh.len() as u64;
     let mut next_state_id = STATE_ID_BASE;
-    let label = format!("{num_vcs} VCs x {buffer_depth} flits");
-    let mut fp = drive(&mut net, &label, |net| {
+    let mut fp = drive(&mut net, "state traffic", |net| {
         gen.tick(net);
         let c = net.cycle();
         if c % 3 != 0 {
@@ -215,36 +208,17 @@ fn step_loop_reproduces_seed_semantics_on_configs_a_to_e() {
     }
 }
 
-/// Fingerprints of the router-configuration cases as
-/// `((num_vcs, buffer_depth), fingerprint)`, recorded on commit e7ec519
-/// (the product shape `(2, 4)` on commit cdce9a5).
-const ROUTER_GOLDEN: [((u8, u32), u64); 10] = [
-    ((1, 1), 0x6ffe94c1d9d72cec),
-    ((1, 2), 0x8a68e9e03d4af88b),
-    ((1, 8), 0x2bcd2dd791883bf4),
-    ((2, 4), 0x0d1ab8492654401c),
-    ((4, 1), 0x81b1dd8ebd3527c9),
-    ((4, 2), 0xa89ad0fc9a1bfb39),
-    ((4, 8), 0xc2d44c3d32f14f0b),
-    ((8, 1), 0x4f3c351e2d256672),
-    ((8, 2), 0xb217febe5a5e2f0a),
-    ((8, 8), 0x1bf0b4d398a7ed73),
-];
+/// Fingerprint of the mixed Data and `State` case, recorded on commit
+/// cdce9a5.
+const ROUTER_GOLDEN: u64 = 0x0d1ab8492654401c;
 
 #[test]
 fn step_loop_reproduces_recorded_semantics_across_router_configs() {
-    let results: Vec<u64> = ROUTER_GOLDEN
-        .iter()
-        .map(|&((vcs, depth), _)| run_router_case(vcs, depth))
-        .collect();
-    for (&((vcs, depth), _), got) in ROUTER_GOLDEN.iter().zip(&results) {
-        println!("{vcs} VCs x {depth} flits: fingerprint {got:#018x}");
-    }
-    for (&((vcs, depth), expected), &got) in ROUTER_GOLDEN.iter().zip(&results) {
-        assert_eq!(
-            got, expected,
-            "{vcs} VCs x {depth}-flit buffers: step loop diverged from the \
-             recorded semantics (expected {expected:#018x}, got {got:#018x})"
-        );
-    }
+    let got = run_router_case();
+    println!("state traffic: fingerprint {got:#018x}");
+    assert_eq!(
+        got, ROUTER_GOLDEN,
+        "state traffic: step loop diverged from the recorded semantics \
+         (expected {ROUTER_GOLDEN:#018x}, got {got:#018x})"
+    );
 }

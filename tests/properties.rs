@@ -84,7 +84,7 @@ proptest! {
     #[test]
     fn packetize_roundtrip(len in 1u32..64, id in 0u64..10_000) {
         let p = Packet::new(id, NodeId::new(0), NodeId::new(1), PacketClass::Data, len);
-        let flits = packetize(&p, 2, 0);
+        let flits = packetize(&p, 0);
         prop_assert_eq!(flits.len() as u32, len);
         prop_assert!(flits[0].is_head());
         prop_assert!(flits.last().unwrap().is_tail());
