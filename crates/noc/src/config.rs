@@ -14,10 +14,10 @@ pub const LINK_LATENCY: u64 = 1;
 
 /// The clock of the paper's 160 nm LDPC-decoder NoC.
 ///
-/// The router itself is fixed: [`NUM_VCS`] virtual channels, input buffers
-/// of [`BUFFER_DEPTH`] flits and links of [`LINK_LATENCY`] cycle. Flit width
-/// belongs to the traffic that packs payload into flits (`MessageParams` in
-/// `hotnoc-ldpc`, `StateSpec` in `hotnoc-reconfig`).
+/// The router itself is fixed: [`NUM_VCS`] virtual channels per input port,
+/// [`BUFFER_DEPTH`] flits of buffer per channel and [`LINK_LATENCY`] cycle
+/// per link. Flit width belongs to the traffic that packs payload into flits
+/// (`MessageParams` in `hotnoc-ldpc`, `StateSpec` in `hotnoc-reconfig`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NocConfig {
     /// Clock frequency in Hz, used to convert cycles to seconds.
