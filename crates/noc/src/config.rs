@@ -9,7 +9,9 @@ pub const NUM_VCS: usize = 2;
 /// Buffer depth per virtual channel, in flits.
 pub const BUFFER_DEPTH: u32 = 4;
 
-/// Link traversal latency, in cycles.
+/// Link traversal latency, in cycles. Because it is 1, a flit sent in one
+/// cycle always lands in the next, so the network stores each link as a
+/// single flit slot.
 pub const LINK_LATENCY: u64 = 1;
 
 /// The clock of the paper's 160 nm LDPC-decoder NoC.

@@ -150,36 +150,55 @@ impl Flit {
     pub fn is_tail(&self) -> bool {
         self.seq + 1 == self.len
     }
+
+    /// The head (or single) flit of `packet`, injected at `inject_cycle`.
+    pub(crate) fn first(packet: &Packet, inject_cycle: u64) -> Flit {
+        Flit {
+            packet: packet.id,
+            src: packet.src,
+            dst: packet.dst,
+            class: packet.class,
+            seq: 0,
+            len: packet.len_flits,
+            vc: packet.class.virtual_channel(),
+            inject_cycle,
+            payload: next_payload(packet.payload),
+            down_phase: false,
+        }
+    }
+
+    /// The flit that follows this one in its packet. Meaningless after the
+    /// tail.
+    pub(crate) fn successor(&self) -> Flit {
+        Flit {
+            seq: self.seq + 1,
+            payload: next_payload(self.payload),
+            ..*self
+        }
+    }
+}
+
+/// The payload word after `state`: a splitmix-style step, so flit `k` of a
+/// packet carries the `k + 1`-th word after the packet's payload seed.
+fn next_payload(state: u64) -> u64 {
+    state
+        .wrapping_add(0x9E37_79B9_7F4A_7C15)
+        .rotate_left(17)
+        .wrapping_mul(0xBF58_476D_1CE4_E5B9)
 }
 
 /// Serializes a packet into its flits.
 ///
 /// The per-flit payloads are produced with a splitmix-style generator from the
 /// packet's payload seed, so two identical packets produce identical bit
-/// streams (reproducible switching-activity estimates).
+/// streams (reproducible switching-activity estimates). The network's NICs
+/// serialize with the same [`Flit`] steps, one flit at a time.
 pub fn packetize(packet: &Packet, inject_cycle: u64) -> Vec<Flit> {
-    let vc = packet.class.virtual_channel();
-    let mut state = packet.payload;
-    (0..packet.len_flits)
-        .map(|seq| {
-            state = state
-                .wrapping_add(0x9E37_79B9_7F4A_7C15)
-                .rotate_left(17)
-                .wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            Flit {
-                packet: packet.id,
-                src: packet.src,
-                dst: packet.dst,
-                class: packet.class,
-                seq,
-                len: packet.len_flits,
-                vc,
-                inject_cycle,
-                payload: state,
-                down_phase: false,
-            }
-        })
-        .collect()
+    std::iter::successors(Some(Flit::first(packet, inject_cycle)), |f| {
+        Some(f.successor())
+    })
+    .take(packet.len_flits as usize)
+    .collect()
 }
 
 #[cfg(test)]

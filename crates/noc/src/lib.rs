@@ -13,7 +13,8 @@
 //! * dimension-order XY routing ([`routing::next_hop`]), the only
 //!   algorithm on a healthy fabric (a degraded one detours through
 //!   [`fault`]'s surround routing),
-//! * network interfaces ([`nic`]) that packetize and reassemble messages,
+//! * network interfaces ([`nic`]) that serialize packets into flits as the
+//!   router takes them and hand each packet over when its tail flit ejects,
 //! * per-router switching-activity counters ([`RouterActivity`]), which
 //!   the `hotnoc-power` model prices directly, and latency histograms
 //!   ([`stats`]),

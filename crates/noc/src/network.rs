@@ -6,13 +6,13 @@ use crate::fault::{FaultKind, FaultPlan, FaultState};
 use crate::flit::{Flit, Packet, PacketClass, PacketId};
 use crate::io_interface::AddressMap;
 use crate::nic::Nic;
-use crate::router::{Router, VcState};
+use crate::router::{Router, IDLE, SLOTS};
 use crate::routing;
 use crate::stats::NetworkStats;
 use crate::topology::{Coord, Direction, Mesh, NodeId};
 use hotnoc_obs::event::{CONGESTION_WINDOW, DETOUR_BURST_MIN};
 use hotnoc_obs::TraceEvent;
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 
 /// A packet delivery record handed to the application.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,14 +38,21 @@ impl DeliveredPacket {
     }
 }
 
-/// Credit returned to an upstream router, queued during a cycle and applied
-/// after all routers have been stepped.
+/// Credit returned to an upstream router in another stripe, collected
+/// during the sweep and put in flight at the ordered commit. It lands next
+/// cycle like every credit.
 struct CreditEvent {
     router: usize,
     out_port: usize,
     vc: u8,
-    at: u64,
 }
+
+/// A router's outbound links, one per mesh direction, each holding at most
+/// one flit. A flit sent in cycle `t`'s allocation sweep lands in cycle
+/// `t + 1`'s pre-sweep (the sender's work counter keeps it on the worklist
+/// until then), so between cycles a link carries one flit or none.
+type Links = [Option<Flit>; 4];
+const _: () = assert!(LINK_LATENCY == 1);
 
 /// The installed fault schedule plus the live/dead view it drives. Boxed
 /// behind an `Option` so healthy networks pay one pointer of overhead.
@@ -72,9 +79,13 @@ struct FaultDriver {
 /// The router-to-router adjacency is precomputed at construction
 /// (`neighbors`), so the hot loop never re-derives coordinates, and switch
 /// allocation walks, per output port, a bitmask of the occupied input VCs
-/// routed to it instead of scanning every `(port, vc)` slot. Flits have
-/// one ledger, [`NetworkStats`]: [`Network::in_flight`] is what it counts
-/// as injected and neither ejected nor dropped.
+/// routed to it instead of scanning every `(port, vc)` slot. Storage is
+/// sized by the router's compile-time shape: each router's input VCs are
+/// inline rings, each link and each in-flight credit is a single slot
+/// (latency 1), and a NIC queues whole packets, serializing the front one
+/// as the router takes its flits. Flits have one ledger, [`NetworkStats`]:
+/// [`Network::in_flight`] is what it counts as injected and neither
+/// ejected nor dropped.
 ///
 /// The allocation sweep itself (route computation + switch allocation +
 /// traversal) is a two-phase compute/commit design: the dirty worklist is
@@ -98,9 +109,9 @@ pub struct Network {
     cfg: NocConfig,
     mesh: Mesh,
     routers: Vec<Router>,
-    /// Outgoing link queue per router per mesh direction: flits in flight
-    /// with their arrival cycle at the downstream router.
-    links: Vec<[VecDeque<(Flit, u64)>; 4]>,
+    /// Outgoing links per router, indexed by mesh direction: the flit in
+    /// flight to the downstream router, if any.
+    links: Vec<Links>,
     nics: Vec<Nic>,
     delivered: Vec<Vec<DeliveredPacket>>,
     cycle: u64,
@@ -177,9 +188,6 @@ fn enroll(queued: &mut [bool], incoming: &mut Vec<u32>, r: usize) {
 /// Dirty-router count below which the sweep always runs serially.
 const DEFAULT_PAR_THRESHOLD: usize = 64;
 
-/// Round-robin arbitration slots per output: one per (input port, VC).
-const SLOTS: usize = 5 * NUM_VCS;
-
 /// Immutable per-cycle context shared by every stripe of the allocation
 /// sweep.
 struct SweepCtx<'a> {
@@ -201,7 +209,7 @@ struct Stripe<'a> {
     base: usize,
     ids: &'a [u32],
     routers: &'a mut [Router],
-    links: &'a mut [[VecDeque<(Flit, u64)>; 4]],
+    links: &'a mut [Links],
     nics: &'a mut [Nic],
     delivered: &'a mut [Vec<DeliveredPacket>],
     buffered: &'a mut [u32],
@@ -215,7 +223,7 @@ struct Stripe<'a> {
 #[derive(Default)]
 struct SweepOut {
     /// Credits owed to upstream routers in other stripes (in-stripe ones
-    /// are queued by the sweep itself).
+    /// are put in flight by the sweep itself).
     credits: Vec<CreditEvent>,
     /// Delta to fold into the network-wide statistics.
     stats: NetworkStats,
@@ -263,13 +271,13 @@ fn split_at_cuts<'a, T>(mut s: &'a mut [T], cuts: &[usize]) -> Vec<&'a mut [T]> 
 /// Step phases 1–3 (credit landing, link arrivals, NIC injection) for every
 /// dirty router in one stripe. The three phases fuse into one pass per
 /// router because they touch disjoint state: phase 1 only the router's
-/// output credit queues, phase 2 only its outbound link queues and the
+/// in-flight credit slots, phase 2 only its outbound links and the
 /// downstream routers' mesh input ports, phase 3 only its own NIC and Local
 /// input port (which phase 2 never feeds). Arrivals whose downstream router
 /// lies in this stripe are applied directly; the rest are deferred into
 /// `out.arrivals` and committed in ascending stripe order, which reproduces
 /// the dense serial loop's arrival order per input port (each port is fed
-/// by exactly one upstream link queue).
+/// by exactly one upstream link).
 fn pre_sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut) {
     let lo = stripe.base;
     let hi = stripe.base + stripe.routers.len();
@@ -278,32 +286,26 @@ fn pre_sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut Sweep
         let i = r_global - lo;
 
         // 1. Land credits that were in flight back to this router.
-        let landed = stripe.routers[i].land_credits(ctx.now);
+        let landed = stripe.routers[i].land_credits();
         stripe.work[i] -= landed as u32;
 
-        // 2. Link arrivals: move flits that completed link traversal into
-        //    the downstream router's input buffers.
+        // 2. Link arrivals: every flit on an outbound link was sent last
+        //    cycle and completes traversal now, into the downstream
+        //    router's input buffer.
         for d in 0..4 {
-            let Some(nb_id) = ctx.neighbors[r_global][d] else {
-                debug_assert!(stripe.links[i][d].is_empty());
+            let Some(flit) = stripe.links[i][d].take() else {
                 continue;
             };
+            let nb_id = ctx.neighbors[r_global][d].expect("flits only travel real links");
             let nb = nb_id as usize;
-            let dir = Direction::MESH[d];
-            while let Some(&(flit, at)) = stripe.links[i][d].front() {
-                if at > ctx.now {
-                    break;
-                }
-                stripe.links[i][d].pop_front();
-                stripe.work[i] -= 1;
-                if (lo..hi).contains(&nb) {
-                    stripe.routers[nb - lo].accept_flit(dir.opposite(), flit);
-                    stripe.buffered[nb - lo] += 1;
-                    stripe.work[nb - lo] += 1;
-                    out.activated.push(nb_id);
-                } else {
-                    out.arrivals.push((nb_id, d as u8, flit));
-                }
+            stripe.work[i] -= 1;
+            if (lo..hi).contains(&nb) {
+                stripe.routers[nb - lo].accept_flit(Direction::MESH[d].opposite(), flit);
+                stripe.buffered[nb - lo] += 1;
+                stripe.work[nb - lo] += 1;
+                out.activated.push(nb_id);
+            } else {
+                out.arrivals.push((nb_id, d as u8, flit));
             }
         }
 
@@ -315,8 +317,7 @@ fn pre_sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut Sweep
             continue;
         };
         let router = &mut stripe.routers[i];
-        let local = Direction::Local.index();
-        if router.inputs[local].vcs[flit.vc as usize].buf.len() < BUFFER_DEPTH as usize {
+        if router.has_room(Direction::Local, flit.vc) {
             nic.take_inject();
             router.accept_flit(Direction::Local, flit);
             // One work unit moves from the NIC queue to the buffers.
@@ -330,9 +331,10 @@ fn pre_sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut Sweep
 /// state the stripe owns; every effect that crosses a stripe boundary is
 /// deferred into `out` for the ordered commit phase.
 fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut) {
+    let (lo, hi) = (stripe.base, stripe.base + stripe.routers.len());
     for &r_global in stripe.ids {
         let r_global = r_global as usize;
-        let i = r_global - stripe.base;
+        let i = r_global - lo;
         if stripe.buffered[i] == 0 {
             continue;
         }
@@ -344,64 +346,49 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
         let coord = router.coord();
 
         // Route computation for head flits at the front of idle VCs, plus
-        // the masks switch allocation walks. Bit `port * NUM_VCS + vc` of
-        // `occupied` is set iff that input VC is Active with at least one
-        // buffered flit (the only slots that can ever win arbitration); of
-        // `req[d]`, iff it is also routed to output `d`; of `heads`, iff
-        // its front flit is a head (the only flit that may claim a free
-        // outbound channel).
+        // the masks switch allocation walks. Bit `slot` (= `port * NUM_VCS
+        // + vc`) of `occupied` is set iff that input VC is routed with at
+        // least one buffered flit (the only slots that can ever win
+        // arbitration); of `req[d]`, iff it is also routed to output `d`.
+        // Only idle VCs read their front flit here.
         let mut occupied: u64 = 0;
         let mut req = [0u64; 5];
-        let mut heads: u64 = 0;
-        for port in 0..5 {
-            for vc in 0..NUM_VCS {
-                let ivc = &mut router.inputs[port].vcs[vc];
-                let Some(front) = ivc.buf.front() else {
-                    continue;
-                };
-                let is_head = front.is_head();
-                let out_dir = match ivc.state {
-                    VcState::Active { out_dir, .. } => out_dir,
-                    VcState::Idle if !is_head => continue,
-                    VcState::Idle => {
-                        let (dst_id, len, packet, down) =
-                            (front.dst, front.len, front.packet, front.down_phase);
-                        let dst = ctx.mesh.coord(dst_id);
-                        let out_dir = match ctx.faults {
-                            // Degraded fabric: surround routing. The detour
-                            // table is total over live (position, dst) pairs
-                            // because unroutable packets are purged at fault
-                            // application, before any sweep runs.
-                            Some(fs) => {
-                                let (dir, now_down) = fs
-                                    .next_hop(r_global, dst_id.index(), down)
-                                    .expect("unroutable packets are purged at fault events");
-                                if now_down != down {
-                                    ivc.buf.front_mut().expect("checked above").down_phase =
-                                        now_down;
-                                }
-                                if dir != routing::next_hop(coord, dst) {
-                                    out.stats.detour_hops += 1;
-                                }
-                                dir
-                            }
-                            None => routing::next_hop(coord, dst),
-                        };
-                        ivc.state = VcState::Active {
-                            out_dir,
-                            flits_left: len,
-                            packet,
-                        };
-                        out_dir
-                    }
-                };
-                let bit = 1u64 << (port * NUM_VCS + vc);
-                occupied |= bit;
-                req[out_dir.index()] |= bit;
-                if is_head {
-                    heads |= bit;
-                }
+        for slot in 0..SLOTS {
+            if router.vcs.len[slot] == 0 {
+                continue;
             }
+            let mut route = router.vcs.route[slot];
+            if route == IDLE {
+                let front = router.front_mut(slot);
+                if !front.is_head() {
+                    continue;
+                }
+                let (dst_id, len, down) = (front.dst, front.len, front.down_phase);
+                let dst = ctx.mesh.coord(dst_id);
+                let out_dir = match ctx.faults {
+                    // Degraded fabric: surround routing. The detour table
+                    // is total over live (position, dst) pairs because
+                    // unroutable packets are purged at fault application,
+                    // before any sweep runs.
+                    Some(fs) => {
+                        let (dir, now_down) = fs
+                            .next_hop(r_global, dst_id.index(), down)
+                            .expect("unroutable packets are purged at fault events");
+                        front.down_phase = now_down;
+                        if dir != routing::next_hop(coord, dst) {
+                            out.stats.detour_hops += 1;
+                        }
+                        dir
+                    }
+                    None => routing::next_hop(coord, dst),
+                };
+                route = out_dir.index() as u8;
+                router.vcs.route[slot] = route;
+                router.vcs.flits_left[slot] = len;
+            }
+            let bit = 1u64 << slot;
+            occupied |= bit;
+            req[route as usize] |= bit;
         }
         if occupied == 0 {
             continue;
@@ -411,8 +398,10 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
         // input port each cycle, round-robin among requesters. Each output
         // scans only `occupied & req[d]` in the dense scan's rotated order;
         // a winning input port's bits leave `occupied`, which enforces the
-        // one-flit-per-input rule.
+        // one-flit-per-input rule. `sent[p]` records the VC of the flit
+        // mesh input port `p` sent, whose credit goes back upstream.
         let port_bits = (1u64 << NUM_VCS) - 1;
+        let mut sent = [None::<u8>; 4];
         for out_dir in Direction::ALL {
             let d = out_dir.index();
             let requests = occupied & req[d];
@@ -432,10 +421,12 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
                     let (port, vc) = (slot / NUM_VCS, slot % NUM_VCS);
                     // Wormhole VC allocation: only the owning input VC may
                     // send on an allocated outbound channel, and a free
-                    // channel can only be claimed by a head flit.
+                    // channel can only be claimed by a head flit. No flit
+                    // of a port left in `occupied` has moved this cycle,
+                    // so the front read here is the one routed above.
                     match output.vc_owner[vc] {
                         None => {
-                            if heads & (1 << slot) == 0 {
+                            if !router.front_is_head(slot) {
                                 continue;
                             }
                         }
@@ -455,11 +446,11 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
                 }
             }
             let Some((port, vc)) = winner else { continue };
+            let slot = port * NUM_VCS + vc;
             occupied &= !(port_bits << (port * NUM_VCS));
-            router.outputs[d].rr_ptr = (port * NUM_VCS + vc + 1) % SLOTS;
+            router.outputs[d].rr_ptr = (slot + 1) % SLOTS;
 
-            let ivc = &mut router.inputs[port].vcs[vc];
-            let flit = ivc.buf.pop_front().expect("winner has a flit");
+            let flit = router.pop(slot);
             stripe.buffered[i] -= 1;
             stripe.work[i] -= 1;
             // Acquire/release the outbound wormhole channel.
@@ -470,36 +461,18 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
             } else {
                 router.outputs[d].vc_owner[vc]
             };
-            let ivc = &mut router.inputs[port].vcs[vc];
-            match &mut ivc.state {
-                VcState::Active { flits_left, .. } => {
-                    *flits_left -= 1;
-                    if *flits_left == 0 {
-                        ivc.state = VcState::Idle;
-                    }
-                }
-                VcState::Idle => unreachable!("winner VC must be active"),
+            debug_assert_eq!(router.vcs.route[slot], d as u8, "winner VC is routed here");
+            router.vcs.flits_left[slot] -= 1;
+            if router.vcs.flits_left[slot] == 0 {
+                router.vcs.route[slot] = IDLE;
             }
             let out_port = &mut router.outputs[d];
             router.activity.bit_transitions +=
                 (out_port.last_payload ^ flit.payload).count_ones() as u64;
             out_port.last_payload = flit.payload;
             router.activity.link_flits[d] += 1;
-
-            // Return a credit to whoever fed this input buffer. The
-            // upstream router may live in another stripe, so the event is
-            // collected here and routed once the stripe's sweep is done.
             if port != Direction::Local.index() {
-                let in_dir = Direction::ALL[port];
-                let upstream_id = ctx.neighbors[r_global][in_dir.index()]
-                    .expect("flit arrived from a mesh neighbor")
-                    as usize;
-                out.credits.push(CreditEvent {
-                    router: upstream_id,
-                    out_port: in_dir.opposite().index(),
-                    vc: flit.vc,
-                    at: ctx.now + 1,
-                });
+                sent[port] = Some(flit.vc);
             }
 
             if out_dir == Direction::Local {
@@ -525,34 +498,37 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
                 out.stats.flits_ejected += 1;
             } else {
                 router.outputs[d].credits[vc] -= 1;
-                stripe.links[i][d].push_back((flit, ctx.now + LINK_LATENCY));
+                debug_assert!(stripe.links[i][d].is_none(), "link still holds a flit");
+                stripe.links[i][d] = Some(flit);
                 stripe.work[i] += 1;
                 out.stats.flit_hops += 1;
             }
         }
-    }
 
-    // Queue the credits owed to routers inside this stripe here, on the
-    // thread that owns (and next cycle lands) them; only cross-stripe ones
-    // wait for the ordered commit. Order cannot change: a credit queue is
-    // fed by one downstream router, which returns at most one credit per
-    // port per cycle, and nothing in this sweep reads a credit queue.
-    let (lo, hi) = (stripe.base, stripe.base + stripe.routers.len());
-    out.credits.retain(|ev| {
-        if !(lo..hi).contains(&ev.router) {
-            return true;
+        // Return a credit to whoever fed each input buffer that sent a
+        // flit. A router inside this stripe gets it here, on the thread
+        // that owns (and next cycle lands) it; nothing in this sweep reads
+        // an in-flight credit, so writing it now changes no decision. Only
+        // cross-stripe credits wait for the ordered commit.
+        for (p, vc) in sent.into_iter().enumerate() {
+            let Some(vc) = vc else { continue };
+            let up =
+                ctx.neighbors[r_global][p].expect("flit arrived from a mesh neighbor") as usize;
+            let out_port = Direction::MESH[p].opposite().index();
+            if !(lo..hi).contains(&up) {
+                out.credits.push(CreditEvent {
+                    router: up,
+                    out_port,
+                    vc,
+                });
+            } else if ctx.faults.is_none_or(|fs| fs.router_enabled(up)) {
+                // Credits addressed to a disabled router vanish with it.
+                stripe.routers[up - lo].return_credit(out_port, vc);
+                stripe.work[up - lo] += 1;
+                out.activated.push(up as u32);
+            }
         }
-        // Credits addressed to a disabled router vanish with it.
-        if ctx.faults.is_none_or(|fs| fs.router_enabled(ev.router)) {
-            let r = ev.router - lo;
-            stripe.routers[r].outputs[ev.out_port]
-                .credit_queue
-                .push_back((ev.vc, ev.at));
-            stripe.work[r] += 1;
-            out.activated.push(ev.router as u32);
-        }
-        false
-    });
+    }
 }
 
 impl std::fmt::Debug for Network {
@@ -599,9 +575,7 @@ impl Network {
             cfg,
             mesh,
             routers,
-            links: (0..n)
-                .map(|_| std::array::from_fn(|_| VecDeque::new()))
-                .collect(),
+            links: vec![[None; 4]; n],
             nics: (0..n).map(|_| Nic::default()).collect(),
             delivered: (0..n).map(|_| Vec::new()).collect(),
             cycle: 0,
@@ -988,9 +962,7 @@ impl Network {
                         continue;
                     }
                 }
-                self.routers[ev.router].outputs[ev.out_port]
-                    .credit_queue
-                    .push_back((ev.vc, ev.at));
+                self.routers[ev.router].return_credit(ev.out_port, ev.vc);
                 add_work(
                     &mut self.work,
                     &mut self.queued,
@@ -1156,12 +1128,7 @@ impl Network {
     #[cfg(test)]
     fn recount_in_flight(&self) -> u64 {
         let buffered: usize = self.routers.iter().map(Router::buffered_flits).sum();
-        let on_links: usize = self
-            .links
-            .iter()
-            .flat_map(|l| l.iter())
-            .map(VecDeque::len)
-            .sum();
+        let on_links = self.links.iter().flatten().flatten().count();
         let queued: usize = self.nics.iter().map(Nic::pending_flits).sum();
         (buffered + on_links + queued) as u64
     }
@@ -1333,7 +1300,7 @@ impl Network {
         // of its flits sits at a dead router or rides a dead link, its
         // destination is dead or unreachable from where its flits are, or
         // it is mid-stream: its flits span more than one buffer, link or
-        // NIC queue, or some were already consumed by reassembly. Survivors
+        // NIC queue, or some were already ejected. Survivors
         // are packets wholly at rest in a single container; pass 2 resets
         // their committed routes, so all traffic re-plans against the new
         // fabric from a clean slate. That makes the up*/down* deadlock-
@@ -1349,9 +1316,11 @@ impl Network {
         let mut seen: std::collections::HashMap<PacketId, (u32, u32, u32)> =
             std::collections::HashMap::new();
         let mesh = self.mesh;
-        // `entry` is the live channel whose downstream buffer holds (or will
-        // receive) this flit: the upstream node and its outgoing direction.
+        // Notes `count` flits of `flit`'s packet in one container. `entry`
+        // is the live channel whose downstream buffer holds (or will
+        // receive) them: the upstream node and its outgoing direction.
         let mut note = |flit: &Flit,
+                        count: u32,
                         container: u32,
                         at: usize,
                         dead_here: bool,
@@ -1379,7 +1348,7 @@ impl Network {
                 }
             }
             let e = seen.entry(flit.packet).or_insert((0, flit.len, container));
-            e.0 += 1;
+            e.0 += count;
             if e.2 != container {
                 doomed.insert(flit.packet);
             }
@@ -1387,10 +1356,19 @@ impl Network {
         for r in 0..n {
             let r_dead = !state.router_enabled(r);
             let base = r as u32 * CONTAINERS;
-            for flit in &self.nics[r].inject_queue {
-                note(flit, base + SLOTS as u32 + 4, r, r_dead, None, &mut doomed);
+            for (flit, count) in self.nics[r].pending() {
+                note(
+                    &flit,
+                    count,
+                    base + SLOTS as u32 + 4,
+                    r,
+                    r_dead,
+                    None,
+                    &mut doomed,
+                );
             }
-            for (p, port) in self.routers[r].inputs.iter().enumerate() {
+            let router = &self.routers[r];
+            for p in 0..5 {
                 let entry = if p < 4 {
                     self.neighbors[r][p].and_then(|u| {
                         let u = u as usize;
@@ -1400,37 +1378,29 @@ impl Network {
                 } else {
                     None
                 };
-                for (vc, ivc) in port.vcs.iter().enumerate() {
-                    for flit in &ivc.buf {
-                        note(
-                            flit,
-                            base + (p * NUM_VCS + vc) as u32,
-                            r,
-                            r_dead,
-                            entry,
-                            &mut doomed,
-                        );
+                for slot in p * NUM_VCS..(p + 1) * NUM_VCS {
+                    for flit in router.buffered(slot) {
+                        note(flit, 1, base + slot as u32, r, r_dead, entry, &mut doomed);
                     }
                 }
             }
             for d in 0..4 {
-                if self.links[r][d].is_empty() {
+                let Some(flit) = &self.links[r][d] else {
                     continue;
-                }
+                };
                 let nb = self.neighbors[r][d].expect("flits only travel real links") as usize;
                 let here_dead = r_dead
                     || !state.link_enabled(r, Direction::MESH[d])
                     || !state.router_enabled(nb);
-                for (flit, _) in &self.links[r][d] {
-                    note(
-                        flit,
-                        base + (SLOTS + d) as u32,
-                        nb,
-                        here_dead,
-                        Some((r, Direction::MESH[d])),
-                        &mut doomed,
-                    );
-                }
+                note(
+                    flit,
+                    1,
+                    base + (SLOTS + d) as u32,
+                    nb,
+                    here_dead,
+                    Some((r, Direction::MESH[d])),
+                    &mut doomed,
+                );
             }
         }
         for (packet, &(count, len, _)) in &seen {
@@ -1450,28 +1420,25 @@ impl Network {
                 // is condemned), upstream routers get their credits back,
                 // and the router restarts from power-on state if repaired.
                 let router = &self.routers[r];
-                for (p, port) in router.inputs.iter().enumerate() {
-                    for ivc in &port.vcs {
-                        for flit in &ivc.buf {
-                            flits_dropped += 1;
-                            if p != local {
-                                let up = self.neighbors[r][p].expect("mesh port fed by neighbor");
-                                if state.router_enabled(up as usize) {
-                                    refunds.push((
-                                        up as usize,
-                                        Direction::ALL[p].opposite().index(),
-                                        flit.vc,
-                                    ));
-                                }
+                for slot in 0..SLOTS {
+                    let p = slot / NUM_VCS;
+                    for flit in router.buffered(slot) {
+                        flits_dropped += 1;
+                        if p != local {
+                            let up = self.neighbors[r][p].expect("mesh port fed by neighbor");
+                            if state.router_enabled(up as usize) {
+                                refunds.push((
+                                    up as usize,
+                                    Direction::ALL[p].opposite().index(),
+                                    flit.vc,
+                                ));
                             }
                         }
                     }
                 }
                 self.buffered[r] = 0;
-                for d in 0..4 {
-                    flits_dropped += self.links[r][d].len() as u64;
-                    self.links[r][d].clear();
-                }
+                flits_dropped += self.links[r].iter().flatten().count() as u64;
+                self.links[r] = [None; 4];
                 flits_dropped += self.nics[r].clear_for_fault() as u64;
                 let activity = self.routers[r].activity;
                 self.routers[r] = Router::new(self.mesh.coord(NodeId::new(r as u16)));
@@ -1486,18 +1453,11 @@ impl Network {
             // Live router: surgically remove condemned flits, refund the
             // credits they held, release their wormhole channels, and reset
             // every survivor's routing phase.
-            let nic = &mut self.nics[r];
-            let before = nic.inject_queue.len();
-            nic.inject_queue.retain(|f| !doomed.contains(&f.packet));
-            let removed = (before - nic.inject_queue.len()) as u64;
-            if removed > 0 {
-                self.work[r] -= removed as u32;
-                flits_dropped += removed;
-            }
-            for f in nic.inject_queue.iter_mut() {
-                f.down_phase = false;
-            }
-            nic.abort_reassembly(&doomed);
+            // NIC flits are never routed, so survivors there keep the
+            // ascending phase they were serialized with.
+            let removed = self.nics[r].drop_packets(&doomed) as u32;
+            self.work[r] -= removed;
+            flits_dropped += removed as u64;
             let router = &mut self.routers[r];
             for p in 0..5 {
                 // The restart phase for survivors in this port's buffers:
@@ -1515,44 +1475,36 @@ impl Network {
                         None => false,
                     };
                 for vc in 0..NUM_VCS {
-                    let ivc = &mut router.inputs[p].vcs[vc];
-                    let before = ivc.buf.len();
-                    if before > 0 {
-                        let mut kept = VecDeque::with_capacity(before);
-                        while let Some(mut f) = ivc.buf.pop_front() {
-                            if doomed.contains(&f.packet) {
-                                flits_dropped += 1;
-                                if p != local {
-                                    let up =
-                                        self.neighbors[r][p].expect("mesh port fed by neighbor");
-                                    if state.router_enabled(up as usize) {
-                                        refunds.push((
-                                            up as usize,
-                                            Direction::ALL[p].opposite().index(),
-                                            f.vc,
-                                        ));
-                                    }
-                                }
-                            } else {
-                                f.down_phase = resume_down;
-                                kept.push_back(f);
+                    let slot = p * NUM_VCS + vc;
+                    let removed = router.retain_mut(slot, |f| {
+                        if !doomed.contains(&f.packet) {
+                            f.down_phase = resume_down;
+                            return true;
+                        }
+                        flits_dropped += 1;
+                        if p != local {
+                            let up = self.neighbors[r][p].expect("mesh port fed by neighbor");
+                            if state.router_enabled(up as usize) {
+                                refunds.push((
+                                    up as usize,
+                                    Direction::ALL[p].opposite().index(),
+                                    f.vc,
+                                ));
                             }
                         }
-                        let removed = (before - kept.len()) as u32;
-                        ivc.buf = kept;
-                        if removed > 0 {
-                            self.buffered[r] -= removed;
-                            self.work[r] -= removed;
-                        }
-                    }
-                    if let VcState::Active { out_dir, .. } = ivc.state {
+                        false
+                    });
+                    self.buffered[r] -= removed;
+                    self.work[r] -= removed;
+                    let out_dir = router.vcs.route[slot];
+                    if out_dir != IDLE {
                         // Discard every committed-but-unsent route at the
-                        // epoch: a surviving Active packet is wholly
+                        // epoch: a surviving routed packet is wholly
                         // buffered here (mid-stream packets were condemned
                         // above) and re-plans against the new tables, while
                         // a doomed one releases its wormhole claim.
-                        ivc.state = VcState::Idle;
-                        let out = &mut router.outputs[out_dir.index()];
+                        router.vcs.route[slot] = IDLE;
+                        let out = &mut router.outputs[out_dir as usize];
                         if out.vc_owner[vc] == Some((p as u8, vc as u8)) {
                             out.vc_owner[vc] = None;
                         }
@@ -1560,31 +1512,19 @@ impl Network {
                 }
             }
             for d in 0..4 {
-                let q = &mut self.links[r][d];
-                if q.is_empty() {
+                let Some(f) = &mut self.links[r][d] else {
                     continue;
-                }
-                // Survivors here land in the downstream buffer of channel
-                // `r -> nb`; their restart phase follows that channel.
-                let resume_down = match self.neighbors[r][d] {
-                    Some(nb) => state.channel_descends(r, nb as usize),
-                    None => false,
                 };
-                let before = q.len();
-                let mut kept = VecDeque::with_capacity(before);
-                while let Some((mut f, at)) = q.pop_front() {
-                    if doomed.contains(&f.packet) {
-                        flits_dropped += 1;
-                        refunds.push((r, d, f.vc));
-                    } else {
-                        f.down_phase = resume_down;
-                        kept.push_back((f, at));
-                    }
-                }
-                let removed = (before - kept.len()) as u32;
-                *q = kept;
-                if removed > 0 {
-                    self.work[r] -= removed;
+                if doomed.contains(&f.packet) {
+                    flits_dropped += 1;
+                    refunds.push((r, d, f.vc));
+                    self.links[r][d] = None;
+                    self.work[r] -= 1;
+                } else {
+                    // A survivor lands in the downstream buffer of channel
+                    // `r -> nb`; its restart phase follows that channel.
+                    let nb = self.neighbors[r][d].expect("flits only travel real links");
+                    f.down_phase = state.channel_descends(r, nb as usize);
                 }
             }
         }
@@ -1597,8 +1537,8 @@ impl Network {
 
     /// Re-arms a repaired router's output credit counters from the actual
     /// buffer occupancy of its neighbors. Flits the router sent before it
-    /// failed may still sit in those buffers; their credits return through
-    /// the normal queue as they drain, landing the counters exactly back at
+    /// failed may still sit in those buffers; their credits return the
+    /// normal way as they drain, landing the counters exactly back at
     /// [`BUFFER_DEPTH`].
     fn restore_router_credits(&mut self, r: usize, state: &FaultState) {
         for d in 0..4 {
@@ -1611,7 +1551,7 @@ impl Network {
             }
             let facing = Direction::MESH[d].opposite().index();
             for vc in 0..NUM_VCS {
-                let occupied = self.routers[nb].inputs[facing].vcs[vc].buf.len() as u32;
+                let occupied = self.routers[nb].vcs.len[facing * NUM_VCS + vc] as u32;
                 self.routers[r].outputs[d].credits[vc] = BUFFER_DEPTH - occupied;
             }
         }
@@ -1755,7 +1695,7 @@ mod tests {
                 for &c in &out.credits {
                     assert_eq!(c, BUFFER_DEPTH);
                 }
-                assert!(out.credit_queue.is_empty());
+                assert!(out.credit_in.is_none());
             }
         }
     }
@@ -1991,7 +1931,7 @@ mod tests {
                 for &c in &out.credits {
                     assert_eq!(c, BUFFER_DEPTH, "credits corrupt at {node}");
                 }
-                assert!(out.credit_queue.is_empty());
+                assert!(out.credit_in.is_none());
             }
         }
         // Healthy again: XY routing, full delivery, counters consistent.

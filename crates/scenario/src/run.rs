@@ -16,7 +16,7 @@ use hotnoc_core::{CalibratedPower, Chip, CosimParams};
 use hotnoc_noc::{Mesh, Network, NocConfig, TrafficGenerator};
 use hotnoc_obs::TraceEvent;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Cycles the post-run drain of a traffic scenario may take, per injection
 /// cycle (plus a fixed floor). Generous: drain failure is a reportable
@@ -119,29 +119,34 @@ const CHIP_CACHE_CAP: usize = 32;
 /// by canonical chip JSON + fidelity. Building a chip is expensive (a full
 /// cycle-accurate NoC block simulation plus a bisection of leakage-coupled
 /// steady-state solves) and campaigns run many jobs against the same chip —
-/// e.g. `fig1` runs five schemes per configuration. Construction happens
-/// outside the lock so distinct chips calibrate in parallel; a race on one
-/// key wastes a duplicate build but stays deterministic (calibration is a
-/// pure function of the spec, so both results are identical).
+/// e.g. `fig1` runs five schemes per configuration. Each key has its own
+/// slot behind its own mutex: the first requester builds while later ones
+/// wait for its result, so a chip calibrates once, and distinct chips
+/// still calibrate in parallel. A failed build leaves the slot empty, so
+/// each requester gets the error from its own attempt.
 fn calibrated_chip(
     kind: &ChipKind,
     fidelity: Fidelity,
 ) -> Result<Arc<(Chip, CalibratedPower)>, ScenarioError> {
-    type Cache = Mutex<HashMap<String, Arc<(Chip, CalibratedPower)>>>;
-    static CACHE: OnceLock<Cache> = OnceLock::new();
+    type Slot = Arc<Mutex<Option<Arc<(Chip, CalibratedPower)>>>>;
+    static CACHE: OnceLock<Mutex<HashMap<String, Slot>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     let key = format!("{}|{}", fidelity_name(fidelity), kind.to_json());
-    if let Some(hit) = cache.lock().expect("chip cache lock").get(&key) {
+    let slot = {
+        let mut map = cache.lock().expect("chip cache lock");
+        if !map.contains_key(&key) && map.len() >= CHIP_CACHE_CAP {
+            map.clear();
+        }
+        Arc::clone(map.entry(key).or_default())
+    };
+    // A build that panicked left the slot empty; the next requester retries.
+    let mut built = slot.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(hit) = built.as_ref() {
         return Ok(Arc::clone(hit));
     }
     let mut chip = Chip::build(kind.to_chip_spec(fidelity))?;
     let cal = chip.calibrate()?;
-    let entry = Arc::new((chip, cal));
-    let mut map = cache.lock().expect("chip cache lock");
-    if map.len() >= CHIP_CACHE_CAP {
-        map.clear();
-    }
-    Ok(Arc::clone(map.entry(key).or_insert(entry)))
+    Ok(Arc::clone(built.insert(Arc::new((chip, cal)))))
 }
 
 fn run_ldpc(
