@@ -16,7 +16,7 @@
 //! configuration in advance.
 
 use crate::chip::{CalibratedPower, Chip};
-use crate::cosim::{co_simulate, migration_cost, CosimParams};
+use crate::cosim::{migration_cost, one_job, CosimJob, CosimOutcome, CosimParams, LanePolicy};
 use crate::error::CoreError;
 use hotnoc_obs::TraceEvent;
 use hotnoc_reconfig::{MigrationScheme, OrbitDecomposition};
@@ -112,16 +112,15 @@ pub fn run_adaptive_cosim_traced(
     params: &CosimParams,
     events: Option<&mut Vec<TraceEvent>>,
 ) -> Result<AdaptiveResult, CoreError> {
-    let base_peak = rc_model::peak(&chip.steady_with_leakage(&cal.dynamic)?);
-    let policy = Box::new(|power: &[f64]| pick_scheme(chip, power, params));
-    let (peak, _, migrations) = co_simulate(chip, cal, params, policy, events)?;
-    Ok(AdaptiveResult {
-        base_peak,
-        peak,
-        reduction: base_peak - peak,
-        throughput_penalty: migrations.throughput_penalty(),
-        schedule: migrations.schedule,
-    })
+    let job = CosimJob {
+        policy: LanePolicy::Adaptive,
+        params: *params,
+        events,
+    };
+    match one_job(chip, cal, job)? {
+        CosimOutcome::Adaptive(r) => Ok(r),
+        CosimOutcome::Periodic(_) => unreachable!("an adaptive job has an adaptive outcome"),
+    }
 }
 
 #[cfg(test)]

@@ -8,15 +8,21 @@
 //! The thermal solver integrates the resulting time-varying power map.
 //!
 //! One frame loop serves the periodic and the adaptive ([`crate::adaptive`])
-//! policies alike, so a migration costs the same heat under either.
+//! policies alike, so a migration costs the same heat under either. It
+//! steps up to [`LANES`] jobs of one chip at once ([`run_cosim_group`]),
+//! each with its own migration clock, policy, leakage, runaway check,
+//! trace and statistics; a single job is its one-lane instance, and a
+//! job's bytes do not depend on the jobs it shares a group with.
 
+use crate::adaptive::{pick_scheme, AdaptiveResult};
 use crate::chip::{check_runaway, CalibratedPower, Chip};
 use crate::error::CoreError;
 use hotnoc_obs::TraceEvent;
 use hotnoc_power::leakage::leakage_power;
 use hotnoc_reconfig::phases::PhaseCostModel;
 use hotnoc_reconfig::{MigrationPlan, MigrationScheme, OrbitDecomposition, StateSpec};
-use hotnoc_thermal::{rc_model, Integrator, ThresholdWatcher, TransientSim};
+use hotnoc_thermal::{rc_model, ThresholdWatcher, TransientLanes};
+use std::array;
 
 /// Temperature threshold watched by traced co-simulation runs, °C. Not part
 /// of [`CosimParams`] (which is serialized into artifacts) — the watcher is
@@ -195,13 +201,10 @@ pub fn run_cosim_traced(
     params: &CosimParams,
     events: Option<&mut Vec<TraceEvent>>,
 ) -> Result<CosimResult, CoreError> {
-    // Static baseline: leakage-coupled steady state.
-    let base_temps = chip.steady_with_leakage(&cal.dynamic)?;
-    let base_peak = rc_model::peak(&base_temps);
-    let base_mean = mean_of(&base_temps);
-    let period_s = cal.block_seconds * params.period_blocks as f64;
-
     let Some(scheme) = scheme else {
+        // Static baseline: leakage-coupled steady state.
+        let base_temps = chip.steady_with_leakage(&cal.dynamic)?;
+        let (base_peak, base_mean) = (rc_model::peak(&base_temps), mean_of(&base_temps));
         return Ok(CosimResult {
             base_peak,
             peak: base_peak,
@@ -210,96 +213,297 @@ pub fn run_cosim_traced(
             base_mean_temp: base_mean,
             throughput_penalty: 0.0,
             stall_seconds: 0.0,
-            period_seconds: period_s,
+            period_seconds: cal.block_seconds * params.period_blocks as f64,
             migration_energy_j: 0.0,
             phases: 0,
             migrations: 0,
         });
     };
+    let job = CosimJob {
+        policy: LanePolicy::Periodic(scheme),
+        params: *params,
+        events,
+    };
+    match one_job(chip, cal, job)? {
+        CosimOutcome::Periodic(r) => Ok(r),
+        CosimOutcome::Adaptive(_) => unreachable!("a periodic job has a periodic outcome"),
+    }
+}
 
-    let policy: Policy = Box::new(move |_: &[f64]| Ok(scheme));
-    let (peak, mean, migrations) = co_simulate(chip, cal, params, policy, events)?;
-    let cost = &migrations.priced[0].cost;
-    Ok(CosimResult {
-        base_peak,
-        peak,
-        reduction: base_peak - peak,
-        mean_temp: mean,
-        base_mean_temp: base_mean,
-        throughput_penalty: cost.stall_seconds / (period_s + cost.stall_seconds),
-        stall_seconds: cost.stall_seconds,
-        period_seconds: period_s,
-        migration_energy_j: cost.energy_j,
-        phases: cost.plan.num_phases(),
-        migrations: migrations.schedule.len() as u64,
+/// The most jobs [`run_cosim_group`] steps at once.
+pub const LANES: usize = 4;
+
+/// How a co-simulated job picks its migrations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LanePolicy {
+    /// Every migration uses this scheme, as in [`run_cosim`].
+    Periodic(MigrationScheme),
+    /// [`pick_scheme`] names each migration, as in
+    /// [`crate::run_adaptive_cosim`].
+    Adaptive,
+}
+
+/// One job of a [`run_cosim_group`] call.
+#[derive(Debug)]
+pub struct CosimJob<'e> {
+    /// The migration policy.
+    pub policy: LanePolicy,
+    /// The job's parameters. Every job of a group shares `dt` and
+    /// [`CosimParams::frames`]; the rest may differ.
+    pub params: CosimParams,
+    /// Trace buffer, as in [`run_cosim_traced`].
+    pub events: Option<&'e mut Vec<TraceEvent>>,
+}
+
+/// What one job of a [`run_cosim_group`] call produced.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CosimOutcome {
+    /// A [`LanePolicy::Periodic`] job's result.
+    Periodic(CosimResult),
+    /// A [`LanePolicy::Adaptive`] job's result.
+    Adaptive(AdaptiveResult),
+}
+
+/// Co-simulates `jobs` on one chip, [`LANES`] at a time in lockstep
+/// through one backward-Euler kernel, and returns each job's result in
+/// order. Each result is exactly what the job alone returns
+/// ([`run_cosim_traced`] or [`crate::run_adaptive_cosim_traced`]), trace
+/// included: a job that fails ends with its own error and leaves the
+/// others' bytes as they were.
+///
+/// # Panics
+///
+/// If the jobs of one lockstep group differ in `dt` or frame count, or
+/// hold no thermal frame.
+pub fn run_cosim_group(
+    chip: &Chip,
+    cal: &CalibratedPower,
+    jobs: Vec<CosimJob<'_>>,
+) -> Vec<Result<CosimOutcome, CoreError>> {
+    let mut out = Vec::with_capacity(jobs.len());
+    let mut jobs = jobs.into_iter().peekable();
+    while jobs.peek().is_some() {
+        let group: Vec<CosimJob> = jobs.by_ref().take(LANES).collect();
+        match group.len() {
+            1 => out.extend(lockstep::<1>(chip, cal, group)),
+            2 => out.extend(lockstep::<2>(chip, cal, group)),
+            3 => out.extend(lockstep::<3>(chip, cal, group)),
+            _ => out.extend(lockstep::<LANES>(chip, cal, group)),
+        }
+    }
+    out
+}
+
+/// [`run_cosim_group`] of one job.
+pub(crate) fn one_job(
+    chip: &Chip,
+    cal: &CalibratedPower,
+    job: CosimJob<'_>,
+) -> Result<CosimOutcome, CoreError> {
+    let [result] = lockstep::<1>(chip, cal, vec![job]);
+    result
+}
+
+/// Runs a group of exactly `L` jobs and assembles each job's result.
+fn lockstep<const L: usize>(
+    chip: &Chip,
+    cal: &CalibratedPower,
+    jobs: Vec<CosimJob<'_>>,
+) -> [Result<CosimOutcome, CoreError>; L] {
+    let jobs: [CosimJob; L] = jobs.try_into().expect("a group of L jobs");
+    // The static baseline each result is measured against.
+    let bases = jobs
+        .each_ref()
+        .map(|_| chip.steady_with_leakage(&cal.dynamic));
+    let shapes = jobs.each_ref().map(|j| (j.policy, j.params));
+    let runs = co_simulate(
+        chip,
+        cal,
+        jobs.map(|job| {
+            let params = job.params;
+            let policy: Policy = match job.policy {
+                LanePolicy::Periodic(scheme) => Box::new(move |_: &[f64]| Ok(scheme)),
+                LanePolicy::Adaptive => {
+                    Box::new(move |power: &[f64]| pick_scheme(chip, power, &params))
+                }
+            };
+            (params, policy, job.events)
+        }),
+    );
+    let mut lanes = bases.into_iter().zip(runs).zip(shapes);
+    array::from_fn(|_| {
+        let ((base, run), (policy, params)) = lanes.next().expect("one entry per lane");
+        Ok(outcome(cal, policy, &params, base?, run?))
     })
+}
+
+/// A finished lane's result against the static baseline `base_temps`.
+fn outcome(
+    cal: &CalibratedPower,
+    policy: LanePolicy,
+    params: &CosimParams,
+    base_temps: Vec<f64>,
+    (peak, mean, migrations): (f64, f64, Migrations<'_>),
+) -> CosimOutcome {
+    let base_peak = rc_model::peak(&base_temps);
+    match policy {
+        LanePolicy::Periodic(_) => {
+            let period_s = cal.block_seconds * params.period_blocks as f64;
+            let cost = &migrations.priced[0].cost;
+            CosimOutcome::Periodic(CosimResult {
+                base_peak,
+                peak,
+                reduction: base_peak - peak,
+                mean_temp: mean,
+                base_mean_temp: mean_of(&base_temps),
+                throughput_penalty: cost.stall_seconds / (period_s + cost.stall_seconds),
+                stall_seconds: cost.stall_seconds,
+                period_seconds: period_s,
+                migration_energy_j: cost.energy_j,
+                phases: cost.plan.num_phases(),
+                migrations: migrations.schedule.len() as u64,
+            })
+        }
+        LanePolicy::Adaptive => CosimOutcome::Adaptive(AdaptiveResult {
+            base_peak,
+            peak,
+            reduction: base_peak - peak,
+            throughput_penalty: migrations.throughput_penalty(),
+            schedule: migrations.schedule,
+        }),
+    }
 }
 
 /// Names the next migration's scheme from the current physical per-tile
 /// dynamic power map: a fixed scheme, or [`crate::adaptive::pick_scheme`].
-pub(crate) type Policy<'c> = Box<dyn FnMut(&[f64]) -> Result<MigrationScheme, CoreError> + 'c>;
+type Policy<'c> = Box<dyn FnMut(&[f64]) -> Result<MigrationScheme, CoreError> + 'c>;
 
-/// The frame loop behind every migration policy, starting at the long-run
-/// operating point of the first scheme. Returns the peak and mean block
-/// temperature over the frames after warm-up (°C) and the migration clock,
-/// which holds the committed schedule. Panics if there is no frame.
-pub(crate) fn co_simulate<'c>(
+/// One job in the frame loop: its migration clock, the power map it
+/// feeds the thermal lane, its trace and its post-warm-up statistics.
+struct Lane<'c, 'e> {
+    migrations: Migrations<'c>,
+    power: Vec<f64>,
+    events: Option<&'e mut Vec<TraceEvent>>,
+    watcher: Option<ThresholdWatcher>,
+    /// Frames before the statistics start.
+    skip: usize,
+    peak: f64,
+    sum: f64,
+}
+
+/// A lane's outcome: the peak and mean block temperature over the frames
+/// after warm-up (°C) and the migration clock, which holds the committed
+/// schedule.
+type LaneRun<'c> = Result<(f64, f64, Migrations<'c>), CoreError>;
+
+/// The frame loop behind every migration policy, for `L` jobs of one chip
+/// in lockstep. Each lane starts at the long-run operating point of its
+/// first scheme and keeps its own clock, policy, leakage, runaway check,
+/// watcher and statistics; a lane that fails stops with its own error.
+/// Panics if the lanes differ in `dt` or frame count, or hold no frame.
+fn co_simulate<'c, const L: usize>(
     chip: &'c Chip,
     cal: &CalibratedPower,
-    params: &'c CosimParams,
-    policy: Policy<'c>,
-    mut events: Option<&mut Vec<TraceEvent>>,
-) -> Result<(f64, f64, Migrations<'c>), CoreError> {
+    jobs: [(CosimParams, Policy<'c>, Option<&mut Vec<TraceEvent>>); L],
+) -> [LaneRun<'c>; L] {
     let n = cal.dynamic.len();
     let (areas, tech) = (chip.tile_areas_mm2(), chip.tech());
-    let frames = params.frames();
+    let (dt, frames) = (jobs[0].0.dt, jobs[0].0.frames());
     assert!(frames > 0, "no thermal frame in the horizon");
-    let skip = ((params.warmup / params.dt).round() as usize).min(frames - 1);
+    assert!(
+        jobs.iter().all(|j| j.0.dt == dt && j.0.frames() == frames),
+        "lockstep lanes must share dt and frame count"
+    );
 
-    let mut migrations = Migrations::new(chip, cal, params, policy)?;
-    // The long-run operating point: the time-averaged power the package
-    // integrates (active decode, reduced stall power, transfer energy).
-    let first = &migrations.priced[migrations.pending];
-    let (period_s, stall_s) = (migrations.period_s, first.cost.stall_seconds);
-    let active_s = period_s + params.stall_power_fraction * stall_s;
-    let mut power: Vec<f64> = (cal.dynamic.iter().zip(&first.transfer_j))
-        .map(|(p, t)| (p * active_s + t) / (period_s + stall_s))
-        .collect();
-    let init_temps = chip.steady_with_leakage(&power)?;
-    check_runaway(&init_temps)?;
-    for ((p, &a), &t) in power.iter_mut().zip(&areas).zip(&init_temps) {
-        *p += leakage_power(a, t, tech);
-    }
-    let mut sim = TransientSim::new(chip.thermal(), params.dt, Integrator::BackwardEuler)?;
-    sim.init_from_steady(&power)?;
-
-    let mut watcher = events
-        .as_ref()
-        .map(|_| ThresholdWatcher::new(TRACE_TEMP_THRESHOLD_C, TRACE_TEMP_HYSTERESIS_C, n));
-    let (mut peak, mut sum) = (f64::NEG_INFINITY, 0.0);
-    for fi in 0..frames {
-        migrations.fill(&mut power, fi, events.as_deref_mut())?;
-        // Temperature-coupled leakage from the previous frame's state.
-        for ((p, &a), &t) in power.iter_mut().zip(&areas).zip(sim.block_temps()) {
+    let mut lanes: [Result<Lane, CoreError>; L] = jobs.map(|(params, policy, events)| {
+        let migrations = Migrations::new(chip, cal, params, policy)?;
+        // The long-run operating point: the time-averaged power the
+        // package integrates (active decode, reduced stall power,
+        // transfer energy).
+        let first = &migrations.priced[migrations.pending];
+        let (period_s, stall_s) = (migrations.period_s, first.cost.stall_seconds);
+        let active_s = period_s + params.stall_power_fraction * stall_s;
+        let mut power: Vec<f64> = (cal.dynamic.iter().zip(&first.transfer_j))
+            .map(|(p, t)| (p * active_s + t) / (period_s + stall_s))
+            .collect();
+        let init_temps = chip.steady_with_leakage(&power)?;
+        check_runaway(&init_temps)?;
+        for ((p, &a), &t) in power.iter_mut().zip(&areas).zip(&init_temps) {
             *p += leakage_power(a, t, tech);
         }
-        sim.step(&power)?;
-        let temps = sim.block_temps();
-        check_runaway(temps)?;
-        if let (Some(ev), Some(w)) = (events.as_deref_mut(), watcher.as_mut()) {
-            let cycle = chip
-                .noc_config()
-                .seconds_to_cycles((fi + 1) as f64 * params.dt);
-            w.observe(cycle, temps, ev);
+        let watcher = events
+            .as_ref()
+            .map(|_| ThresholdWatcher::new(TRACE_TEMP_THRESHOLD_C, TRACE_TEMP_HYSTERESIS_C, n));
+        Ok(Lane {
+            migrations,
+            power,
+            events,
+            watcher,
+            skip: ((params.warmup / params.dt).round() as usize).min(frames - 1),
+            peak: f64::NEG_INFINITY,
+            sum: 0.0,
+        })
+    });
+    let mut sim = TransientLanes::<L>::new(chip.thermal(), dt);
+    for (l, slot) in lanes.iter_mut().enumerate() {
+        let Ok(lane) = slot else { continue };
+        let init = match &mut sim {
+            Ok(sim) => sim.init_from_steady(l, &lane.power),
+            Err(e) => Err(e.clone()),
+        };
+        if let Err(e) = init {
+            *slot = Err(e.into());
         }
-        if fi >= skip {
-            for &t in temps {
-                peak = peak.max(t);
-                sum += t;
+    }
+
+    if let Ok(sim) = &mut sim {
+        for fi in 0..frames {
+            for (l, slot) in lanes.iter_mut().enumerate() {
+                let Ok(lane) = slot else { continue };
+                let events = lane.events.as_deref_mut();
+                if let Err(e) = lane.migrations.fill(&mut lane.power, fi, events) {
+                    *slot = Err(e);
+                    continue;
+                }
+                // Temperature-coupled leakage from the previous frame's state.
+                let temps = sim.block_temps(l);
+                for ((p, &a), &t) in lane.power.iter_mut().zip(&areas).zip(temps) {
+                    *p += leakage_power(a, t, tech);
+                }
+            }
+            let power = array::from_fn(|l| lanes[l].as_ref().ok().map(|lane| &lane.power[..]));
+            let stepped = sim.step(power);
+            for ((l, slot), step) in lanes.iter_mut().enumerate().zip(stepped) {
+                let Ok(lane) = slot else { continue };
+                let temps = sim.block_temps(l);
+                if let Err(e) = step
+                    .map_err(CoreError::from)
+                    .and_then(|()| check_runaway(temps))
+                {
+                    *slot = Err(e);
+                    continue;
+                }
+                if let (Some(ev), Some(w)) = (lane.events.as_deref_mut(), lane.watcher.as_mut()) {
+                    let cycle = chip.noc_config().seconds_to_cycles((fi + 1) as f64 * dt);
+                    w.observe(cycle, temps, ev);
+                }
+                if fi >= lane.skip {
+                    for &t in temps {
+                        lane.peak = lane.peak.max(t);
+                        lane.sum += t;
+                    }
+                }
+            }
+            if lanes.iter().all(Result::is_err) {
+                break;
             }
         }
     }
-    Ok((peak, sum / ((frames - skip) * n) as f64, migrations))
+    lanes.map(|slot| {
+        let lane = slot?;
+        let mean = lane.sum / ((frames - lane.skip) * n) as f64;
+        Ok((lane.peak, mean, lane.migrations))
+    })
 }
 
 /// One scheme's migration as the frame loop charges it: the §2.2 cost and
@@ -314,9 +518,9 @@ struct Priced {
 /// The super-period clock: `period_blocks` blocks of decoding on the
 /// current placement, the pending migration's stall, then its commit, which
 /// moves the workload and asks the policy for the next migration.
-pub(crate) struct Migrations<'c> {
+struct Migrations<'c> {
     chip: &'c Chip,
-    params: &'c CosimParams,
+    params: CosimParams,
     total_dynamic: f64,
     policy: Policy<'c>,
     /// Every scheme the policy has named, priced once.
@@ -329,7 +533,7 @@ pub(crate) struct Migrations<'c> {
     /// Time into the current super-period, s.
     tau: f64,
     /// Committed migrations, in order.
-    pub(crate) schedule: Vec<MigrationScheme>,
+    schedule: Vec<MigrationScheme>,
     /// Total stall time of the committed migrations, s.
     stalled_s: f64,
 }
@@ -338,7 +542,7 @@ impl<'c> Migrations<'c> {
     fn new(
         chip: &'c Chip,
         cal: &CalibratedPower,
-        params: &'c CosimParams,
+        params: CosimParams,
         policy: Policy<'c>,
     ) -> Result<Self, CoreError> {
         let mut migrations = Migrations {
@@ -368,7 +572,7 @@ impl<'c> Migrations<'c> {
             .position(|m| m.cost.plan.scheme == scheme);
         self.pending = known.unwrap_or(self.priced.len());
         if known.is_none() {
-            let (mesh, p) = (self.chip.mesh(), self.params);
+            let (mesh, p) = (self.chip.mesh(), &self.params);
             let cost = migration_cost(self.chip, scheme, p, self.total_dynamic);
             let ends = cost.plan.per_tile_endpoint_flits(mesh);
             let transfer_j = (cost.plan.per_tile_flit_hops(mesh).iter().zip(ends))
@@ -442,7 +646,7 @@ impl<'c> Migrations<'c> {
 
     /// Σ stall / Σ (period + stall) over the committed migrations; 0 when
     /// none was committed.
-    pub(crate) fn throughput_penalty(&self) -> f64 {
+    fn throughput_penalty(&self) -> f64 {
         match self.schedule.len() {
             0 => 0.0,
             m => self.stalled_s / (m as f64 * self.period_s + self.stalled_s),
@@ -574,6 +778,85 @@ mod tests {
         );
     }
 
+    #[test]
+    fn grouped_jobs_are_byte_identical_to_each_job_alone() {
+        let (chip, cal) = chip_and_cal(ChipConfigId::A);
+        let quick = CosimParams::quick();
+        let slow = CosimParams {
+            period_blocks: 96,
+            ..quick
+        };
+        // Transfer energy this large runs away at the first operating point.
+        let runaway = CosimParams {
+            e_flit_hop: 1e-3,
+            ..quick
+        };
+        let xy = LanePolicy::Periodic(MigrationScheme::XYShift);
+        let rot = LanePolicy::Periodic(MigrationScheme::Rotation);
+        // Five jobs: a lockstep group of four (one of which fails), then one.
+        let jobs = [
+            (xy, quick, true),
+            (LanePolicy::Adaptive, slow, true),
+            (xy, runaway, true),
+            (rot, slow, false),
+            (LanePolicy::Adaptive, quick, false),
+        ];
+        let render = |r: &Result<CosimOutcome, CoreError>| match r {
+            Ok(o) => format!("{o:?}"),
+            Err(e) => format!("error: {e}"),
+        };
+        let alone: Vec<(String, Vec<TraceEvent>)> = jobs
+            .iter()
+            .map(|&(policy, params, traced)| {
+                let mut events = Vec::new();
+                let events_ref = traced.then_some(&mut events);
+                let job = CosimJob {
+                    policy,
+                    params,
+                    events: events_ref,
+                };
+                (render(&one_job(&chip, &cal, job)), events)
+            })
+            .collect();
+        let mut traces = vec![Vec::new(); jobs.len()];
+        let group = jobs
+            .iter()
+            .zip(&mut traces)
+            .map(|(&(policy, params, traced), events)| CosimJob {
+                policy,
+                params,
+                events: traced.then_some(events),
+            })
+            .collect();
+        let grouped = run_cosim_group(&chip, &cal, group);
+        assert_eq!(grouped.len(), jobs.len());
+        for (l, ((got, trace), (want, want_trace))) in
+            grouped.iter().zip(&traces).zip(&alone).enumerate()
+        {
+            assert_eq!(&render(got), want, "job {l}");
+            assert_eq!(trace, want_trace, "job {l} trace");
+        }
+        assert!(
+            alone[2].0.starts_with("error: thermal runaway"),
+            "{}",
+            alone[2].0
+        );
+        assert!(alone.iter().filter(|a| a.0.starts_with("error")).count() == 1);
+        assert!(!traces[0].is_empty() && !traces[1].is_empty());
+        // A periodic job alone is `run_cosim`, an adaptive one
+        // `run_adaptive_cosim`.
+        let direct = run_cosim(&chip, &cal, Some(MigrationScheme::XYShift), &quick).unwrap();
+        assert_eq!(
+            render(&grouped[0]),
+            render(&Ok(CosimOutcome::Periodic(direct)))
+        );
+        let adaptive = crate::adaptive::run_adaptive_cosim(&chip, &cal, &quick).unwrap();
+        assert_eq!(
+            render(&grouped[4]),
+            render(&Ok(CosimOutcome::Adaptive(adaptive)))
+        );
+    }
+
     /// Drives the migration clock alone over the horizon of `params` and
     /// checks the dynamic energy it integrated (Σ frame power × dt) against
     /// the energy its committed migrations are charged, plus the open
@@ -584,7 +867,7 @@ mod tests {
         params: &CosimParams,
         policy: Policy,
     ) -> Vec<MigrationScheme> {
-        let mut clock = Migrations::new(chip, cal, params, policy).unwrap();
+        let mut clock = Migrations::new(chip, cal, *params, policy).unwrap();
         let mut frame = vec![0.0; cal.dynamic.len()];
         let mut integrated = 0.0;
         for fi in 0..params.frames() {

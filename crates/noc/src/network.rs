@@ -113,7 +113,10 @@ pub struct Network {
     /// flight to the downstream router, if any.
     links: Vec<Links>,
     nics: Vec<Nic>,
+    /// Delivered packets per destination since the last drain; kept only
+    /// after [`Network::record_deliveries`].
     delivered: Vec<Vec<DeliveredPacket>>,
+    record_deliveries: bool,
     cycle: u64,
     stats: NetworkStats,
     address_map: Option<Box<dyn AddressMap>>,
@@ -200,6 +203,8 @@ struct SweepCtx<'a> {
     /// Whether a trace is recording; gates the (cheap) per-router
     /// congestion sampling inside the sweep.
     trace: bool,
+    /// Whether delivered packets are logged for the drain calls.
+    record_deliveries: bool,
 }
 
 /// One stripe of the allocation sweep: a contiguous router-id range
@@ -493,7 +498,9 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
                     out.stats.total_packet_latency += lat;
                     out.stats.max_packet_latency = out.stats.max_packet_latency.max(lat);
                     out.stats.latency_histogram.record(lat);
-                    stripe.delivered[i].push(record);
+                    if ctx.record_deliveries {
+                        stripe.delivered[i].push(record);
+                    }
                 }
                 out.stats.flits_ejected += 1;
             } else {
@@ -578,6 +585,7 @@ impl Network {
             links: vec![[None; 4]; n],
             nics: (0..n).map(|_| Nic::default()).collect(),
             delivered: (0..n).map(|_| Vec::new()).collect(),
+            record_deliveries: false,
             cycle: 0,
             stats: NetworkStats::default(),
             address_map: None,
@@ -718,14 +726,33 @@ impl Network {
         }
     }
 
+    /// Starts logging every delivered packet for [`Network::drain_delivered`]
+    /// and [`Network::drain_all_delivered`]. A network that does not opt in
+    /// keeps no per-packet record (its statistics count every delivery
+    /// either way), so a long run holds no memory per packet.
+    pub fn record_deliveries(&mut self) {
+        self.record_deliveries = true;
+    }
+
     /// Packets delivered at `node` since the last drain.
+    ///
+    /// # Panics
+    ///
+    /// If the network does not record deliveries
+    /// ([`Network::record_deliveries`]).
     pub fn drain_delivered(&mut self, node: NodeId) -> Vec<DeliveredPacket> {
+        assert!(self.record_deliveries, "deliveries are not being recorded");
         std::mem::take(&mut self.delivered[node.index()])
     }
 
     /// All packets delivered anywhere since the last drain, in delivery
     /// order per node.
+    ///
+    /// # Panics
+    ///
+    /// As [`Network::drain_delivered`].
     pub fn drain_all_delivered(&mut self) -> Vec<DeliveredPacket> {
+        assert!(self.record_deliveries, "deliveries are not being recorded");
         let total: usize = self.delivered.iter().map(Vec::len).sum();
         let mut out = Vec::with_capacity(total);
         for v in &mut self.delivered {
@@ -819,6 +846,7 @@ impl Network {
                 _ => None,
             },
             trace: self.trace.is_some(),
+            record_deliveries: self.record_deliveries,
         };
         if nstripes == 1 {
             let out = &mut self.stripe_outs[0];
@@ -1576,6 +1604,7 @@ mod tests {
     #[test]
     fn single_packet_delivery() {
         let mut net = mk_net(4);
+        net.record_deliveries();
         let p = packet(0, &net, 0, 0, 3, 3, 4);
         net.inject(p).unwrap();
         let delivered = net.run_until_idle(1_000).unwrap();
@@ -1752,6 +1781,7 @@ mod tests {
         }
 
         let mut net = mk_net(4);
+        net.record_deliveries();
         net.set_address_map(Box::new(SwapCorners));
         let p = packet(0, &net, 1, 1, 0, 0, 2); // logical dst (0,0)
         net.inject_external(p).unwrap();
@@ -1831,8 +1861,20 @@ mod tests {
     }
 
     #[test]
+    fn deliveries_are_logged_only_on_request() {
+        let mut net = mk_net(3);
+        for i in 0..4 {
+            net.inject(packet(i, &net, 0, 0, 2, 2, 2)).unwrap();
+        }
+        net.run_until_idle(10_000).unwrap();
+        assert_eq!(net.stats().packets_delivered, 4);
+        assert!(net.delivered.iter().all(Vec::is_empty));
+    }
+
+    #[test]
     fn drain_all_delivered_returns_everything_once() {
         let mut net = mk_net(3);
+        net.record_deliveries();
         for i in 0..6 {
             net.inject(packet(i, &net, 0, 0, 2, 2, 2)).unwrap();
         }

@@ -140,6 +140,8 @@ proptest! {
         let mesh = Mesh::square(4).unwrap();
         let mut healthy = Network::new(mesh, NocConfig::default());
         let mut repaired = Network::new(mesh, NocConfig::default());
+        healthy.record_deliveries();
+        repaired.record_deliveries();
         healthy.set_par_threshold(1);
         repaired.set_par_threshold(1);
         repaired

@@ -17,6 +17,7 @@ fn drive(
     mut gen: TrafficGenerator,
     cycles: u64,
 ) -> (Vec<[u64; 6]>, Vec<DeliveredPacket>) {
+    net.record_deliveries();
     let mut trace = Vec::with_capacity(cycles as usize);
     for _ in 0..cycles {
         gen.tick(&mut net);
@@ -192,7 +193,9 @@ proptest! {
 
         let mut reference = Network::new(mesh, NocConfig::default());
         reference.set_threads(1);
+        reference.record_deliveries();
         let mut striped = Network::new(mesh, NocConfig::default());
+        striped.record_deliveries();
         striped.set_threads(threads);
         striped.set_par_threshold(1);
 

@@ -11,7 +11,9 @@ use crate::outcome::{CosimMetrics, PlanCostMetrics, ScenarioOutcome, TrafficMetr
 use crate::spec::{fidelity_name, ChipKind, Mode, Policy, ScenarioSpec, Workload};
 use hotnoc_core::adaptive::run_adaptive_cosim_traced;
 use hotnoc_core::configs::Fidelity;
-use hotnoc_core::cosim::{migration_cost, run_cosim_traced};
+use hotnoc_core::cosim::{
+    migration_cost, run_cosim_group, run_cosim_traced, CosimJob, CosimOutcome, LanePolicy,
+};
 use hotnoc_core::{CalibratedPower, Chip, CosimParams};
 use hotnoc_noc::{Mesh, Network, NocConfig, TrafficGenerator};
 use hotnoc_obs::TraceEvent;
@@ -81,19 +83,135 @@ pub fn run_scenario_traced_as_job(
     job: u64,
 ) -> Result<(ScenarioOutcome, Vec<TraceEvent>), ScenarioError> {
     spec.validate().map_err(ScenarioError::Spec)?;
-    let mut events = vec![TraceEvent::JobStart {
+    let mut events = vec![job_start(spec, job)];
+    let outcome = dispatch(spec, Some(&mut events))?;
+    job_finish(spec, job, &mut events);
+    Ok((outcome, events))
+}
+
+/// The event that opens job `job`'s trace.
+fn job_start(spec: &ScenarioSpec, job: u64) -> TraceEvent {
+    TraceEvent::JobStart {
         cycle: 0,
         job,
         name: spec.name.clone(),
-    }];
-    let outcome = dispatch(spec, Some(&mut events))?;
+    }
+}
+
+/// Closes job `job`'s trace with a [`TraceEvent::JobFinish`] keyed by the
+/// highest cycle any event reached.
+fn job_finish(spec: &ScenarioSpec, job: u64, events: &mut Vec<TraceEvent>) {
     let end = events.iter().map(TraceEvent::cycle).max().unwrap_or(0);
     events.push(TraceEvent::JobFinish {
         cycle: end,
         job,
         name: spec.name.clone(),
     });
-    Ok((outcome, events))
+}
+
+/// The lockstep group a job may share with others
+/// ([`hotnoc_core::cosim::run_cosim_group`]): its chip (canonical JSON),
+/// fidelity, thermal step and frame count. `None` for a job that always
+/// runs alone: a baseline, plan-cost or traffic job, or a horizon without
+/// a frame.
+pub(crate) fn lane_key(spec: &ScenarioSpec) -> Option<String> {
+    lane_policy(spec)?;
+    let params = params_of(spec);
+    (params.frames() > 0).then(|| {
+        format!(
+            "{}|{}|{:x}|{}",
+            fidelity_name(spec.fidelity),
+            spec.chip.to_json(),
+            params.dt.to_bits(),
+            params.frames()
+        )
+    })
+}
+
+/// How a transient LDPC co-simulation job migrates; `None` for every other
+/// job. The arms are [`run_ldpc`]'s.
+fn lane_policy(spec: &ScenarioSpec) -> Option<LanePolicy> {
+    match (&spec.workload, &spec.policy, spec.mode) {
+        (Workload::Ldpc, Policy::Periodic { scheme, .. }, Mode::Cosim) => {
+            Some(LanePolicy::Periodic(*scheme))
+        }
+        (Workload::Ldpc, Policy::Adaptive { .. }, _) => Some(LanePolicy::Adaptive),
+        _ => None,
+    }
+}
+
+/// Runs co-simulation jobs that share a [`lane_key`] in lockstep on their
+/// one chip. Each entry is a spec and, for a traced job, its campaign job
+/// index. Returns each job's outcome and trace (empty when untraced): the
+/// bytes [`run_scenario`] and [`run_scenario_traced_as_job`] give the job
+/// alone. A job that fails ends with its own error.
+///
+/// # Panics
+///
+/// If a job has no [`lane_key`] or the keys differ.
+pub(crate) fn run_lockstep(
+    jobs: &[(&ScenarioSpec, Option<u64>)],
+) -> Vec<Result<(ScenarioOutcome, Vec<TraceEvent>), ScenarioError>> {
+    let key = lane_key(jobs[0].0);
+    assert!(
+        key.is_some() && jobs.iter().all(|(spec, _)| lane_key(spec) == key),
+        "lockstep jobs share one lane key"
+    );
+    let mut traces: Vec<Vec<TraceEvent>> = jobs
+        .iter()
+        .map(|&(spec, job)| job.map(|j| vec![job_start(spec, j)]).unwrap_or_default())
+        .collect();
+    // Each job validates and looks its chip up on its own, as it would
+    // alone; the calibrated-chip cache builds the chip once.
+    let mut results: Vec<Option<Result<ScenarioOutcome, ScenarioError>>> =
+        Vec::with_capacity(jobs.len());
+    let mut chip = None;
+    for (spec, _) in jobs {
+        let ready = (spec.validate().map_err(ScenarioError::Spec))
+            .and_then(|()| calibrated_chip(&spec.chip, spec.fidelity));
+        match ready {
+            Ok(cached) => {
+                chip.get_or_insert(cached);
+                results.push(None);
+            }
+            Err(e) => results.push(Some(Err(e))),
+        }
+    }
+    if let Some(cached) = &chip {
+        let lanes: Vec<CosimJob> = (jobs.iter().zip(&mut traces).zip(&results))
+            .filter(|(_, done)| done.is_none())
+            .map(|(((spec, job), trace), _)| CosimJob {
+                policy: lane_policy(spec).expect("keyed jobs have a lane policy"),
+                params: params_of(spec),
+                events: job.map(|_| trace),
+            })
+            .collect();
+        let mut outcomes = run_cosim_group(&cached.0, &cached.1, lanes).into_iter();
+        for slot in results.iter_mut().filter(|r| r.is_none()) {
+            let outcome = outcomes.next().expect("one outcome per lane");
+            *slot = Some(outcome.map(scenario_outcome).map_err(ScenarioError::from));
+        }
+    }
+    results
+        .into_iter()
+        .zip(traces)
+        .zip(jobs)
+        .map(|((result, mut events), &(spec, job))| {
+            let outcome = result.expect("every job has a result")?;
+            if let Some(j) = job {
+                job_finish(spec, j, &mut events);
+            }
+            Ok((outcome, events))
+        })
+        .collect()
+}
+
+/// A co-simulation job's result as a scenario outcome.
+fn scenario_outcome(outcome: CosimOutcome) -> ScenarioOutcome {
+    match outcome {
+        CosimOutcome::Periodic(r) => ScenarioOutcome::Cosim(CosimMetrics::of(&r)),
+        CosimOutcome::Adaptive(r) => ScenarioOutcome::Adaptive(r),
+    }
 }
 
 fn dispatch(
@@ -174,11 +292,11 @@ fn run_ldpc(
         }
         (Policy::Periodic { scheme, .. }, Mode::Cosim) => {
             let r = run_cosim_traced(chip, cal, Some(*scheme), &params, events)?;
-            Ok(ScenarioOutcome::Cosim(CosimMetrics::of(&r)))
+            Ok(scenario_outcome(CosimOutcome::Periodic(r)))
         }
         (Policy::Adaptive { .. }, _) => {
             let r = run_adaptive_cosim_traced(chip, cal, &params, events)?;
-            Ok(ScenarioOutcome::Adaptive(r))
+            Ok(scenario_outcome(CosimOutcome::Adaptive(r)))
         }
     }
 }

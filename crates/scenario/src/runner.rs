@@ -14,10 +14,12 @@
 //! # Determinism
 //!
 //! Jobs are independent and each is internally deterministic (see
-//! [`crate::run`]); workers pull job indices from a shared counter, so
-//! *completion* order varies with the thread count, but results are stored
-//! by job index and the artifact is serialized in index order — the emitted
-//! `CAMPAIGN_<name>.json` is byte-identical at any `--threads`, and a
+//! [`crate::run`]); co-simulation jobs of one chip run in lockstep groups
+//! whose every job has the bytes it has alone. Workers pull work units
+//! from a shared counter, so *completion* order varies with the thread
+//! count, but results are stored by job index and the artifact is
+//! serialized in index order — the emitted `CAMPAIGN_<name>.json` is
+//! byte-identical at any `--threads`, and a
 //! resumed campaign (outcomes read back from the manifest) produces the
 //! same bytes as an uninterrupted one.
 //!
@@ -42,13 +44,14 @@ use crate::error::ScenarioError;
 use crate::journal::{self, ResumeError};
 use crate::json::Json;
 use crate::outcome::ScenarioOutcome;
-use crate::run::{run_scenario, run_scenario_traced_as_job};
+use crate::run::{lane_key, run_lockstep, run_scenario, run_scenario_traced_as_job};
 use crate::shard::{Shard, SHARD_SCHEMA};
 use crate::spec::ScenarioSpec;
 use crate::stats::{aggregate, aggregate_json, headline_metric};
 use crate::tracefile::TraceDoc;
+use hotnoc_core::cosim::LANES;
 use hotnoc_obs::TraceEvent;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -362,8 +365,9 @@ fn execute_journaled_on(
         pending.truncate(cap);
     }
     let executed_jobs = pending.len();
+    let units = work_units(jobs, &pending);
 
-    // Parallel execution: workers pull indices from a shared counter and
+    // Parallel execution: workers pull work units from a shared counter and
     // journal each completed job immediately (kill-safe), storing results
     // by job index for deterministic assembly.
     let results: Mutex<Vec<Option<Result<ScenarioOutcome, String>>>> =
@@ -378,7 +382,7 @@ fn execute_journaled_on(
         for _ in 0..threads {
             s.spawn(|| loop {
                 let slot = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&index) = pending.get(slot) else {
+                let Some(unit) = units.get(slot) else {
                     return;
                 };
                 if opts.progress {
@@ -393,36 +397,38 @@ fn execute_journaled_on(
                         resumed_jobs,
                     );
                 }
-                let job = &jobs[index];
-                match run_job(job, index, slice, opts) {
-                    Ok(outcome) => {
-                        let line = Json::object(vec![
-                            ("job", Json::int(index as u64)),
-                            ("scenario", Json::Str(job.name.clone())),
-                            ("outcome", outcome.to_json()),
-                        ]);
-                        // Journal failures are reported as job failures
-                        // below rather than killing the worker.
-                        if let Err(e) = manifest.append(&line) {
-                            results.lock().expect("results lock")[index] =
-                                Some(Err(format!("manifest write failed: {e}")));
+                for (&index, result) in unit.iter().zip(run_unit(unit, slice, opts)) {
+                    let job = &jobs[index];
+                    let outcome = match result {
+                        Ok(outcome) => outcome,
+                        Err(cause) => {
+                            results.lock().expect("results lock")[index] = Some(Err(cause));
                             continue;
                         }
-                        let n = finished.fetch_add(1, Ordering::Relaxed) + 1;
-                        if opts.progress {
-                            eprintln!(
-                                "[{n}/{}] {}: {}",
-                                slice.work.len(),
-                                job.name,
-                                outcome.summary()
-                            );
-                            heartbeat(&started, &last_beat, n, slice.work.len(), resumed_jobs);
-                        }
-                        results.lock().expect("results lock")[index] = Some(Ok(outcome));
+                    };
+                    let line = Json::object(vec![
+                        ("job", Json::int(index as u64)),
+                        ("scenario", Json::Str(job.name.clone())),
+                        ("outcome", outcome.to_json()),
+                    ]);
+                    // Journal failures are reported as job failures below
+                    // rather than killing the worker.
+                    if let Err(e) = manifest.append(&line) {
+                        results.lock().expect("results lock")[index] =
+                            Some(Err(format!("manifest write failed: {e}")));
+                        continue;
                     }
-                    Err(cause) => {
-                        results.lock().expect("results lock")[index] = Some(Err(cause));
+                    let n = finished.fetch_add(1, Ordering::Relaxed) + 1;
+                    if opts.progress {
+                        eprintln!(
+                            "[{n}/{}] {}: {}",
+                            slice.work.len(),
+                            job.name,
+                            outcome.summary()
+                        );
+                        heartbeat(&started, &last_beat, n, slice.work.len(), resumed_jobs);
                     }
+                    results.lock().expect("results lock")[index] = Some(Ok(outcome));
                 }
             });
         }
@@ -454,22 +460,95 @@ fn execute_journaled_on(
     })
 }
 
-/// Executes one job, writing its deterministic event trace to
-/// `TRACE_<campaign>.job<index>.jsonl` when a trace directory is
-/// configured. The trace lands on disk *before* the job is journaled, so a
-/// journaled (resumable) job always has its trace; a kill in between
-/// re-runs the job and rewrites the identical bytes.
+/// Orders the pending jobs into work units. Co-simulation jobs that share
+/// a [`lane_key`] (chip, fidelity, step and frame count) form groups of up
+/// to [`LANES`], in index order; every other job is a unit of its own. The
+/// units are dealt round-robin across keys in first-appearance order, so
+/// concurrent workers start on different chips instead of waiting on one
+/// calibration. A campaign without co-simulation jobs keeps index order.
+fn work_units(jobs: &[ScenarioSpec], pending: &[usize]) -> Vec<Vec<usize>> {
+    let mut keyed: Vec<Vec<Vec<usize>>> = Vec::new();
+    let mut slot_of: HashMap<String, usize> = HashMap::new();
+    for &index in pending {
+        let Some(key) = lane_key(&jobs[index]) else {
+            keyed.push(vec![vec![index]]);
+            continue;
+        };
+        let slot = *slot_of.entry(key).or_insert_with(|| {
+            keyed.push(Vec::new());
+            keyed.len() - 1
+        });
+        match keyed[slot].last_mut() {
+            Some(group) if group.len() < LANES => group.push(index),
+            _ => keyed[slot].push(vec![index]),
+        }
+    }
+    let rounds = keyed.iter().map(Vec::len).max().unwrap_or(0);
+    (0..rounds)
+        .flat_map(|round| {
+            keyed
+                .iter()
+                .filter_map(move |units| units.get(round).cloned())
+        })
+        .collect()
+}
+
+/// Executes one work unit ([`work_units`]) and returns each job's result in
+/// the unit's order: a lone job through [`run_job`], a group in lockstep.
+/// Each traced job's trace is written as [`run_job`] writes it.
+fn run_unit(
+    unit: &[usize],
+    slice: &JournalSlice<'_>,
+    opts: &RunnerOptions,
+) -> Vec<Result<ScenarioOutcome, String>> {
+    if let [index] = unit {
+        return vec![run_job(&slice.jobs[*index], *index, slice, opts)];
+    }
+    let traced = opts.trace_dir.is_some();
+    let members: Vec<_> = (unit.iter())
+        .map(|&i| (&slice.jobs[i], traced.then_some(i as u64)))
+        .collect();
+    (run_lockstep(&members).into_iter().zip(unit))
+        .map(|(result, &index)| {
+            let (outcome, events) = result.map_err(|e| e.to_string())?;
+            if traced {
+                write_trace(index, events, slice, opts)?;
+            }
+            Ok(outcome)
+        })
+        .collect()
+}
+
+/// Executes one job, writing its deterministic event trace when a trace
+/// directory is configured ([`write_trace`]).
 fn run_job(
     job: &ScenarioSpec,
     index: usize,
     slice: &JournalSlice<'_>,
     opts: &RunnerOptions,
 ) -> Result<ScenarioOutcome, String> {
-    let Some(dir) = &opts.trace_dir else {
+    if opts.trace_dir.is_none() {
         return run_scenario(job).map_err(|e| e.to_string());
-    };
-    let (outcome, mut events) =
+    }
+    let (outcome, events) =
         run_scenario_traced_as_job(job, index as u64).map_err(|e| e.to_string())?;
+    write_trace(index, events, slice, opts)?;
+    Ok(outcome)
+}
+
+/// Writes job `index`'s trace to `TRACE_<campaign>.job<index>.jsonl` in
+/// the trace directory. The trace lands on disk *before* the job is
+/// journaled, so a journaled (resumable) job always has its trace; a kill
+/// in between re-runs the job and rewrites the identical bytes.
+fn write_trace(
+    index: usize,
+    mut events: Vec<TraceEvent>,
+    slice: &JournalSlice<'_>,
+    opts: &RunnerOptions,
+) -> Result<(), String> {
+    let Some(dir) = &opts.trace_dir else {
+        return Ok(());
+    };
     if let Some(shard) = opts.shard {
         // Keyed by stripe position, not completion order, so sharded
         // traces stay byte-deterministic at any thread count.
@@ -491,9 +570,11 @@ fn run_job(
         .and_then(Json::as_str)
         .unwrap_or("campaign");
     let path = dir.join(format!("TRACE_{campaign}.job{index}.jsonl"));
-    std::fs::write(&path, TraceDoc::new(&job.name, events).to_jsonl())
-        .map_err(|e| format!("trace write failed: {e}"))?;
-    Ok(outcome)
+    std::fs::write(
+        &path,
+        TraceDoc::new(&slice.jobs[index].name, events).to_jsonl(),
+    )
+    .map_err(|e| format!("trace write failed: {e}"))
 }
 
 /// Emits the periodic progress/ETA heartbeat to stderr: due every
@@ -864,6 +945,60 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("hotnoc-runner-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn work_units_group_cosim_jobs_per_chip_and_interleave_chips() {
+        use hotnoc_reconfig::MigrationScheme;
+        let spec = CampaignSpec {
+            configs: vec![
+                ChipKind::Config(ChipConfigId::A),
+                ChipKind::Config(ChipConfigId::E),
+            ],
+            workloads: vec![Workload::Ldpc],
+            policies: vec![
+                PolicyAxis::Baseline,
+                PolicyAxis::Periodic,
+                PolicyAxis::Adaptive,
+            ],
+            schemes: vec![MigrationScheme::XYShift, MigrationScheme::Rotation],
+            periods: vec![4, 8, 16],
+            seeds: vec![0],
+            ..tiny_campaign("units")
+        };
+        let jobs = spec.expand();
+        // Per chip: a baseline, six periodic and three adaptive jobs.
+        assert_eq!(jobs.len(), 20);
+        let all: Vec<usize> = (0..jobs.len()).collect();
+        let want: Vec<Vec<usize>> = vec![
+            vec![0],
+            vec![1, 2, 3, 4],
+            vec![10],
+            vec![11, 12, 13, 14],
+            vec![5, 6, 7, 8],
+            vec![15, 16, 17, 18],
+            vec![9],
+            vec![19],
+        ];
+        assert_eq!(work_units(&jobs, &all), want);
+        // A cut is taken by index before grouping: its remainder group is
+        // as wide as it needs.
+        assert_eq!(
+            work_units(&jobs, &all[..7]),
+            vec![vec![0], vec![1, 2, 3, 4], vec![5, 6]]
+        );
+        // A horizon override joins jobs only with its own frame count.
+        let mut longer = jobs.clone();
+        longer[2].sim_time_ms = Some(30.0);
+        assert_eq!(
+            work_units(&longer, &all[..6])[1..],
+            [vec![1, 3, 4, 5], vec![2]]
+        );
+        // Jobs that never share a group keep index order.
+        let traffic = tiny_campaign("traffic").expand();
+        let indices: Vec<usize> = (0..traffic.len()).collect();
+        let singles: Vec<Vec<usize>> = indices.iter().map(|&i| vec![i]).collect();
+        assert_eq!(work_units(&traffic, &indices), singles);
     }
 
     #[test]

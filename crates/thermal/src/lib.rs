@@ -7,8 +7,9 @@
 //! thermal interface material (TIM) into the heat spreader, heat sink and
 //! finally, via a convection resistance, into ambient air. This crate builds
 //! the same style of network ([`rc_model::RcNetwork`]) and provides both a
-//! steady-state solver (dense LU) and transient solvers (backward Euler with
-//! a pre-factored system matrix, plus classic RK4).
+//! steady-state solver (dense LU) and transient solvers (backward Euler by
+//! warm-started sparse conjugate gradient, one simulation or several in
+//! lockstep, plus classic RK4).
 //!
 //! The paper's setup — "HotSpot ... with all settings at the default values
 //! and an ambient temp. of 40 °C" — corresponds to
@@ -46,6 +47,7 @@ pub use error::ThermalError;
 pub use floorplan::{Block, Floorplan};
 pub use package::PackageConfig;
 pub use rc_model::RcNetwork;
+pub use solver::lanes::TransientLanes;
 pub use solver::transient::{Integrator, TransientSim};
-pub use sparse::{CgSolver, CsrMat, TripletBuilder};
+pub use sparse::{CsrMat, TripletBuilder};
 pub use trace::ThresholdWatcher;

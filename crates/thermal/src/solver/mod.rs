@@ -1,4 +1,5 @@
 //! Steady-state and transient solvers for [`crate::RcNetwork`].
 
+pub mod lanes;
 pub mod steady;
 pub mod transient;

@@ -5,18 +5,19 @@
 //! * **Backward Euler** (default): unconditionally stable; the sparse
 //!   system `(C/dt + G) T' = P + C/dt·T` is solved each step by
 //!   Jacobi-preconditioned conjugate gradient, warm-started from the
-//!   current temperatures. Successive steps move the state very little, so
-//!   the solve typically converges in a handful of O(nnz) matvecs — the
-//!   cost scales with the network's nonzeros, not n². This is what the
-//!   migration co-simulation uses (many thousands of steps at a fixed
-//!   `dt`).
+//!   current temperatures, in the fused kernel of [`crate::solver::lanes`]
+//!   (this simulation is its one-lane instance). Successive steps move the
+//!   state very little, so the solve typically converges in a handful of
+//!   O(nnz) matvecs — the cost scales with the network's nonzeros, not n².
+//!   This is what the migration co-simulation uses (many thousands of steps
+//!   at a fixed `dt`).
 //! * **RK4**: classic explicit integration via sparse matvec; useful to
 //!   cross-validate the implicit solver at small steps (the property tests
 //!   do exactly that).
 
 use crate::error::ThermalError;
 use crate::rc_model::RcNetwork;
-use crate::sparse::{CgSolver, CsrMat};
+use crate::solver::lanes::{check_dt, BeKernel};
 
 /// Time integration scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -35,11 +36,10 @@ pub enum Integrator {
 pub struct TransientSim<'a> {
     net: &'a RcNetwork,
     dt: f64,
-    integrator: Integrator,
     temps: Vec<f64>,
-    /// Sparse `(C/dt + G)` and its CG solver, only for backward Euler.
-    be: Option<(CsrMat, CgSolver)>,
-    /// Scratch buffers reused across steps (RHS, RK4 stages).
+    /// The one-lane backward-Euler kernel; `None` integrates by RK4.
+    be: Option<BeKernel<1>>,
+    /// RK4 scratch reused across steps: the RHS and the stage buffers.
     rhs: Vec<f64>,
     stage: Vec<Vec<f64>>,
     time: f64,
@@ -55,33 +55,21 @@ impl<'a> TransientSim<'a> {
     /// * [`ThermalError::SingularSystem`] if the implicit system is not SPD
     ///   (defensive; cannot happen for a valid RC network).
     pub fn new(net: &'a RcNetwork, dt: f64, integrator: Integrator) -> Result<Self, ThermalError> {
-        if !(dt.is_finite() && dt > 0.0) {
-            return Err(ThermalError::InvalidStep {
-                what: "dt must be positive and finite",
-            });
-        }
+        check_dt(dt)?;
         let n = net.n_nodes();
-        let be = match integrator {
-            Integrator::BackwardEuler => {
-                let c_over_dt: Vec<f64> = net.capacities().iter().map(|c| c / dt).collect();
-                let m = net.conductance_sparse().with_diagonal_added(&c_over_dt);
-                let solver = CgSolver::new(&m)?;
-                Some((m, solver))
-            }
-            Integrator::Rk4 => None,
-        };
-        let stage_bufs = match integrator {
-            Integrator::BackwardEuler => 1, // the candidate next state
-            Integrator::Rk4 => 6,           // k1..k4, the staged y, and one matvec out
+        // RK4 scratch is empty under backward Euler.
+        let (be, rk4_len) = match integrator {
+            Integrator::BackwardEuler => (Some(BeKernel::new(net, dt)?), 0),
+            Integrator::Rk4 => (None, n),
         };
         Ok(TransientSim {
             net,
             dt,
-            integrator,
             temps: vec![net.ambient(); n],
             be,
-            rhs: vec![0.0; n],
-            stage: (0..stage_bufs).map(|_| vec![0.0; n]).collect(),
+            rhs: vec![0.0; rk4_len],
+            // k1..k4, the staged y, and one matvec out.
+            stage: vec![vec![0.0; rk4_len]; 6],
             time: 0.0,
         })
     }
@@ -137,66 +125,52 @@ impl<'a> TransientSim<'a> {
     /// * [`ThermalError::PowerLengthMismatch`] on a wrong-sized input.
     /// * [`ThermalError::NotConverged`] if the implicit solve breaks down
     ///   (defensive; the system is SPD by construction).
+    ///
+    /// A failed step leaves the state and clock untouched.
     pub fn step(&mut self, power_blocks: &[f64]) -> Result<(), ThermalError> {
         let _t = hotnoc_obs::prof::scope("thermal/step");
-        let mut rhs = std::mem::take(&mut self.rhs);
-        let result = self.step_with_rhs(power_blocks, &mut rhs);
-        self.rhs = rhs;
-        result?;
+        match &mut self.be {
+            Some(kernel) => {
+                let [done] = kernel.step([Some(power_blocks)], [self.temps.as_mut_slice()]);
+                done?;
+            }
+            None => self.rk4_step(power_blocks)?,
+        }
         self.time += self.dt;
         Ok(())
     }
 
-    fn step_with_rhs(&mut self, power_blocks: &[f64], rhs: &mut [f64]) -> Result<(), ThermalError> {
+    fn rk4_step(&mut self, power_blocks: &[f64]) -> Result<(), ThermalError> {
+        let rhs = &mut self.rhs;
         self.net.rhs_into(power_blocks, rhs)?;
-        match self.integrator {
-            Integrator::BackwardEuler => {
-                for ((r, &c), &t) in rhs.iter_mut().zip(self.net.capacities()).zip(&self.temps) {
-                    *r += c / self.dt * t;
-                }
-                // Warm start: the previous temperatures are an excellent
-                // initial guess, so CG usually converges in a few matvecs.
-                // Solve into the scratch buffer and commit only on success,
-                // so a failed step leaves the state untouched.
-                let (m, solver) = self.be.as_mut().expect("BE state exists");
-                let [next] = &mut self.stage[..] else {
-                    unreachable!("BE owns one stage buffer");
-                };
-                next.copy_from_slice(&self.temps);
-                solver.solve(m, rhs, next)?;
-                self.temps.copy_from_slice(next);
+        let g = self.net.conductance_sparse();
+        let cap = self.net.capacities();
+        let n = self.temps.len();
+        let h = self.dt;
+        let [k1, k2, k3, k4, ys, gt] = &mut self.stage[..] else {
+            unreachable!("RK4 owns six stage buffers");
+        };
+        let deriv = |t: &[f64], gt: &mut Vec<f64>, out: &mut Vec<f64>| {
+            g.matvec_into(t, gt);
+            for i in 0..n {
+                out[i] = (rhs[i] - gt[i]) / cap[i];
             }
-            Integrator::Rk4 => {
-                let g = self.net.conductance_sparse();
-                let cap = self.net.capacities();
-                let n = self.temps.len();
-                let h = self.dt;
-                let [k1, k2, k3, k4, ys, gt] = &mut self.stage[..] else {
-                    unreachable!("RK4 owns six stage buffers");
-                };
-                let deriv = |t: &[f64], gt: &mut Vec<f64>, out: &mut Vec<f64>| {
-                    g.matvec_into(t, gt);
-                    for i in 0..n {
-                        out[i] = (rhs[i] - gt[i]) / cap[i];
-                    }
-                };
-                deriv(&self.temps, gt, k1);
-                for i in 0..n {
-                    ys[i] = self.temps[i] + h / 2.0 * k1[i];
-                }
-                deriv(&ys[..], gt, k2);
-                for i in 0..n {
-                    ys[i] = self.temps[i] + h / 2.0 * k2[i];
-                }
-                deriv(&ys[..], gt, k3);
-                for i in 0..n {
-                    ys[i] = self.temps[i] + h * k3[i];
-                }
-                deriv(&ys[..], gt, k4);
-                for i in 0..n {
-                    self.temps[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-                }
-            }
+        };
+        deriv(&self.temps, gt, k1);
+        for i in 0..n {
+            ys[i] = self.temps[i] + h / 2.0 * k1[i];
+        }
+        deriv(&ys[..], gt, k2);
+        for i in 0..n {
+            ys[i] = self.temps[i] + h / 2.0 * k2[i];
+        }
+        deriv(&ys[..], gt, k3);
+        for i in 0..n {
+            ys[i] = self.temps[i] + h * k3[i];
+        }
+        deriv(&ys[..], gt, k4);
+        for i in 0..n {
+            self.temps[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
         }
         Ok(())
     }

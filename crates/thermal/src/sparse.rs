@@ -1,15 +1,18 @@
-//! Sparse linear algebra for the RC thermal network: CSR matrices and a
-//! Jacobi-preconditioned conjugate-gradient solver.
+//! Sparse linear algebra for the RC thermal network: CSR matrices, plus
+//! the plain Jacobi-preconditioned conjugate-gradient solver that the
+//! tests keep as the oracle of the fused backward-Euler step
+//! ([`crate::solver::lanes`]).
 //!
 //! The conductance matrix of an n-block network has ~7 nonzeros per row
 //! (lateral neighbours + the vertical stack), so transient stepping through
 //! a dense O(n²) solve wastes two orders of magnitude on large floorplans.
-//! [`CsrMat::matvec_into`] is O(nnz), and [`CgSolver`] exploits the matrix
-//! being symmetric positive definite (a grounded RC Laplacian, plus the
-//! strictly positive `C/dt` diagonal the implicit integrator adds) to solve
-//! each step in a handful of warm-started iterations without ever
+//! [`CsrMat::matvec_into`] is O(nnz), and conjugate gradient exploits the
+//! matrix being symmetric positive definite (a grounded RC Laplacian, plus
+//! the strictly positive `C/dt` diagonal the implicit integrator adds) to
+//! solve each step in a handful of warm-started iterations without ever
 //! factoring the system.
 
+#[cfg(test)]
 use crate::error::ThermalError;
 use crate::linalg::DMat;
 
@@ -49,8 +52,14 @@ impl CsrMat {
         }
     }
 
+    /// Row `i`'s column indices and values, in column order.
+    pub(crate) fn row(&self, i: usize) -> (&[usize], &[f64]) {
+        let span = self.row_ptr[i]..self.row_ptr[i + 1];
+        (&self.col_idx[span.clone()], &self.vals[span])
+    }
+
     /// Matrix–vector product `y = self * x` into a caller-owned buffer
-    /// (the allocation-free hot path of the transient integrators).
+    /// (the allocation-free path of the RK4 integrator).
     ///
     /// # Panics
     ///
@@ -197,10 +206,13 @@ impl TripletBuilder {
 }
 
 /// Jacobi-preconditioned conjugate gradient over a [`CsrMat`], with scratch
-/// buffers owned by the solver so repeated solves (one per transient step)
-/// allocate nothing.
+/// buffers owned by the solver so repeated solves allocate nothing. The
+/// product steps through the fused kernel in [`crate::solver::lanes`]; this
+/// unfused solver is its test oracle, the sequence the kernel must match
+/// bit for bit.
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct CgSolver {
+pub(crate) struct CgSolver {
     inv_diag: Vec<f64>,
     r: Vec<f64>,
     z: Vec<f64>,
@@ -210,6 +222,7 @@ pub struct CgSolver {
     rel_tol: f64,
 }
 
+#[cfg(test)]
 impl CgSolver {
     /// Prepares a solver for systems shaped like `a` (square, SPD, with a
     /// strictly positive diagonal).
@@ -218,7 +231,7 @@ impl CgSolver {
     ///
     /// Returns [`ThermalError::SingularSystem`] if any diagonal entry is
     /// non-positive (the matrix cannot be SPD).
-    pub fn new(a: &CsrMat) -> Result<Self, ThermalError> {
+    pub(crate) fn new(a: &CsrMat) -> Result<Self, ThermalError> {
         let n = a.rows();
         if a.cols() != n {
             return Err(ThermalError::SingularSystem);
@@ -249,7 +262,12 @@ impl CgSolver {
     /// # Panics
     ///
     /// Panics if `b` or `x` do not match the solver dimension.
-    pub fn solve(&mut self, a: &CsrMat, b: &[f64], x: &mut [f64]) -> Result<usize, ThermalError> {
+    pub(crate) fn solve(
+        &mut self,
+        a: &CsrMat,
+        b: &[f64],
+        x: &mut [f64],
+    ) -> Result<usize, ThermalError> {
         let n = self.r.len();
         assert_eq!(b.len(), n, "dimension mismatch");
         assert_eq!(x.len(), n, "dimension mismatch");

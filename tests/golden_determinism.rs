@@ -65,6 +65,7 @@ fn scenario(id: ChipConfigId) -> (Mesh, TrafficGenerator) {
 /// packets), drains it and idles it, folding every observable per-cycle
 /// quantity into one fingerprint.
 fn drive(net: &mut Network, label: &str, mut tick: impl FnMut(&mut Network)) -> Fingerprint {
+    net.record_deliveries();
     // The test meshes are small, so without this the striped sweep would
     // never engage: force striping at any worklist size so the CI matrix
     // over HOTNOC_THREADS in {1, 2, 4} genuinely pins the parallel path to

@@ -69,6 +69,7 @@ fn run_fingerprint(id: ChipConfigId) -> u64 {
     let side = ChipSpec::of(id, Fidelity::Quick).mesh_side;
     let (mesh, mut gen) = scenario(id);
     let mut net = Network::new(mesh, NocConfig::default());
+    net.record_deliveries();
     // Force striping at any worklist size so the CI matrix over
     // HOTNOC_THREADS in {1, 2, 4} genuinely pins the parallel path.
     net.set_par_threshold(1);

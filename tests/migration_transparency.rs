@@ -24,6 +24,7 @@ fn external_traffic_follows_the_workload_across_migrations() {
         // A fresh network per round keeps the check simple; the address map
         // reflects the cumulative migration state.
         let mut net = Network::new(mesh, NocConfig::default());
+        net.record_deliveries();
         net.set_address_map(Box::new(controller.map().clone()));
 
         let src = mesh.node_id_at(0, 0).unwrap();

@@ -61,6 +61,7 @@ proptest! {
         prop_assume!((sx, sy) != (dx, dy));
         let mesh = Mesh::square(4).unwrap();
         let mut net = Network::new(mesh, NocConfig::default());
+        net.record_deliveries();
         let src = mesh.node_id_at(sx, sy).unwrap();
         let dst = mesh.node_id_at(dx, dy).unwrap();
         net.inject(Packet::new(0, src, dst, PacketClass::Data, len)).unwrap();
