@@ -482,6 +482,95 @@ fn sub_frame_horizon_is_bad_input_exit_2() {
 }
 
 #[test]
+fn identity_migration_is_bad_input_exit_2() {
+    // A shift by a multiple of the mesh side moves every tile onto itself:
+    // its plan has no stall to spread the migration over, so the spec is
+    // rejected up front in both modes instead of failing mid-run.
+    let dir = tmp_dir("identity");
+    let scenario = |chip: &str, scheme: &str, mode: &str| {
+        format!(
+            r#"{{"name": "still", "chip": {{"config": "{chip}"}}, "workload": {{"kind": "ldpc"}},
+  "policy": {{"kind": "periodic", "scheme": "{scheme}", "period_blocks": 8}},
+  "mode": "{mode}", "fidelity": "quick", "seed": 0, "sim_time_ms": 0.2}}"#
+        )
+    };
+    let mut runs = Vec::new();
+    for (i, (chip, scheme, mode)) in [
+        ("A", "x-shift-4", "cosim"),
+        ("A", "x-shift-0", "plan-cost"),
+        ("C", "x-shift-5", "cosim"),
+        ("E", "y-shift-5", "cosim"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let path = dir.join(format!("scenario{i}.json"));
+        std::fs::write(&path, scenario(chip, scheme, mode)).unwrap();
+        let mut run = hotnoc();
+        run.args(["scenario", "run", "--spec"]).arg(path);
+        runs.push(run);
+    }
+    let campaign = dir.join("campaign.json");
+    std::fs::write(
+        &campaign,
+        r#"{"schema": "hotnoc-campaign-spec-v1", "name": "still", "seed": 1,
+  "fidelity": "quick", "configs": [{"config": "A"}], "workloads": [{"kind": "ldpc"}],
+  "policies": ["periodic"], "schemes": ["xy-shift", "y-shift-8"], "periods": [8],
+  "seeds": [0], "sim_time_ms": 0.2}"#,
+    )
+    .unwrap();
+    let out_dir = dir.join("artifacts");
+    let mut campaign_run = hotnoc();
+    campaign_run
+        .args(["campaign", "run", "--spec"])
+        .arg(&campaign)
+        .arg("--out-dir")
+        .arg(&out_dir);
+    runs.push(campaign_run);
+    for mut cmd in runs {
+        let run = cmd.output().expect("spawn");
+        assert_eq!(run.status.code(), Some(2), "stderr: {}", stderr(&run));
+        assert!(stderr(&run).contains("identity"), "{}", stderr(&run));
+    }
+    assert!(!out_dir.exists(), "no job may start");
+
+    // The daemon answers the same spec with status 2. `hotnoc submit`
+    // validates locally first, so the request goes over the socket raw.
+    use std::io::{BufRead, BufReader, Write};
+    let socket = dir.join("hotnoc.sock");
+    let mut daemon = hotnoc()
+        .arg("serve")
+        .arg("--socket")
+        .arg(&socket)
+        .arg("--journal")
+        .arg(dir.join("journal.jsonl"))
+        .arg("--spool")
+        .arg(dir.join("spool"))
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn daemon");
+    for _ in 0..400 {
+        if socket.exists() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let response = std::os::unix::net::UnixStream::connect(&socket).and_then(|mut stream| {
+        let spec = scenario("A", "x-shift-4", "cosim").replace('\n', " ");
+        writeln!(stream, r#"{{"id": "still", "submit": {spec}}}"#)?;
+        let mut line = String::new();
+        BufReader::new(stream).read_line(&mut line).map(|_| line)
+    });
+    let _ = daemon.kill();
+    let _ = daemon.wait();
+    let response = response.expect("daemon answers");
+    assert!(response.contains(r#""status": 2"#), "{response}");
+    assert!(response.contains("identity"), "{response}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn thermal_runaway_fails_the_job_with_exit_1_and_no_artifact() {
     // On a uniform 14x14 quick-fidelity die, xy-shift at period 1 migrates
     // for longer than it decodes and the leakage loop runs away past any

@@ -16,9 +16,10 @@
 //! configuration in advance.
 
 use crate::chip::{CalibratedPower, Chip};
-use crate::cosim::{migration_cost, one_job, CosimJob, CosimOutcome, CosimParams, LanePolicy};
+use crate::cosim::{
+    migration_cost, run_cosim_group, CosimJob, CosimOutcome, CosimParams, LanePolicy,
+};
 use crate::error::CoreError;
-use hotnoc_obs::TraceEvent;
 use hotnoc_reconfig::{MigrationScheme, OrbitDecomposition};
 use hotnoc_thermal::rc_model;
 
@@ -76,9 +77,10 @@ pub fn pick_scheme(
 }
 
 /// Runs the transient co-simulation with adaptive scheme selection at every
-/// migration point. It is the periodic co-simulation's frame loop with
-/// [`pick_scheme`] choosing each migration, so every migration burns the
-/// stall and transfer heat of the scheme chosen for it.
+/// migration point: a one-job [`run_cosim_group`] call, untraced. It is the
+/// periodic co-simulation's frame loop with [`pick_scheme`] choosing each
+/// migration, so every migration burns the stall and transfer heat of the
+/// scheme chosen for it.
 ///
 /// # Errors
 ///
@@ -94,30 +96,15 @@ pub fn run_adaptive_cosim(
     cal: &CalibratedPower,
     params: &CosimParams,
 ) -> Result<AdaptiveResult, CoreError> {
-    run_adaptive_cosim_traced(chip, cal, params, None)
-}
-
-/// [`run_adaptive_cosim`] with an optional trace buffer: each committed
-/// migration records a [`TraceEvent::PolicyDecision`] (ordinal + chosen
-/// scheme) and the executed plan's [`TraceEvent::Migration`], and a
-/// threshold watcher emits [`TraceEvent::TempCrossing`] events per thermal
-/// frame. The simulation is identical with or without tracing.
-///
-/// # Errors
-///
-/// As [`run_adaptive_cosim`].
-pub fn run_adaptive_cosim_traced(
-    chip: &Chip,
-    cal: &CalibratedPower,
-    params: &CosimParams,
-    events: Option<&mut Vec<TraceEvent>>,
-) -> Result<AdaptiveResult, CoreError> {
     let job = CosimJob {
         policy: LanePolicy::Adaptive,
         params: *params,
-        events,
+        events: None,
     };
-    match one_job(chip, cal, job)? {
+    match run_cosim_group(chip, cal, vec![job])
+        .pop()
+        .expect("one result per job")?
+    {
         CosimOutcome::Adaptive(r) => Ok(r),
         CosimOutcome::Periodic(_) => unreachable!("an adaptive job has an adaptive outcome"),
     }
@@ -216,7 +203,16 @@ mod tests {
         let params = CosimParams::quick();
         let plain = run_adaptive_cosim(&chip, &cal, &params).unwrap();
         let mut events = Vec::new();
-        let traced = run_adaptive_cosim_traced(&chip, &cal, &params, Some(&mut events)).unwrap();
+        let job = CosimJob {
+            policy: LanePolicy::Adaptive,
+            params,
+            events: Some(&mut events),
+        };
+        let Some(Ok(CosimOutcome::Adaptive(traced))) =
+            run_cosim_group(&chip, &cal, vec![job]).pop()
+        else {
+            panic!("an adaptive job has an adaptive result");
+        };
         assert_eq!(plain, traced, "tracing must not perturb the simulation");
         let decisions: Vec<&str> = events
             .iter()

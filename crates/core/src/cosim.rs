@@ -162,7 +162,7 @@ pub fn migration_cost(
 }
 
 /// Runs the co-simulation of `chip` under `scheme` (or the static baseline
-/// for `None`).
+/// for `None`): a one-job [`run_cosim_group`] call, untraced.
 ///
 /// # Errors
 ///
@@ -178,28 +178,6 @@ pub fn run_cosim(
     cal: &CalibratedPower,
     scheme: Option<MigrationScheme>,
     params: &CosimParams,
-) -> Result<CosimResult, CoreError> {
-    run_cosim_traced(chip, cal, scheme, params, None)
-}
-
-/// [`run_cosim`] with an optional trace buffer. When one is supplied,
-/// every migration commit records a [`TraceEvent::PolicyDecision`] and the
-/// plan's [`TraceEvent::Migration`] (via
-/// [`MigrationPlan::trace_event`]), and a [`ThresholdWatcher`] at
-/// [`TRACE_TEMP_THRESHOLD_C`] turns the thermal frames into
-/// [`TraceEvent::TempCrossing`] events. Cycles are derived from elapsed
-/// simulated time at the NoC clock, so the trace is deterministic whenever
-/// the run is. The simulation itself is identical with or without tracing.
-///
-/// # Errors
-///
-/// As [`run_cosim`].
-pub fn run_cosim_traced(
-    chip: &Chip,
-    cal: &CalibratedPower,
-    scheme: Option<MigrationScheme>,
-    params: &CosimParams,
-    events: Option<&mut Vec<TraceEvent>>,
 ) -> Result<CosimResult, CoreError> {
     let Some(scheme) = scheme else {
         // Static baseline: leakage-coupled steady state.
@@ -222,9 +200,12 @@ pub fn run_cosim_traced(
     let job = CosimJob {
         policy: LanePolicy::Periodic(scheme),
         params: *params,
-        events,
+        events: None,
     };
-    match one_job(chip, cal, job)? {
+    match run_cosim_group(chip, cal, vec![job])
+        .pop()
+        .expect("one result per job")?
+    {
         CosimOutcome::Periodic(r) => Ok(r),
         CosimOutcome::Adaptive(_) => unreachable!("a periodic job has a periodic outcome"),
     }
@@ -251,7 +232,14 @@ pub struct CosimJob<'e> {
     /// The job's parameters. Every job of a group shares `dt` and
     /// [`CosimParams::frames`]; the rest may differ.
     pub params: CosimParams,
-    /// Trace buffer, as in [`run_cosim_traced`].
+    /// Trace buffer. When one is supplied, every migration commit records
+    /// a [`TraceEvent::PolicyDecision`] and the plan's
+    /// [`TraceEvent::Migration`] (via [`MigrationPlan::trace_event`]), and
+    /// a [`ThresholdWatcher`] at [`TRACE_TEMP_THRESHOLD_C`] turns the
+    /// thermal frames into [`TraceEvent::TempCrossing`] events. Cycles are
+    /// derived from elapsed simulated time at the NoC clock, so the trace is
+    /// deterministic whenever the run is. The simulation itself is
+    /// identical with or without tracing.
     pub events: Option<&'e mut Vec<TraceEvent>>,
 }
 
@@ -266,10 +254,9 @@ pub enum CosimOutcome {
 
 /// Co-simulates `jobs` on one chip, [`LANES`] at a time in lockstep
 /// through one backward-Euler kernel, and returns each job's result in
-/// order. Each result is exactly what the job alone returns
-/// ([`run_cosim_traced`] or [`crate::run_adaptive_cosim_traced`]), trace
-/// included: a job that fails ends with its own error and leaves the
-/// others' bytes as they were.
+/// order. Each result is exactly what the job returns in a group of its
+/// own, trace included: a job that fails ends with its own error and leaves
+/// the others' bytes as they were.
 ///
 /// # Panics
 ///
@@ -292,16 +279,6 @@ pub fn run_cosim_group(
         }
     }
     out
-}
-
-/// [`run_cosim_group`] of one job.
-pub(crate) fn one_job(
-    chip: &Chip,
-    cal: &CalibratedPower,
-    job: CosimJob<'_>,
-) -> Result<CosimOutcome, CoreError> {
-    let [result] = lockstep::<1>(chip, cal, vec![job]);
-    result
 }
 
 /// Runs a group of exactly `L` jobs and assembles each job's result.
@@ -759,14 +736,16 @@ mod tests {
         let params = CosimParams::quick();
         let plain = run_cosim(&chip, &cal, Some(MigrationScheme::XYShift), &params).unwrap();
         let mut events = Vec::new();
-        let traced = run_cosim_traced(
-            &chip,
-            &cal,
-            Some(MigrationScheme::XYShift),
-            &params,
-            Some(&mut events),
-        )
-        .unwrap();
+        let job = CosimJob {
+            policy: LanePolicy::Periodic(MigrationScheme::XYShift),
+            params,
+            events: Some(&mut events),
+        };
+        let Some(Ok(CosimOutcome::Periodic(traced))) =
+            run_cosim_group(&chip, &cal, vec![job]).pop()
+        else {
+            panic!("a periodic job has a periodic result");
+        };
         assert_eq!(plain, traced, "tracing must not perturb the simulation");
         let count = |kind: &str| events.iter().filter(|e| e.kind() == kind).count() as u64;
         assert_eq!(count("migration"), traced.migrations);
@@ -815,7 +794,7 @@ mod tests {
                     params,
                     events: events_ref,
                 };
-                (render(&one_job(&chip, &cal, job)), events)
+                (render(&run_cosim_group(&chip, &cal, vec![job])[0]), events)
             })
             .collect();
         let mut traces = vec![Vec::new(); jobs.len()];

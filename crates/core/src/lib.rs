@@ -42,8 +42,8 @@ pub mod cosim;
 pub mod error;
 pub mod report;
 
-pub use adaptive::{run_adaptive_cosim, run_adaptive_cosim_traced, AdaptiveResult};
+pub use adaptive::{run_adaptive_cosim, AdaptiveResult};
 pub use chip::{CalibratedPower, Chip};
 pub use configs::{ChipConfigId, ChipSpec};
-pub use cosim::{run_cosim, run_cosim_traced, CosimParams, CosimResult};
+pub use cosim::{run_cosim, CosimParams, CosimResult};
 pub use error::CoreError;

@@ -1,4 +1,7 @@
-//! Executes one [`ScenarioSpec`] and produces a [`ScenarioOutcome`].
+//! Executes [`ScenarioSpec`] jobs and produces their [`ScenarioOutcome`]s.
+//! [`run_jobs`] is the only executor: a lone scenario, a serve submission
+//! and a campaign's work unit all run through it, a lone job as a unit of
+//! one.
 //!
 //! Every execution path is deterministic: LDPC co-simulations contain no
 //! randomness beyond the code-construction seed baked into the chip spec,
@@ -9,10 +12,9 @@
 use crate::error::ScenarioError;
 use crate::outcome::{CosimMetrics, PlanCostMetrics, ScenarioOutcome, TrafficMetrics};
 use crate::spec::{fidelity_name, ChipKind, Mode, Policy, ScenarioSpec, Workload};
-use hotnoc_core::adaptive::run_adaptive_cosim_traced;
 use hotnoc_core::configs::Fidelity;
 use hotnoc_core::cosim::{
-    migration_cost, run_cosim_group, run_cosim_traced, CosimJob, CosimOutcome, LanePolicy,
+    migration_cost, run_cosim, run_cosim_group, CosimJob, CosimOutcome, LanePolicy,
 };
 use hotnoc_core::{CalibratedPower, Chip, CosimParams};
 use hotnoc_noc::{Mesh, Network, NocConfig, TrafficGenerator};
@@ -46,21 +48,21 @@ pub fn params_of(spec: &ScenarioSpec) -> CosimParams {
     p
 }
 
-/// Runs one scenario to completion.
+/// Runs one scenario to completion: [`run_jobs`] with a unit of one job.
 ///
 /// # Errors
 ///
 /// Propagates spec validation failures and substrate (chip construction,
 /// calibration, thermal, NoC) errors.
 pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioOutcome, ScenarioError> {
-    spec.validate().map_err(ScenarioError::Spec)?;
-    dispatch(spec, None)
+    let result = run_jobs(&[(spec, None)]).pop().expect("one result per job");
+    result.map(|(outcome, _)| outcome)
 }
 
 /// Runs one scenario and also returns its deterministic event trace,
-/// bracketed by [`TraceEvent::JobStart`] / [`TraceEvent::JobFinish`]. The
-/// simulation is identical to [`run_scenario`] — tracing is observation
-/// only.
+/// bracketed by [`TraceEvent::JobStart`] / [`TraceEvent::JobFinish`] as
+/// job 0. The simulation is identical to [`run_scenario`] — tracing is
+/// observation only.
 ///
 /// # Errors
 ///
@@ -68,25 +70,104 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioOutcome, ScenarioErro
 pub fn run_scenario_traced(
     spec: &ScenarioSpec,
 ) -> Result<(ScenarioOutcome, Vec<TraceEvent>), ScenarioError> {
-    run_scenario_traced_as_job(spec, 0)
+    run_jobs(&[(spec, Some(0))])
+        .pop()
+        .expect("one result per job")
 }
 
-/// [`run_scenario_traced`] for a campaign job: `job` is the job's index in
-/// the stably-ordered expanded job list and lands in the bracket events.
+/// The lockstep group a job may share with others
+/// ([`hotnoc_core::cosim::run_cosim_group`]): its chip (canonical JSON),
+/// fidelity, thermal step and frame count. `None` for a job that always
+/// runs alone: a baseline, plan-cost or traffic job.
+pub(crate) fn lane_key(spec: &ScenarioSpec) -> Option<String> {
+    lane_policy(spec)?;
+    let params = params_of(spec);
+    Some(format!(
+        "{}|{}|{:x}|{}",
+        fidelity_name(spec.fidelity),
+        spec.chip.to_json(),
+        params.dt.to_bits(),
+        params.frames()
+    ))
+}
+
+/// How a transient LDPC co-simulation job migrates; `None` for every other
+/// job. This is the one place that decides whether a job joins a lockstep
+/// group or runs alone.
+fn lane_policy(spec: &ScenarioSpec) -> Option<LanePolicy> {
+    match (&spec.workload, &spec.policy, spec.mode) {
+        (Workload::Ldpc, Policy::Periodic { scheme, .. }, Mode::Cosim) => {
+            Some(LanePolicy::Periodic(*scheme))
+        }
+        (Workload::Ldpc, Policy::Adaptive { .. }, _) => Some(LanePolicy::Adaptive),
+        _ => None,
+    }
+}
+
+/// The one executor: runs a unit of jobs and returns each job's outcome and
+/// trace (empty when untraced), in order. Each entry is a spec and, for a
+/// traced job, its campaign job index, which lands in the
+/// [`TraceEvent::JobStart`] / [`TraceEvent::JobFinish`] brackets;
 /// `JobFinish` is keyed by the highest cycle any event reached.
 ///
-/// # Errors
+/// Each job validates and looks its chip up on its own. Plan-cost, baseline
+/// and traffic jobs run directly; every transient co-simulation job steps
+/// through one [`run_cosim_group`] call on their shared chip. A job's bytes
+/// are those it has as a unit of one: a job that fails ends with its own
+/// error.
 ///
-/// As [`run_scenario`].
-pub fn run_scenario_traced_as_job(
-    spec: &ScenarioSpec,
-    job: u64,
-) -> Result<(ScenarioOutcome, Vec<TraceEvent>), ScenarioError> {
-    spec.validate().map_err(ScenarioError::Spec)?;
-    let mut events = vec![job_start(spec, job)];
-    let outcome = dispatch(spec, Some(&mut events))?;
-    job_finish(spec, job, &mut events);
-    Ok((outcome, events))
+/// # Panics
+///
+/// If the unit's co-simulation jobs differ in chip, fidelity, thermal step
+/// or frame count.
+pub fn run_jobs(
+    jobs: &[(&ScenarioSpec, Option<u64>)],
+) -> Vec<Result<(ScenarioOutcome, Vec<TraceEvent>), ScenarioError>> {
+    let mut traces: Vec<Vec<TraceEvent>> = jobs
+        .iter()
+        .map(|&(spec, job)| job.map(|j| vec![job_start(spec, j)]).unwrap_or_default())
+        .collect();
+    // `None` marks a job waiting for its lane of the group.
+    let mut results = Vec::with_capacity(jobs.len());
+    let mut group = Vec::new();
+    let mut chip = None;
+    for (&(spec, job), trace) in jobs.iter().zip(&mut traces) {
+        let events = job.map(|_| trace);
+        let result = (spec.validate().map_err(ScenarioError::Spec)).and_then(|()| {
+            let Some(policy) = lane_policy(spec) else {
+                return run_alone(spec, events).map(Some);
+            };
+            let cached = calibrated_chip(&spec.chip, spec.fidelity)?;
+            let key = lane_key(spec);
+            let (first, _) = chip.get_or_insert_with(|| (key.clone(), cached));
+            assert!(
+                *first == key,
+                "a unit's co-simulation jobs share one lane key"
+            );
+            group.push(CosimJob {
+                policy,
+                params: params_of(spec),
+                events,
+            });
+            Ok(None)
+        });
+        results.push(result.transpose());
+    }
+    let mut lanes = (chip.map(|(_, c)| run_cosim_group(&c.0, &c.1, group)))
+        .unwrap_or_default()
+        .into_iter();
+    (results.into_iter().zip(traces).zip(jobs))
+        .map(|((result, mut events), &(spec, job))| {
+            let outcome = result.unwrap_or_else(|| {
+                let lane = lanes.next().expect("one result per lane");
+                lane.map(scenario_outcome).map_err(ScenarioError::from)
+            })?;
+            if let Some(j) = job {
+                job_finish(spec, j, &mut events);
+            }
+            Ok((outcome, events))
+        })
+        .collect()
 }
 
 /// The event that opens job `job`'s trace.
@@ -109,103 +190,6 @@ fn job_finish(spec: &ScenarioSpec, job: u64, events: &mut Vec<TraceEvent>) {
     });
 }
 
-/// The lockstep group a job may share with others
-/// ([`hotnoc_core::cosim::run_cosim_group`]): its chip (canonical JSON),
-/// fidelity, thermal step and frame count. `None` for a job that always
-/// runs alone: a baseline, plan-cost or traffic job, or a horizon without
-/// a frame.
-pub(crate) fn lane_key(spec: &ScenarioSpec) -> Option<String> {
-    lane_policy(spec)?;
-    let params = params_of(spec);
-    (params.frames() > 0).then(|| {
-        format!(
-            "{}|{}|{:x}|{}",
-            fidelity_name(spec.fidelity),
-            spec.chip.to_json(),
-            params.dt.to_bits(),
-            params.frames()
-        )
-    })
-}
-
-/// How a transient LDPC co-simulation job migrates; `None` for every other
-/// job. The arms are [`run_ldpc`]'s.
-fn lane_policy(spec: &ScenarioSpec) -> Option<LanePolicy> {
-    match (&spec.workload, &spec.policy, spec.mode) {
-        (Workload::Ldpc, Policy::Periodic { scheme, .. }, Mode::Cosim) => {
-            Some(LanePolicy::Periodic(*scheme))
-        }
-        (Workload::Ldpc, Policy::Adaptive { .. }, _) => Some(LanePolicy::Adaptive),
-        _ => None,
-    }
-}
-
-/// Runs co-simulation jobs that share a [`lane_key`] in lockstep on their
-/// one chip. Each entry is a spec and, for a traced job, its campaign job
-/// index. Returns each job's outcome and trace (empty when untraced): the
-/// bytes [`run_scenario`] and [`run_scenario_traced_as_job`] give the job
-/// alone. A job that fails ends with its own error.
-///
-/// # Panics
-///
-/// If a job has no [`lane_key`] or the keys differ.
-pub(crate) fn run_lockstep(
-    jobs: &[(&ScenarioSpec, Option<u64>)],
-) -> Vec<Result<(ScenarioOutcome, Vec<TraceEvent>), ScenarioError>> {
-    let key = lane_key(jobs[0].0);
-    assert!(
-        key.is_some() && jobs.iter().all(|(spec, _)| lane_key(spec) == key),
-        "lockstep jobs share one lane key"
-    );
-    let mut traces: Vec<Vec<TraceEvent>> = jobs
-        .iter()
-        .map(|&(spec, job)| job.map(|j| vec![job_start(spec, j)]).unwrap_or_default())
-        .collect();
-    // Each job validates and looks its chip up on its own, as it would
-    // alone; the calibrated-chip cache builds the chip once.
-    let mut results: Vec<Option<Result<ScenarioOutcome, ScenarioError>>> =
-        Vec::with_capacity(jobs.len());
-    let mut chip = None;
-    for (spec, _) in jobs {
-        let ready = (spec.validate().map_err(ScenarioError::Spec))
-            .and_then(|()| calibrated_chip(&spec.chip, spec.fidelity));
-        match ready {
-            Ok(cached) => {
-                chip.get_or_insert(cached);
-                results.push(None);
-            }
-            Err(e) => results.push(Some(Err(e))),
-        }
-    }
-    if let Some(cached) = &chip {
-        let lanes: Vec<CosimJob> = (jobs.iter().zip(&mut traces).zip(&results))
-            .filter(|(_, done)| done.is_none())
-            .map(|(((spec, job), trace), _)| CosimJob {
-                policy: lane_policy(spec).expect("keyed jobs have a lane policy"),
-                params: params_of(spec),
-                events: job.map(|_| trace),
-            })
-            .collect();
-        let mut outcomes = run_cosim_group(&cached.0, &cached.1, lanes).into_iter();
-        for slot in results.iter_mut().filter(|r| r.is_none()) {
-            let outcome = outcomes.next().expect("one outcome per lane");
-            *slot = Some(outcome.map(scenario_outcome).map_err(ScenarioError::from));
-        }
-    }
-    results
-        .into_iter()
-        .zip(traces)
-        .zip(jobs)
-        .map(|((result, mut events), &(spec, job))| {
-            let outcome = result.expect("every job has a result")?;
-            if let Some(j) = job {
-                job_finish(spec, j, &mut events);
-            }
-            Ok((outcome, events))
-        })
-        .collect()
-}
-
 /// A co-simulation job's result as a scenario outcome.
 fn scenario_outcome(outcome: CosimOutcome) -> ScenarioOutcome {
     match outcome {
@@ -214,19 +198,37 @@ fn scenario_outcome(outcome: CosimOutcome) -> ScenarioOutcome {
     }
 }
 
-fn dispatch(
+/// Runs a job that [`lane_policy`] leaves alone: traffic, a plan-cost
+/// (periodic) job or the static baseline.
+fn run_alone(
     spec: &ScenarioSpec,
     events: Option<&mut Vec<TraceEvent>>,
 ) -> Result<ScenarioOutcome, ScenarioError> {
-    match &spec.workload {
-        Workload::Ldpc => run_ldpc(spec, events),
-        Workload::Traffic {
-            pattern,
-            rate,
-            packet_len,
-            cycles,
-        } => run_traffic(spec, pattern.clone(), *rate, *packet_len, *cycles, events),
+    if let Workload::Traffic {
+        pattern,
+        rate,
+        packet_len,
+        cycles,
+    } = &spec.workload
+    {
+        return run_traffic(spec, pattern.clone(), *rate, *packet_len, *cycles, events);
     }
+    let params = params_of(spec);
+    let cached = calibrated_chip(&spec.chip, spec.fidelity)?;
+    let (chip, cal) = (&cached.0, &cached.1);
+    if let Policy::Periodic { scheme, .. } = spec.policy {
+        // One migration's §2.1–2.2 cost (no transient solve).
+        let cost = migration_cost(chip, scheme, &params, cal.total_dynamic);
+        return Ok(ScenarioOutcome::PlanCost(PlanCostMetrics {
+            phases: cost.plan.num_phases() as u64,
+            stall_us: cost.stall_seconds * 1e6,
+            flit_hops: cost.plan.total_flit_hops(),
+            energy_uj: cost.energy_j * 1e6,
+            moves: cost.plan.total_moves() as u64,
+        }));
+    }
+    let r = run_cosim(chip, cal, None, &params)?;
+    Ok(ScenarioOutcome::Cosim(CosimMetrics::of(&r)))
 }
 
 /// Upper bound on cached calibrated chips; reaching it clears the cache
@@ -265,40 +267,6 @@ fn calibrated_chip(
     let mut chip = Chip::build(kind.to_chip_spec(fidelity))?;
     let cal = chip.calibrate()?;
     Ok(Arc::clone(built.insert(Arc::new((chip, cal)))))
-}
-
-fn run_ldpc(
-    spec: &ScenarioSpec,
-    events: Option<&mut Vec<TraceEvent>>,
-) -> Result<ScenarioOutcome, ScenarioError> {
-    let params = params_of(spec);
-    let cached = calibrated_chip(&spec.chip, spec.fidelity)?;
-    let (chip, cal) = (&cached.0, &cached.1);
-    match (&spec.policy, spec.mode) {
-        (Policy::Periodic { scheme, .. }, Mode::PlanCost) => {
-            // One migration's §2.1–2.2 cost (no transient solve).
-            let cost = migration_cost(chip, *scheme, &params, cal.total_dynamic);
-            Ok(ScenarioOutcome::PlanCost(PlanCostMetrics {
-                phases: cost.plan.num_phases() as u64,
-                stall_us: cost.stall_seconds * 1e6,
-                flit_hops: cost.plan.total_flit_hops(),
-                energy_uj: cost.energy_j * 1e6,
-                moves: cost.plan.total_moves() as u64,
-            }))
-        }
-        (Policy::Baseline, _) => {
-            let r = run_cosim_traced(chip, cal, None, &params, events)?;
-            Ok(ScenarioOutcome::Cosim(CosimMetrics::of(&r)))
-        }
-        (Policy::Periodic { scheme, .. }, Mode::Cosim) => {
-            let r = run_cosim_traced(chip, cal, Some(*scheme), &params, events)?;
-            Ok(scenario_outcome(CosimOutcome::Periodic(r)))
-        }
-        (Policy::Adaptive { .. }, _) => {
-            let r = run_adaptive_cosim_traced(chip, cal, &params, events)?;
-            Ok(scenario_outcome(CosimOutcome::Adaptive(r)))
-        }
-    }
 }
 
 fn run_traffic(

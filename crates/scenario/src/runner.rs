@@ -44,7 +44,7 @@ use crate::error::ScenarioError;
 use crate::journal::{self, ResumeError};
 use crate::json::Json;
 use crate::outcome::ScenarioOutcome;
-use crate::run::{lane_key, run_lockstep, run_scenario, run_scenario_traced_as_job};
+use crate::run::{lane_key, run_jobs};
 use crate::shard::{Shard, SHARD_SCHEMA};
 use crate::spec::ScenarioSpec;
 use crate::stats::{aggregate, aggregate_json, headline_metric};
@@ -493,47 +493,25 @@ fn work_units(jobs: &[ScenarioSpec], pending: &[usize]) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// Executes one work unit ([`work_units`]) and returns each job's result in
-/// the unit's order: a lone job through [`run_job`], a group in lockstep.
-/// Each traced job's trace is written as [`run_job`] writes it.
+/// Executes one work unit ([`work_units`]) through [`run_jobs`] and returns
+/// each job's result in the unit's order, writing each traced job's trace
+/// ([`write_trace`]).
 fn run_unit(
     unit: &[usize],
     slice: &JournalSlice<'_>,
     opts: &RunnerOptions,
 ) -> Vec<Result<ScenarioOutcome, String>> {
-    if let [index] = unit {
-        return vec![run_job(&slice.jobs[*index], *index, slice, opts)];
-    }
     let traced = opts.trace_dir.is_some();
     let members: Vec<_> = (unit.iter())
         .map(|&i| (&slice.jobs[i], traced.then_some(i as u64)))
         .collect();
-    (run_lockstep(&members).into_iter().zip(unit))
+    (run_jobs(&members).into_iter().zip(unit))
         .map(|(result, &index)| {
             let (outcome, events) = result.map_err(|e| e.to_string())?;
-            if traced {
-                write_trace(index, events, slice, opts)?;
-            }
+            write_trace(index, events, slice, opts)?;
             Ok(outcome)
         })
         .collect()
-}
-
-/// Executes one job, writing its deterministic event trace when a trace
-/// directory is configured ([`write_trace`]).
-fn run_job(
-    job: &ScenarioSpec,
-    index: usize,
-    slice: &JournalSlice<'_>,
-    opts: &RunnerOptions,
-) -> Result<ScenarioOutcome, String> {
-    if opts.trace_dir.is_none() {
-        return run_scenario(job).map_err(|e| e.to_string());
-    }
-    let (outcome, events) =
-        run_scenario_traced_as_job(job, index as u64).map_err(|e| e.to_string())?;
-    write_trace(index, events, slice, opts)?;
-    Ok(outcome)
 }
 
 /// Writes job `index`'s trace to `TRACE_<campaign>.job<index>.jsonl` in

@@ -507,6 +507,18 @@ impl ScenarioSpec {
             }
             Policy::Baseline => {}
         }
+        if let Policy::Periodic { scheme, .. } = self.policy {
+            // An identity plan has no stall, so its migrations cannot be
+            // priced or co-simulated.
+            let side = self.chip.mesh_side();
+            let mesh = Mesh::square(side).map_err(|e| e.to_string())?;
+            if scheme.order(mesh) == 1 {
+                return Err(format!(
+                    "scheme {} is the identity on the {side}x{side} mesh (its migration moves nothing)",
+                    scheme_name(scheme)
+                ));
+            }
+        }
         if let Workload::Traffic { pattern, .. } = &self.workload {
             if self.policy != Policy::Baseline {
                 return Err("traffic workloads only support the baseline policy".into());

@@ -12,7 +12,7 @@
 use hotnoc_core::configs::{ChipConfigId, Fidelity};
 use hotnoc_obs::TraceEvent;
 use hotnoc_reconfig::MigrationScheme;
-use hotnoc_scenario::run::run_scenario_traced_as_job;
+use hotnoc_scenario::run::run_jobs;
 use hotnoc_scenario::runner::{
     campaign_json, parse_campaign_document, run_campaign, RunnerOptions,
 };
@@ -57,8 +57,8 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Every job run alone: the artifact, the aggregate and each job's trace
-/// events, keyed by job index.
+/// Every job run alone, as a unit of one: the artifact, the aggregate and
+/// each job's trace events, keyed by job index.
 struct Alone {
     artifact: String,
     aggregate: String,
@@ -69,7 +69,8 @@ fn alone(spec: &CampaignSpec) -> Alone {
     let mut records = Vec::new();
     let mut traces = BTreeMap::new();
     for (index, job) in spec.expand().into_iter().enumerate() {
-        let (outcome, events) = run_scenario_traced_as_job(&job, index as u64).expect("job runs");
+        let unit = run_jobs(&[(&job, Some(index as u64))]).pop();
+        let (outcome, events) = unit.expect("one result").expect("job runs");
         traces.insert(index, events);
         records.push(JobRecord {
             index,
