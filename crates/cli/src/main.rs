@@ -562,6 +562,16 @@ fn scenario_run(args: &[&str]) -> ExitCode {
     } else {
         hotnoc_scenario::run_scenario(&spec).map(|outcome| (outcome, None))
     };
+    // A failed job's timings are written too: they show where it spent
+    // its time before it failed.
+    if let Some(path) = profile_path {
+        let report = hotnoc_obs::prof::take_report();
+        if let Err(e) = std::fs::write(path, profile_json(&report)) {
+            eprintln!("hotnoc: {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+        eprintln!("[saved {path}] (wall-clock sidecar; not deterministic)");
+    }
     match result {
         Ok((outcome, events)) => {
             if let (Some(path), Some(events)) = (trace_path, events) {
@@ -571,14 +581,6 @@ fn scenario_run(args: &[&str]) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
                 eprintln!("[saved {path}]");
-            }
-            if let Some(path) = profile_path {
-                let report = hotnoc_obs::prof::take_report();
-                if let Err(e) = std::fs::write(path, profile_json(&report)) {
-                    eprintln!("hotnoc: {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("[saved {path}] (wall-clock sidecar; not deterministic)");
             }
             println!("{}", outcome.to_json());
             eprintln!("{}: {}", spec.name, outcome.summary());

@@ -570,26 +570,37 @@ fn identity_migration_is_bad_input_exit_2() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn thermal_runaway_fails_the_job_with_exit_1_and_no_artifact() {
-    // On a uniform 14x14 quick-fidelity die, xy-shift at period 1 migrates
-    // for longer than it decodes and the leakage loop runs away past any
-    // physical temperature: the job fails instead of recording a peak.
-    let dir = tmp_dir("runaway-14x14");
-    let chip = format!(
+/// A uniform 14x14 die. At quick fidelity, xy-shift at period 1 migrates
+/// for longer than it decodes and the leakage loop runs away past any
+/// physical temperature: the job fails instead of recording a peak.
+fn runaway_chip() -> String {
+    format!(
         r#"{{"custom": {{"mesh_side": 14, "tile_weights": [{}], "base_peak_celsius": 80.0}}}}"#,
         vec!["1.0"; 196].join(", ")
-    );
+    )
+}
+
+/// Writes the scenario that runs away on [`runaway_chip`] into `dir`.
+fn write_runaway_scenario(dir: &Path) -> PathBuf {
     let scenario = dir.join("scenario.json");
     std::fs::write(
         &scenario,
         format!(
-            r#"{{"name": "runaway", "chip": {chip}, "workload": {{"kind": "ldpc"}},
+            r#"{{"name": "runaway", "chip": {}, "workload": {{"kind": "ldpc"}},
   "policy": {{"kind": "periodic", "scheme": "xy-shift", "period_blocks": 1}},
-  "mode": "cosim", "fidelity": "quick", "seed": 0}}"#
+  "mode": "cosim", "fidelity": "quick", "seed": 0}}"#,
+            runaway_chip()
         ),
     )
     .unwrap();
+    scenario
+}
+
+#[test]
+fn thermal_runaway_fails_the_job_with_exit_1_and_no_artifact() {
+    let dir = tmp_dir("runaway-14x14");
+    let chip = runaway_chip();
+    let scenario = write_runaway_scenario(&dir);
     let campaign = dir.join("campaign.json");
     std::fs::write(
         &campaign,
@@ -624,6 +635,33 @@ fn thermal_runaway_fails_the_job_with_exit_1_and_no_artifact() {
     assert!(
         !out_dir.join("CAMPAIGN_runaway.json").exists(),
         "no campaign artifact may be written"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_failed_scenario_still_writes_its_profile_sidecar() {
+    let dir = tmp_dir("runaway-profile");
+    let scenario = write_runaway_scenario(&dir);
+    let profile = dir.join("profile.json");
+    let run = hotnoc()
+        .args(["scenario", "run", "--spec"])
+        .arg(&scenario)
+        .arg("--profile")
+        .arg(&profile)
+        .output()
+        .expect("spawn");
+    assert_eq!(run.status.code(), Some(1), "stderr: {}", stderr(&run));
+    assert!(stderr(&run).contains("thermal runaway"), "{}", stderr(&run));
+    let text = std::fs::read_to_string(&profile).expect("a failed job writes its sidecar");
+    let doc = Json::parse(&text).expect("the sidecar parses");
+    assert_eq!(
+        doc.get("schema").and_then(Json::as_str),
+        Some("hotnoc-profile-v1")
+    );
+    assert_eq!(
+        doc.get("deterministic").and_then(Json::as_bool),
+        Some(false)
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -375,8 +375,10 @@ type LaneRun<'c> = Result<(f64, f64, Migrations<'c>), CoreError>;
 
 /// The frame loop behind every migration policy, for `L` jobs of one chip
 /// in lockstep. Each lane starts at the long-run operating point of its
-/// first scheme and keeps its own clock, policy, leakage, runaway check,
-/// watcher and statistics; a lane that fails stops with its own error.
+/// first scheme, or at the static one when its horizon ends before the
+/// first migration can commit, and keeps its own clock, policy, leakage,
+/// runaway check, watcher and statistics; a lane that fails stops with its
+/// own error.
 /// Panics if the lanes differ in `dt` or frame count, or hold no frame.
 fn co_simulate<'c, const L: usize>(
     chip: &'c Chip,
@@ -396,13 +398,18 @@ fn co_simulate<'c, const L: usize>(
         let migrations = Migrations::new(chip, cal, params, policy)?;
         // The long-run operating point: the time-averaged power the
         // package integrates (active decode, reduced stall power,
-        // transfer energy).
+        // transfer energy). A horizon shorter than the first super-period
+        // never reaches that average, so it starts from the static one.
         let first = &migrations.priced[migrations.pending];
         let (period_s, stall_s) = (migrations.period_s, first.cost.stall_seconds);
         let active_s = period_s + params.stall_power_fraction * stall_s;
-        let mut power: Vec<f64> = (cal.dynamic.iter().zip(&first.transfer_j))
-            .map(|(p, t)| (p * active_s + t) / (period_s + stall_s))
-            .collect();
+        let mut power: Vec<f64> = if (frames as f64 * dt) < period_s + stall_s {
+            cal.dynamic.clone()
+        } else {
+            (cal.dynamic.iter().zip(&first.transfer_j))
+                .map(|(p, t)| (p * active_s + t) / (period_s + stall_s))
+                .collect()
+        };
         let init_temps = chip.steady_with_leakage(&power)?;
         check_runaway(&init_temps)?;
         for ((p, &a), &t) in power.iter_mut().zip(&areas).zip(&init_temps) {
@@ -834,6 +841,26 @@ mod tests {
             render(&grouped[4]),
             render(&Ok(CosimOutcome::Adaptive(adaptive)))
         );
+    }
+
+    #[test]
+    fn a_horizon_shorter_than_one_super_period_reports_no_migration_heat() {
+        // Config A at quick fidelity: 200 blocks are a 0.53 ms period, so
+        // a 0.3 ms horizon commits no migration under either policy and
+        // must read the static baseline's peak.
+        let (chip, cal) = chip_and_cal(ChipConfigId::A);
+        let params = CosimParams {
+            sim_time: 0.3e-3,
+            warmup: 0.15e-3,
+            period_blocks: 200,
+            ..CosimParams::quick()
+        };
+        let periodic = run_cosim(&chip, &cal, Some(MigrationScheme::XYShift), &params).unwrap();
+        assert_eq!(periodic.migrations, 0);
+        assert!(periodic.reduction.abs() < 1e-9, "{}", periodic.reduction);
+        let adaptive = crate::adaptive::run_adaptive_cosim(&chip, &cal, &params).unwrap();
+        assert!(adaptive.schedule.is_empty(), "{:?}", adaptive.schedule);
+        assert!(adaptive.reduction.abs() < 1e-9, "{}", adaptive.reduction);
     }
 
     /// Drives the migration clock alone over the horizon of `params` and

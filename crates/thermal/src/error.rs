@@ -12,13 +12,6 @@ pub enum ThermalError {
         /// Index of the offending block.
         index: usize,
     },
-    /// Two floorplan blocks overlap.
-    OverlappingBlocks {
-        /// First block index.
-        a: usize,
-        /// Second block index.
-        b: usize,
-    },
     /// The floorplan has no blocks.
     EmptyFloorplan,
     /// A power vector's length does not match the number of blocks.
@@ -54,9 +47,6 @@ impl fmt::Display for ThermalError {
             ThermalError::DegenerateBlock { index } => {
                 write!(f, "floorplan block {index} has non-positive dimensions")
             }
-            ThermalError::OverlappingBlocks { a, b } => {
-                write!(f, "floorplan blocks {a} and {b} overlap")
-            }
             ThermalError::EmptyFloorplan => write!(f, "floorplan contains no blocks"),
             ThermalError::PowerLengthMismatch { expected, got } => {
                 write!(
@@ -89,7 +79,6 @@ mod tests {
     fn display_nonempty() {
         let errs = [
             ThermalError::DegenerateBlock { index: 1 },
-            ThermalError::OverlappingBlocks { a: 0, b: 1 },
             ThermalError::EmptyFloorplan,
             ThermalError::PowerLengthMismatch {
                 expected: 16,

@@ -6,9 +6,12 @@
 //! resistances couple adjacent blocks; vertical resistances lead through the
 //! thermal interface material (TIM) into the heat spreader, heat sink and
 //! finally, via a convection resistance, into ambient air. This crate builds
-//! the same style of network ([`rc_model::RcNetwork`]) and provides both a
-//! steady-state solver (dense LU) and transient solvers (backward Euler by
-//! warm-started sparse conjugate gradient, one simulation or several in
+//! the same style of network ([`rc_model::RcNetwork`]) for the paper's die,
+//! a grid of square blocks ([`floorplan::Floorplan`]). The network holds
+//! its conductance matrix once, in CSR form ([`sparse::CsrMat`]). The
+//! steady-state solver is a dense LU factored from it once
+//! ([`linalg::Lu`]); the transient solvers step it directly (backward Euler
+//! by warm-started sparse conjugate gradient, one simulation or several in
 //! lockstep, plus classic RK4).
 //!
 //! The paper's setup — "HotSpot ... with all settings at the default values
@@ -44,7 +47,7 @@ pub mod sparse;
 pub mod trace;
 
 pub use error::ThermalError;
-pub use floorplan::{Block, Floorplan};
+pub use floorplan::Floorplan;
 pub use package::PackageConfig;
 pub use rc_model::RcNetwork;
 pub use solver::lanes::TransientLanes;

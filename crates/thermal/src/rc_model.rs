@@ -1,5 +1,8 @@
 //! RC-equivalent thermal network construction and steady-state solution.
 //!
+//! The network holds its conductance matrix once, in CSR form, and solves
+//! steady states through a dense LU factored from it ([`Lu`]).
+//!
 //! Node layout for a floorplan with `n` blocks:
 //!
 //! | index            | node                                   |
@@ -17,23 +20,20 @@
 
 use crate::error::ThermalError;
 use crate::floorplan::Floorplan;
-use crate::linalg::{DMat, Lu};
+use crate::linalg::Lu;
 use crate::package::PackageConfig;
 use crate::sparse::{CsrMat, TripletBuilder};
 
 /// A fully built thermal network with pre-factored steady-state matrix.
 ///
-/// The conductance Laplacian is assembled directly in sparse (CSR) form —
-/// ~7 nonzeros per row — which is what the transient integrators step with;
-/// the dense copy exists only to LU-factor the steady-state system once.
+/// The conductance Laplacian is stored once, in sparse (CSR) form — ~7
+/// nonzeros per row — which is what the transient integrators step with;
+/// the steady-state LU is factored from it once.
 #[derive(Debug, Clone)]
 pub struct RcNetwork {
     n_blocks: usize,
     n_nodes: usize,
-    /// `G` Laplacian plus ambient conductance on the diagonal (dense copy,
-    /// kept for the steady-state factorization and inspection).
-    a: DMat,
-    /// The same matrix in CSR form: the transient stepping operator.
+    /// `G` Laplacian plus ambient conductance on the diagonal.
     a_sparse: CsrMat,
     /// Per-node conductance to ambient (only the sink node is non-zero).
     g_amb: Vec<f64>,
@@ -65,10 +65,7 @@ impl RcNetwork {
         };
 
         // Lateral conduction between adjacent die blocks.
-        for (i, j, edge) in plan.adjacencies() {
-            let (cx_i, cy_i) = plan.blocks()[i].centroid();
-            let (cx_j, cy_j) = plan.blocks()[j].centroid();
-            let dist = ((cx_i - cx_j).powi(2) + (cy_i - cy_j).powi(2)).sqrt();
+        for (i, j, edge, dist) in plan.adjacencies() {
             let cond = pkg.die.conductivity * pkg.t_die * edge / dist;
             add(&mut g, i, j, cond);
         }
@@ -77,8 +74,8 @@ impl RcNetwork {
         let sp_area = pkg.spreader_side * pkg.spreader_side;
         let periph_area = ((sp_area - die_area) / 4.0).max(sp_area * 0.05);
 
-        for (i, b) in plan.blocks().iter().enumerate() {
-            let area = b.area();
+        let area = plan.block_area();
+        for i in 0..n {
             // die block -> its TIM node: half the die plus half the TIM.
             let r_down = pkg.die.slab_resistance(pkg.t_die / 2.0, area)
                 + pkg.tim.slab_resistance(pkg.t_tim / 2.0, area);
@@ -116,9 +113,9 @@ impl RcNetwork {
 
         // Heat capacities.
         let mut cap = vec![0.0; n_nodes];
-        for (i, b) in plan.blocks().iter().enumerate() {
-            cap[i] = pkg.cap_factor * pkg.die.slab_capacity(pkg.t_die, b.area());
-            cap[n + i] = pkg.cap_factor * pkg.tim.slab_capacity(pkg.t_tim, b.area());
+        for i in 0..n {
+            cap[i] = pkg.cap_factor * pkg.die.slab_capacity(pkg.t_die, area);
+            cap[n + i] = pkg.cap_factor * pkg.tim.slab_capacity(pkg.t_tim, area);
         }
         cap[sp_center] = pkg.cap_factor * pkg.spreader.slab_capacity(pkg.t_spreader, die_area);
         for &p in &sp_periph {
@@ -131,12 +128,10 @@ impl RcNetwork {
             + pkg.c_convec;
 
         let a_sparse = g.build();
-        let a = a_sparse.to_dense();
-        let lu = a.lu()?;
+        let lu = Lu::factor(&a_sparse)?;
         Ok(RcNetwork {
             n_blocks: n,
             n_nodes,
-            a,
             a_sparse,
             g_amb,
             cap,
@@ -165,13 +160,8 @@ impl RcNetwork {
         &self.cap
     }
 
-    /// The conductance matrix (Laplacian + ambient diagonal), densely.
-    pub fn conductance(&self) -> &DMat {
-        &self.a
-    }
-
-    /// The conductance matrix in CSR form (what the transient solvers
-    /// multiply by; O(nnz) per matvec instead of O(n²)).
+    /// The conductance matrix (Laplacian + ambient diagonal) in CSR form:
+    /// what the transient solvers multiply by, O(nnz) per matvec.
     pub fn conductance_sparse(&self) -> &CsrMat {
         &self.a_sparse
     }
@@ -390,18 +380,14 @@ mod tests {
 
     #[test]
     fn sparse_conductance_matches_dense_and_is_sparse() {
+        // The CSR matrix is the one the dense LU factored: it maps the
+        // steady state back onto its right-hand side.
         let net = net4();
         let s = net.conductance_sparse();
-        let d = net.conductance();
-        assert_eq!(s.rows(), d.rows());
-        assert_eq!(s.cols(), d.cols());
-        for i in 0..s.rows() {
-            for j in 0..s.cols() {
-                assert!(
-                    (s.get(i, j) - d[(i, j)]).abs() < 1e-15,
-                    "mismatch at ({i}, {j})"
-                );
-            }
+        let p: Vec<f64> = (0..16).map(|i| 0.5 + 0.2 * i as f64).collect();
+        let applied = s.matvec(&net.steady_state_full(&p).unwrap());
+        for (got, want) in applied.iter().zip(net.rhs(&p).unwrap()) {
+            assert!((got - want).abs() < 1e-8, "{got} != {want}");
         }
         // A handful of nonzeros per row on average, far below n².
         assert!(s.nnz() < 10 * s.rows(), "nnz {} too dense", s.nnz());
@@ -409,6 +395,68 @@ mod tests {
         for i in 0..s.rows() {
             for j in 0..s.cols() {
                 assert_eq!(s.get(i, j), s.get(j, i));
+            }
+        }
+    }
+
+    /// The lateral conductance of blocks `i < j` of a `width`-wide grid of
+    /// `side`-metre squares, from rectangle geometry: the shared edge (1 nm
+    /// contact tolerance, corner contact excluded) over the centroid
+    /// distance. Zero for blocks that share no edge.
+    fn rectangle_conductance(
+        pkg: &PackageConfig,
+        width: usize,
+        side: f64,
+        i: usize,
+        j: usize,
+    ) -> f64 {
+        const EPS: f64 = 1e-9;
+        let corner = |k: usize| ((k % width) as f64 * side, (k / width) as f64 * side);
+        let ((ax, ay), (bx, by)) = (corner(i), corner(j));
+        let x_overlap = (ax + side).min(bx + side) - ax.max(bx);
+        let y_overlap = (ay + side).min(by + side) - ay.max(by);
+        let touch_x = ((ax + side) - bx).abs() < EPS || ((bx + side) - ax).abs() < EPS;
+        let touch_y = ((ay + side) - by).abs() < EPS || ((by + side) - ay).abs() < EPS;
+        let edge = if touch_x && y_overlap > EPS {
+            y_overlap
+        } else if touch_y && x_overlap > EPS {
+            x_overlap
+        } else {
+            return 0.0;
+        };
+        let (acx, acy) = (ax + side / 2.0, ay + side / 2.0);
+        let (bcx, bcy) = (bx + side / 2.0, by + side / 2.0);
+        let dist = ((acx - bcx).powi(2) + (acy - bcy).powi(2)).sqrt();
+        pkg.die.conductivity * pkg.t_die * edge / dist
+    }
+
+    #[test]
+    fn grid_lateral_conductances_are_the_rectangle_geometrys_bit_for_bit() {
+        let pkg = PackageConfig::date05_defaults();
+        for unit_area in [4.36e-6, 1e-6] {
+            let side = f64::sqrt(unit_area);
+            for (width, height) in (1..=9).flat_map(|w| (1..=9).map(move |h| (w, h))) {
+                let plan = Floorplan::mesh_grid(width, height, unit_area).unwrap();
+                let net = RcNetwork::build(&plan, &pkg).unwrap();
+                let g = net.conductance_sparse();
+                let n = width * height;
+                for i in 0..n {
+                    let (cols, vals) = g.row(i);
+                    for j in (0..n).filter(|&j| j != i) {
+                        let want = rectangle_conductance(&pkg, width, side, i.min(j), i.max(j));
+                        let stored = cols.iter().position(|&c| c == j).map(|k| -vals[k]);
+                        if want == 0.0 {
+                            assert_eq!(stored, None, "{width}x{height}: ({i}, {j}) stored");
+                        } else {
+                            let got = stored.unwrap_or_else(|| panic!("({i}, {j}) missing"));
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "{width}x{height}: ({i}, {j})"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -23,19 +23,21 @@ pub fn steady_state_gauss_seidel(
     max_iters: usize,
 ) -> Result<Vec<f64>, ThermalError> {
     let b = net.rhs(power_blocks)?;
-    let a = net.conductance();
+    let a = net.conductance_sparse();
+    let diag = a.diagonal();
     let n = net.n_nodes();
     let mut t = vec![net.ambient(); n];
     for _ in 0..max_iters {
         let mut max_delta: f64 = 0.0;
         for i in 0..n {
             let mut acc = b[i];
-            for j in 0..n {
+            let (cols, vals) = a.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
                 if j != i {
-                    acc -= a[(i, j)] * t[j];
+                    acc -= v * t[j];
                 }
             }
-            let new = acc / a[(i, i)];
+            let new = acc / diag[i];
             max_delta = max_delta.max((new - t[i]).abs());
             t[i] = new;
         }

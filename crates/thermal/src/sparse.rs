@@ -14,7 +14,6 @@
 
 #[cfg(test)]
 use crate::error::ThermalError;
-use crate::linalg::DMat;
 
 /// A sparse matrix in compressed-sparse-row format.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,17 +114,6 @@ impl CsrMat {
             out.vals[span.start + k] += di;
         }
         out
-    }
-
-    /// Densifies the matrix (steady-state LU factorization, tests).
-    pub fn to_dense(&self) -> DMat {
-        let mut m = DMat::zeros(self.n_rows, self.n_cols);
-        for i in 0..self.n_rows {
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                m[(i, self.col_idx[k])] = self.vals[k];
-            }
-        }
-        m
     }
 }
 
@@ -371,18 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_matches_dense() {
-        let m = laplacian_path(8);
-        let d = m.to_dense();
-        let x: Vec<f64> = (0..8).map(|i| (i as f64).sin() + 2.0).collect();
-        let ys = m.matvec(&x);
-        let yd = d.matvec(&x);
-        for (a, b) in ys.iter().zip(&yd) {
-            assert!((a - b).abs() < 1e-14, "{a} != {b}");
-        }
-    }
-
-    #[test]
     fn conductance_stamp_is_symmetric_laplacian() {
         let mut b = TripletBuilder::new(3, 3);
         b.add_conductance(0, 1, 2.0);
@@ -461,7 +437,7 @@ mod tests {
     fn cg_matches_dense_lu() {
         let m = laplacian_path(30);
         let b: Vec<f64> = (0..30).map(|i| (i % 7) as f64 - 3.0).collect();
-        let lu = m.to_dense().lu().unwrap();
+        let lu = crate::linalg::Lu::factor(&m).unwrap();
         let expect = lu.solve(&b);
         let mut x = vec![0.0; 30];
         CgSolver::new(&m).unwrap().solve(&m, &b, &mut x).unwrap();

@@ -2,8 +2,10 @@
 //! diagonally dominant systems, physical monotonicity of the RC network and
 //! unconditional stability of backward Euler.
 
-use hotnoc_thermal::linalg::DMat;
-use hotnoc_thermal::{Floorplan, Integrator, PackageConfig, RcNetwork, TransientSim};
+use hotnoc_thermal::linalg::Lu;
+use hotnoc_thermal::{
+    Floorplan, Integrator, PackageConfig, RcNetwork, TransientSim, TripletBuilder,
+};
 use proptest::prelude::*;
 
 fn net() -> RcNetwork {
@@ -24,16 +26,17 @@ proptest! {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut m = DMat::zeros(n, n);
+        let mut m = TripletBuilder::new(n, n);
         for i in 0..n {
             for j in 0..n {
-                m[(i, j)] = rng.gen_range(-1.0..1.0);
+                m.add(i, j, rng.gen_range(-1.0..1.0));
             }
-            m[(i, i)] += n as f64 + 1.0;
+            m.add(i, i, n as f64 + 1.0);
         }
+        let m = m.build();
         let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-10.0..10.0)).collect();
         let b = m.matvec(&x);
-        let got = m.lu().unwrap().solve(&b);
+        let got = Lu::factor(&m).unwrap().solve(&b);
         for (a, e) in got.iter().zip(&x) {
             prop_assert!((a - e).abs() < 1e-8, "{a} != {e}");
         }
