@@ -4,7 +4,8 @@
 //! failed write exits non-zero.
 
 use hotnoc_noc::Mesh;
-use hotnoc_reconfig::{MigrationScheme, MigrationUnit, OrbitDecomposition};
+use hotnoc_reconfig::transform::operand_bits;
+use hotnoc_reconfig::{MigrationScheme, OrbitDecomposition};
 use std::error::Error;
 use std::fmt::Write as _;
 
@@ -52,11 +53,10 @@ fn main() -> Result<(), Box<dyn Error>> {
     }
 
     // §2.3: "only 3-bit operands are required to address up to 64 PEs".
-    let unit = MigrationUnit::new(Mesh::square(8).expect("valid"), MigrationScheme::Rotation);
     writeln!(
         out,
         "\nMigration unit: {} -bit operands address {} PEs (paper: 3-bit operands, up to 64 PEs)",
-        unit.operand_bits(),
+        operand_bits(Mesh::square(8).expect("valid")),
         64
     )?;
 

@@ -663,6 +663,26 @@ fn a_failed_scenario_still_writes_its_profile_sidecar() {
         doc.get("deterministic").and_then(Json::as_bool),
         Some(false)
     );
+    // The job built and calibrated its chip and entered the co-sim before
+    // it ran away, so every layer boundary on that path has been timed.
+    let phases = doc.get("phases").and_then(Json::as_array).expect("phases");
+    let calls = |name: &str| {
+        phases
+            .iter()
+            .find(|p| p.get("name").and_then(Json::as_str) == Some(name))
+            .and_then(|p| p.get("calls").and_then(Json::as_u64))
+            .unwrap_or(0)
+    };
+    for name in [
+        "core/chip_build",
+        "thermal/build",
+        "core/calibrate/noc_block",
+        "core/calibrate/bisect",
+        "thermal/steady",
+        "core/cosim",
+    ] {
+        assert!(calls(name) >= 1, "no {name} scope in {text}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -62,6 +62,7 @@ impl Chip {
     ///
     /// Propagates construction failures from the substrates.
     pub fn build(spec: ChipSpec) -> Result<Chip, CoreError> {
+        let _t = hotnoc_obs::prof::scope("core/chip_build");
         let mesh = Mesh::square(spec.mesh_side)?;
         let code = LdpcCode::gallager(spec.code_n, spec.wc, spec.wr, spec.seed)?;
         let mapping = ClusterMapping::weighted(&code, &spec.tile_weights)?;
@@ -127,7 +128,10 @@ impl Chip {
     pub fn calibrate(&mut self) -> Result<CalibratedPower, CoreError> {
         let mut net = Network::new(self.mesh, self.noc_cfg);
         let iterations = self.spec.iterations;
-        let run = self.app.run_block(&mut net, iterations)?;
+        let run = {
+            let _t = hotnoc_obs::prof::scope("core/calibrate/noc_block");
+            self.app.run_block(&mut net, iterations)?
+        };
         let block_seconds = self.noc_cfg.cycles_to_seconds(run.cycles);
 
         // Raw per-tile dynamic power over the block window. The network is
@@ -144,7 +148,10 @@ impl Chip {
             .collect();
 
         let target = self.spec.base_peak_celsius;
-        let scale = self.solve_scale(&raw, target)?;
+        let scale = {
+            let _t = hotnoc_obs::prof::scope("core/calibrate/bisect");
+            self.solve_scale(&raw, target)?
+        };
         let dynamic: Vec<f64> = raw.iter().map(|p| p * scale).collect();
         let total_dynamic = dynamic.iter().sum();
         Ok(CalibratedPower {

@@ -105,7 +105,8 @@ pub struct CosimResult {
     pub mean_temp: f64,
     /// Mean die temperature of the static baseline (°C).
     pub base_mean_temp: f64,
-    /// Throughput penalty: stall / (period + stall).
+    /// Throughput penalty: stall / (period + stall) of the scheme; 0 when
+    /// the horizon committed no migration.
     pub throughput_penalty: f64,
     /// Migration stall, seconds.
     pub stall_seconds: f64,
@@ -293,6 +294,7 @@ fn lockstep<const L: usize>(
         .each_ref()
         .map(|_| chip.steady_with_leakage(&cal.dynamic));
     let shapes = jobs.each_ref().map(|j| (j.policy, j.params));
+    let timer = hotnoc_obs::prof::scope("core/cosim");
     let runs = co_simulate(
         chip,
         cal,
@@ -307,6 +309,7 @@ fn lockstep<const L: usize>(
             (params, policy, job.events)
         }),
     );
+    drop(timer);
     let mut lanes = bases.into_iter().zip(runs).zip(shapes);
     array::from_fn(|_| {
         let ((base, run), (policy, params)) = lanes.next().expect("one entry per lane");
@@ -327,18 +330,22 @@ fn outcome(
         LanePolicy::Periodic(_) => {
             let period_s = cal.block_seconds * params.period_blocks as f64;
             let cost = &migrations.priced[0].cost;
+            let committed = migrations.schedule.len() as u64;
             CosimOutcome::Periodic(CosimResult {
                 base_peak,
                 peak,
                 reduction: base_peak - peak,
                 mean_temp: mean,
                 base_mean_temp: mean_of(&base_temps),
-                throughput_penalty: cost.stall_seconds / (period_s + cost.stall_seconds),
+                throughput_penalty: match committed {
+                    0 => 0.0,
+                    _ => cost.stall_seconds / (period_s + cost.stall_seconds),
+                },
                 stall_seconds: cost.stall_seconds,
                 period_seconds: period_s,
                 migration_energy_j: cost.energy_j,
                 phases: cost.plan.num_phases(),
-                migrations: migrations.schedule.len() as u64,
+                migrations: committed,
             })
         }
         LanePolicy::Adaptive => CosimOutcome::Adaptive(AdaptiveResult {
@@ -858,9 +865,11 @@ mod tests {
         let periodic = run_cosim(&chip, &cal, Some(MigrationScheme::XYShift), &params).unwrap();
         assert_eq!(periodic.migrations, 0);
         assert!(periodic.reduction.abs() < 1e-9, "{}", periodic.reduction);
+        assert_eq!(periodic.throughput_penalty, 0.0);
         let adaptive = crate::adaptive::run_adaptive_cosim(&chip, &cal, &params).unwrap();
         assert!(adaptive.schedule.is_empty(), "{:?}", adaptive.schedule);
         assert!(adaptive.reduction.abs() < 1e-9, "{}", adaptive.reduction);
+        assert_eq!(adaptive.throughput_penalty, 0.0);
     }
 
     /// Drives the migration clock alone over the horizon of `params` and

@@ -11,7 +11,8 @@
 //!   commit them in ascending router-id order, the same discipline as
 //!   their stats.
 //! * **the timing plane** ([`prof`]) — wall-clock scope timers around the
-//!   hot phases (`Network::step` sweeps, thermal step, LDPC decode).
+//!   hot phases and layer boundaries (`Network::step` sweeps, thermal
+//!   build, steady solve and step, chip build, calibration, co-sim).
 //!   Wall time is inherently non-deterministic, so profiles live in a
 //!   separate `hotnoc-profile-v1` sidecar and are *never* part of the
 //!   byte-identity guarantee.

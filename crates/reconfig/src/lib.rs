@@ -1,4 +1,4 @@
-//! # hotnoc-reconfig — runtime reconfiguration engine
+//! # hotnoc-reconfig — migration transforms, phase plans and the I/O address map
 //!
 //! The primary contribution of the DATE'05 paper: periodic spatial remapping
 //! of workload across a mesh NoC using algebraically simple plane
@@ -13,9 +13,13 @@
 //! * the operation is transparent to the outside world thanks to address
 //!   transformation at the chip I/O boundary
 //!   ([`io_transform::CumulativeMap`] implements
-//!   `hotnoc_noc::AddressMap`),
+//!   `hotnoc_noc::AddressMap`; composing one scheme per period with
+//!   [`CumulativeMap::apply_scheme`] tracks where each workload lives),
 //! * the hardware cost is small: 3-bit operands address up to 64 PEs in the
-//!   migration unit ([`migration_unit::MigrationUnit`]).
+//!   migration unit ([`transform::operand_bits`]).
+//!
+//! When to migrate, and what a migration costs the chip, is the
+//! co-simulation's business (`hotnoc_core::cosim`).
 //!
 //! ```
 //! use hotnoc_noc::{Coord, Mesh};
@@ -33,17 +37,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod controller;
 pub mod io_transform;
-pub mod migration_unit;
 pub mod orbit;
 pub mod phases;
 pub mod state_transfer;
 pub mod transform;
 
-pub use controller::{MigrationEvent, ReconfigController};
 pub use io_transform::CumulativeMap;
-pub use migration_unit::MigrationUnit;
 pub use orbit::OrbitDecomposition;
 pub use phases::{MigrationPlan, Move, Phase};
 pub use state_transfer::StateSpec;

@@ -191,6 +191,15 @@ impl fmt::Display for MigrationScheme {
     }
 }
 
+/// Bits per coordinate operand of the migration unit (§2.3), which computes
+/// every tile's new {X, Y} from its current one: `ceil(log2(max(W, H)))`,
+/// at least 1. For meshes up to 8x8 this is 3 bits, the paper's figure
+/// ("only 3-bit operands are required to address up to 64 PEs").
+pub fn operand_bits(mesh: Mesh) -> u32 {
+    let side = mesh.width().max(mesh.height()) as u32;
+    (32 - side.saturating_sub(1).leading_zeros()).max(1)
+}
+
 fn gcd(a: usize, b: usize) -> usize {
     if b == 0 {
         a
@@ -366,6 +375,14 @@ mod tests {
             names,
             vec!["Rot", "X Mirror", "X-Y Mirror", "Right Shift", "X-Y Shift"]
         );
+    }
+
+    #[test]
+    fn operand_bits_for_paper_meshes() {
+        assert_eq!(operand_bits(Mesh::square(4).unwrap()), 2);
+        assert_eq!(operand_bits(Mesh::square(5).unwrap()), 3);
+        assert_eq!(operand_bits(Mesh::square(8).unwrap()), 3); // 64 PEs with 3-bit operands (paper)
+        assert_eq!(operand_bits(Mesh::square(64).unwrap()), 6);
     }
 
     #[test]

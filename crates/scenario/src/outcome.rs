@@ -24,7 +24,8 @@ pub struct CosimMetrics {
     pub mean_temp: f64,
     /// Mean die temperature of the static baseline, °C.
     pub base_mean_temp: f64,
-    /// Throughput penalty: stall / (period + stall).
+    /// Throughput penalty: stall / (period + stall) of the scheme; 0 when
+    /// the horizon committed no migration.
     pub throughput_penalty: f64,
     /// Migration stall, seconds.
     pub stall_seconds: f64,

@@ -5,11 +5,15 @@
 //! random patterns and fault plans. Each spec must either fail
 //! `validate` or, run through `run_scenario`, end in an outcome or a
 //! `thermal runaway` error. Any other error is a hole in the validator.
+//! A co-simulation that committed no migration must also report no
+//! throughput penalty.
 
 use hotnoc_core::configs::{ChipConfigId, Fidelity};
 use hotnoc_noc::{Coord, FaultPlan, TrafficPattern};
 use hotnoc_scenario::spec::scheme_from_name;
-use hotnoc_scenario::{run_scenario, ChipKind, Mode, Policy, ScenarioSpec, Workload};
+use hotnoc_scenario::{
+    run_scenario, ChipKind, Mode, Policy, ScenarioOutcome, ScenarioSpec, Workload,
+};
 
 /// Specs drawn. An LDPC spec on a custom die calibrates a chip of its own,
 /// so the battery stays small enough for a debug build.
@@ -192,10 +196,21 @@ fn every_spec_the_validator_accepts_runs() {
             continue;
         }
         ran += 1;
-        if let Err(e) = run_scenario(&spec) {
-            let e = e.to_string();
-            if !e.contains("thermal runaway") {
-                holes.push(format!("{}: {e}\n  {}", spec.name, spec.to_json()));
+        match run_scenario(&spec) {
+            Ok(ScenarioOutcome::Cosim(m)) if m.migrations == 0 && m.throughput_penalty != 0.0 => {
+                holes.push(format!(
+                    "{}: penalty {} without a migration\n  {}",
+                    spec.name,
+                    m.throughput_penalty,
+                    spec.to_json()
+                ));
+            }
+            Ok(_) => {}
+            Err(e) => {
+                let e = e.to_string();
+                if !e.contains("thermal runaway") {
+                    holes.push(format!("{}: {e}\n  {}", spec.name, spec.to_json()));
+                }
             }
         }
     }

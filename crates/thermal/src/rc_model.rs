@@ -52,6 +52,7 @@ impl RcNetwork {
     /// * [`ThermalError::SingularSystem`] if the network is degenerate
     ///   (cannot happen for a valid floorplan; defensive).
     pub fn build(plan: &Floorplan, pkg: &PackageConfig) -> Result<Self, ThermalError> {
+        let _t = hotnoc_obs::prof::scope("thermal/build");
         pkg.validate()?;
         let n = plan.len();
         let n_nodes = 2 * n + 5 + 1;
@@ -224,6 +225,7 @@ impl RcNetwork {
     ///
     /// Returns [`ThermalError::PowerLengthMismatch`] on a wrong-sized input.
     pub fn steady_state_full(&self, power_blocks: &[f64]) -> Result<Vec<f64>, ThermalError> {
+        let _t = hotnoc_obs::prof::scope("thermal/steady");
         let b = self.rhs(power_blocks)?;
         Ok(self.lu.solve(&b))
     }

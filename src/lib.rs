@@ -9,9 +9,10 @@
 //! * [`ldpc`] — the LDPC-decoder workload mapped onto the NoC,
 //! * [`thermal`] — HotSpot-style block RC thermal simulator,
 //! * [`power`] — activity-based 160 nm power models,
-//! * [`placement`] — thermally-aware static placement,
-//! * [`reconfig`] — migration transforms and the runtime reconfiguration
-//!   engine,
+//! * [`reconfig`] — the migration transforms, their congestion-free phase
+//!   plans and the §2.3 hardware: the cumulative I/O address map
+//!   ([`reconfig::CumulativeMap`]) and the migration unit's operand width
+//!   ([`reconfig::transform::operand_bits`]),
 //! * [`core`] — the co-simulation runtime and the paper's chip
 //!   configurations A–E,
 //! * [`scenario`] — declarative experiment specs, the campaign engine and
@@ -42,7 +43,6 @@ pub use hotnoc_core as core;
 pub use hotnoc_ldpc as ldpc;
 pub use hotnoc_noc as noc;
 pub use hotnoc_obs as obs;
-pub use hotnoc_placement as placement;
 pub use hotnoc_power as power;
 pub use hotnoc_reconfig as reconfig;
 pub use hotnoc_scenario as scenario;
