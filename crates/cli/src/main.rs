@@ -33,7 +33,7 @@
 
 use hotnoc_core::configs::Fidelity;
 use hotnoc_scenario::builtin::{builtin, BUILTINS};
-use hotnoc_scenario::exhibits::{latency_load_curves, render_latency_load};
+use hotnoc_scenario::exhibits::{exhibits, Exhibits};
 use hotnoc_scenario::json::Json;
 use hotnoc_scenario::runner::{
     campaign_json, run_campaign, summary_table, validate_campaign_json, CampaignDoc, RunnerOptions,
@@ -44,7 +44,7 @@ use hotnoc_scenario::stats::{aggregate, aggregate_json};
 use hotnoc_scenario::tracefile::{profile_json, TraceDoc};
 use hotnoc_scenario::{diff_campaigns, run_scenario_traced, CampaignSpec, ScenarioSpec};
 use hotnoc_serve::Endpoint;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -74,7 +74,7 @@ OPTIONS:
     --spec FILE      a JSON spec file (campaign or scenario)
     --shard I/N      run only stripe I of N (jobs with index ≡ I mod N);
                      emits a shard artifact for `campaign merge`
-    --out-dir DIR    artifact directory (default .)
+    --out-dir DIR    artifact and exhibit directory (default .)
     --threads N      worker threads (default HOTNOC_THREADS / parallelism)
     --max-jobs N     stop after N new jobs (the campaign stays resumable)
     --fresh          ignore an existing manifest instead of resuming
@@ -294,17 +294,18 @@ fn campaign_run(args: &[&str]) -> ExitCode {
             if run.resumed_jobs > 0 {
                 println!("resumed {} job(s) from the manifest", run.resumed_jobs);
             }
-            if run.is_complete() && run.shard.is_none() {
-                // The saturation-curve exhibit, when the campaign swept an
-                // offered-load axis.
-                if let Some(table) = render_latency_load(&latency_load_curves(&run.completed)) {
-                    print!("\n{table}");
-                }
-            }
+            // A shard or a partial run forms no exhibit: its records are
+            // not the whole campaign.
+            let exhibits = if run.is_complete() && run.shard.is_none() {
+                exhibits(&run.completed)
+            } else {
+                Exhibits::default()
+            };
+            print!("{}", exhibits.text);
             for path in [&run.json_path, &run.aggregate_path].into_iter().flatten() {
                 println!("[saved {}]", path.display());
             }
-            ExitCode::SUCCESS
+            save(&opts.out_dir, exhibits.files)
         }
         Err(e) => {
             eprintln!("hotnoc: campaign {label} failed: {e}");
@@ -314,7 +315,8 @@ fn campaign_run(args: &[&str]) -> ExitCode {
 }
 
 /// `campaign merge SHARD.json... [--out-dir DIR]`: validate the shard
-/// set and reassemble the exact single-host campaign artifacts.
+/// set and reassemble the exact single-host campaign artifacts and
+/// exhibits.
 fn campaign_merge(args: &[&str]) -> ExitCode {
     let flags = match Flags::parse(args, &["--out-dir"], &[]) {
         Ok(f) => f,
@@ -362,14 +364,23 @@ fn campaign_merge(args: &[&str]) -> ExitCode {
         merged.spec.name,
         merged.records.len()
     );
-    let json_path = out_dir.join(format!("CAMPAIGN_{}.json", merged.spec.name));
-    let aggregate_path = out_dir.join(format!("CAMPAIGN_{}.aggregate.json", merged.spec.name));
-    let groups = aggregate(&merged.records);
-    for (path, text) in [
-        (&json_path, campaign_json(&merged.spec, &merged.records)),
-        (&aggregate_path, aggregate_json(&merged.spec, &groups)),
-    ] {
-        if let Err(e) = std::fs::write(path, text) {
+    let (spec, records) = (&merged.spec, &merged.records);
+    let exhibits = exhibits(records);
+    print!("{}", exhibits.text);
+    let artifacts = [
+        (".json", campaign_json(spec, records)),
+        (".aggregate.json", aggregate_json(spec, &aggregate(records))),
+    ]
+    .map(|(suffix, text)| (format!("CAMPAIGN_{}{suffix}", spec.name), text));
+    save(&out_dir, artifacts.into_iter().chain(exhibits.files))
+}
+
+/// Writes each `(file name, bytes)` into `dir` and prints `[saved PATH]`;
+/// the first failed write exits 1.
+fn save(dir: &Path, files: impl IntoIterator<Item = (String, String)>) -> ExitCode {
+    for (name, text) in files {
+        let path = dir.join(name);
+        if let Err(e) = std::fs::write(&path, text) {
             eprintln!("hotnoc: {}: {e}", path.display());
             return ExitCode::FAILURE;
         }

@@ -1,8 +1,8 @@
 //! End-to-end tests of distributed campaign sharding through the real
 //! binary: `campaign run --shard i/n` + `campaign merge` reproduce the
-//! whole-run artifacts byte-for-byte (including a kill/resume inside one
-//! shard and shards at different thread counts), and every bad-input
-//! path exits 2 with a message naming the offender.
+//! whole-run artifacts and exhibits byte-for-byte (including a
+//! kill/resume inside one shard and shards at different thread counts),
+//! and every bad-input path exits 2 with a message naming the offender.
 
 use hotnoc_scenario::json::Json;
 use std::path::{Path, PathBuf};
@@ -163,6 +163,42 @@ fn sharded_run_merges_to_whole_run_bytes() {
         .expect("spawn hotnoc");
     assert!(diff.status.success(), "{}", stderr(&diff));
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two shards of the quick `fig1` campaign merge to the whole run's
+/// `fig1.csv`, byte for byte; a shard writes none.
+#[test]
+fn merged_fig1_shards_write_the_whole_runs_figure() {
+    let dir = tmp_dir("fig1");
+    let run_fig1 = |out_dir: &Path, extra: &[&str]| {
+        let out = hotnoc()
+            .args(["campaign", "run", "--builtin", "fig1", "--quick", "--quiet"])
+            .arg("--out-dir")
+            .arg(out_dir)
+            .args(extra)
+            .output()
+            .expect("spawn hotnoc");
+        assert!(out.status.success(), "{}", stderr(&out));
+    };
+    let (whole_dir, shard_dir) = (dir.join("whole"), dir.join("shards"));
+    run_fig1(&whole_dir, &[]);
+    run_fig1(&shard_dir, &["--shard", "0/2"]);
+    run_fig1(&shard_dir, &["--shard", "1/2"]);
+    assert!(!shard_dir.join("fig1.csv").exists());
+
+    let merged_dir = dir.join("merged");
+    let merge = hotnoc()
+        .args(["campaign", "merge"])
+        .args((0..2).map(|i| shard_dir.join(format!("CAMPAIGN_fig1.shard-{i}-of-2.json"))))
+        .arg("--out-dir")
+        .arg(&merged_dir)
+        .output()
+        .expect("spawn hotnoc");
+    assert!(merge.status.success(), "{}", stderr(&merge));
+    let whole = std::fs::read(whole_dir.join("fig1.csv")).expect("whole fig1.csv");
+    let merged = std::fs::read(merged_dir.join("fig1.csv")).expect("merged fig1.csv");
+    assert_eq!(whole, merged, "fig1.csv differs");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

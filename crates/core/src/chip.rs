@@ -216,6 +216,11 @@ impl Chip {
         }
         for _ in 0..60 {
             let mid = 0.5 * (lo + hi);
+            // Once the midpoint rounds onto an end, no later step moves
+            // the bracket off it: the answer is `mid` already.
+            if mid == lo || mid == hi {
+                return Ok(mid);
+            }
             if peak_at(mid)? < target {
                 lo = mid;
             } else {
@@ -262,6 +267,49 @@ mod tests {
                     "band row {band} not hottest"
                 );
             }
+        }
+    }
+
+    /// Stopping once the midpoint rounds onto an end of the bracket
+    /// returns the scale all 60 bisection steps reach, bit for bit.
+    #[test]
+    fn solve_scale_matches_sixty_bisection_steps() {
+        let sixty_steps = |chip: &Chip, raw: &[f64], target: f64| {
+            let peak_at = |s: f64| {
+                let dynamic: Vec<f64> = raw.iter().map(|p| p * s).collect();
+                rc_model::peak(&chip.steady_with_leakage(&dynamic).unwrap())
+            };
+            let amb = chip.thermal.ambient();
+            let peak1 = rc_model::peak(&chip.thermal.steady_state(raw).unwrap());
+            let s0 = (target - amb) / (peak1 - amb);
+            let (mut lo, mut hi) = (s0 / 10.0, s0 * 1.5);
+            for _ in 0..60 {
+                let mid = 0.5 * (lo + hi);
+                if peak_at(mid) < target {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            0.5 * (lo + hi)
+        };
+        let weights = (0..36).map(|i| 0.7 + (i % 5) as f64 * 0.4).collect();
+        let custom = ChipSpec::custom(6, weights, 80.0, Fidelity::Quick);
+        let specs = ChipConfigId::ALL
+            .iter()
+            .map(|&id| ChipSpec::of(id, Fidelity::Quick))
+            .chain([custom]);
+        for spec in specs {
+            let (side, target) = (spec.mesh_side, spec.base_peak_celsius);
+            let mut chip = Chip::build(spec).unwrap();
+            let cal = chip.calibrate().unwrap();
+            let raw: Vec<f64> = cal.dynamic.iter().map(|p| p / cal.scale).collect();
+            let scale = chip.solve_scale(&raw, target).unwrap();
+            assert_eq!(
+                scale.to_bits(),
+                sixty_steps(&chip, &raw, target).to_bits(),
+                "{side}x{side} die at {target} C"
+            );
         }
     }
 

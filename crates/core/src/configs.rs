@@ -87,8 +87,6 @@ pub enum Fidelity {
 /// Full description of one chip configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChipSpec {
-    /// Which configuration this is.
-    pub id: ChipConfigId,
     /// Mesh side length (4 or 5).
     pub mesh_side: usize,
     /// The paper's base (no-migration) peak temperature for this
@@ -192,7 +190,6 @@ impl ChipSpec {
         };
         let (code_n, iterations) = code_params(fidelity);
         ChipSpec {
-            id,
             mesh_side,
             base_peak_celsius: base_peak,
             tile_weights: weights.to_vec(),
@@ -210,11 +207,6 @@ impl ChipSpec {
     /// parameters follow `fidelity` exactly as for the named
     /// configurations.
     ///
-    /// The `id` field of the returned spec is a placeholder
-    /// ([`ChipConfigId::A`]): custom chips are identified by the scenario
-    /// that owns them, not by a Figure 1 letter, and nothing in the
-    /// co-simulation pipeline reads `id`.
-    ///
     /// # Panics
     ///
     /// Panics if `tile_weights.len() != mesh_side * mesh_side`.
@@ -231,7 +223,6 @@ impl ChipSpec {
         );
         let (code_n, iterations) = code_params(fidelity);
         ChipSpec {
-            id: ChipConfigId::A,
             mesh_side,
             base_peak_celsius,
             tile_weights,

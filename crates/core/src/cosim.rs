@@ -289,10 +289,9 @@ fn lockstep<const L: usize>(
     jobs: Vec<CosimJob<'_>>,
 ) -> [Result<CosimOutcome, CoreError>; L] {
     let jobs: [CosimJob; L] = jobs.try_into().expect("a group of L jobs");
-    // The static baseline each result is measured against.
-    let bases = jobs
-        .each_ref()
-        .map(|_| chip.steady_with_leakage(&cal.dynamic));
+    // The static baseline each result is measured against, solved once.
+    let base = chip.steady_with_leakage(&cal.dynamic);
+    let bases = jobs.each_ref().map(|_| base.clone());
     let shapes = jobs.each_ref().map(|j| (j.policy, j.params));
     let timer = hotnoc_obs::prof::scope("core/cosim");
     let runs = co_simulate(

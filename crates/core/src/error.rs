@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 /// Errors surfaced by the co-simulation runtime.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 #[non_exhaustive]
 pub enum CoreError {
     /// NoC simulation failure.

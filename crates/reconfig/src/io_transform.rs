@@ -65,11 +65,6 @@ impl CumulativeMap {
         self.generation += 1;
     }
 
-    /// The permutation as indices: `perm[logical] = physical`.
-    pub fn as_permutation(&self) -> Vec<usize> {
-        self.log2phys.iter().map(|&p| p as usize).collect()
-    }
-
     /// `true` if the map is currently the identity (e.g. after `order`
     /// applications of a scheme).
     pub fn is_identity(&self) -> bool {
@@ -158,19 +153,6 @@ mod tests {
         m.apply_scheme(MigrationScheme::XYShift);
         for c in mesh.iter_coords() {
             assert_eq!(m.physical_to_logical(m.logical_to_physical(c)), c);
-        }
-    }
-
-    #[test]
-    fn permutation_indices_consistent() {
-        let mesh = Mesh::square(4).unwrap();
-        let mut m = CumulativeMap::identity(mesh);
-        m.apply_scheme(MigrationScheme::XMirror);
-        let perm = m.as_permutation();
-        for (l, &p) in perm.iter().enumerate() {
-            let lc = mesh.coord(hotnoc_noc::NodeId::new(l as u16));
-            let pc = mesh.coord(hotnoc_noc::NodeId::new(p as u16));
-            assert_eq!(m.logical_to_physical(lc), pc);
         }
     }
 }

@@ -138,16 +138,6 @@ impl MigrationScheme {
         }
     }
 
-    /// The inverse transformation as a coordinate map (applying the scheme
-    /// `order - 1` more times).
-    ///
-    /// # Panics
-    ///
-    /// Same as [`MigrationScheme::apply`].
-    pub fn apply_inverse(self, c: Coord, mesh: Mesh) -> Coord {
-        self.apply_k(c, mesh, self.order(mesh) - 1)
-    }
-
     /// The permutation induced on node indices: entry `i` is the node id of
     /// the tile the workload at node `i` moves to.
     ///
@@ -291,17 +281,6 @@ mod tests {
                         cur = s.apply(cur, mesh);
                     }
                     assert_eq!(cur, c, "{s}^{k} != id on {mesh}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn inverse_composes_to_identity() {
-        for mesh in meshes() {
-            for s in MigrationScheme::FIGURE1 {
-                for c in mesh.iter_coords() {
-                    assert_eq!(s.apply_inverse(s.apply(c, mesh), mesh), c);
                 }
             }
         }

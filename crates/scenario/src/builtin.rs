@@ -1,6 +1,7 @@
 //! Built-in named campaigns: the paper's exhibits and engineering sweeps,
-//! expressed as [`CampaignSpec`]s so the report binaries (and the CLI) are
-//! thin wrappers over the engine.
+//! expressed as [`CampaignSpec`]s. `hotnoc campaign run --builtin NAME`
+//! runs one through the engine, and [`crate::exhibits::exhibits`] renders
+//! the exhibits its records form.
 
 use crate::campaign::{CampaignSpec, PolicyAxis};
 use crate::spec::{ChipKind, Mode, Workload};

@@ -1,17 +1,187 @@
-//! The paper's exhibit tables — Figure 1, the §3 period sweep and the
+//! The paper's exhibits — Table 1, Figure 1, the §3 period sweep and the
 //! §2.1–2.2 migration cost — built straight from campaign records and
-//! rendered as ASCII and CSV, so the `report_*` binaries are thin wrappers
-//! over the engine: run (or resume) a built-in campaign, then read its
-//! records here. This is the only path to each exhibit. The module also
-//! renders the latency-vs-load curve of traffic campaigns.
+//! rendered as ASCII and CSV. A built-in campaign computes each one, and
+//! [`exhibits`] renders every exhibit a campaign's records form: it is
+//! what `hotnoc campaign run` and `campaign merge` print and write. This
+//! is the only path to each exhibit. The module also renders the
+//! latency-vs-load curve of traffic campaigns.
 
 use crate::outcome::{CosimMetrics, PlanCostMetrics, ScenarioOutcome};
 use crate::runner::JobRecord;
 use crate::spec::{ChipKind, Policy, Workload};
 use crate::stats::{GroupKey, SummaryStats};
 use hotnoc_core::configs::ChipConfigId;
-use hotnoc_reconfig::MigrationScheme;
+use hotnoc_noc::Mesh;
+use hotnoc_reconfig::transform::operand_bits;
+use hotnoc_reconfig::{MigrationScheme, OrbitDecomposition};
 use std::fmt::Write as _;
+
+/// Every exhibit a campaign's records form, rendered by [`exhibits`].
+#[derive(Debug, Default)]
+pub struct Exhibits {
+    /// The text to print, each exhibit after a blank line.
+    pub text: String,
+    /// The files to write, as `(file name, bytes)`.
+    pub files: Vec<(String, String)>,
+}
+
+/// Renders every exhibit `records` form, in this order:
+///
+/// 1. Figure 1 and its §3 cross-checks, when [`fig1_table`] succeeds
+///    (`fig1.csv`);
+/// 2. the period sweep of config A under X-Y shift, when it has co-sim
+///    records at two or more periods (`period_sweep.csv`);
+/// 3. the migration cost of each config, in A–E order, whose plan-cost
+///    records cover every Figure 1 scheme (`migration_cost_<id>.csv`),
+///    then [`table1`] (`table1.txt`);
+/// 4. the latency-vs-load curves, printed only.
+pub fn exhibits(records: &[JobRecord]) -> Exhibits {
+    let mut out = Exhibits::default();
+    let (text, files) = (&mut out.text, &mut out.files);
+    if let Ok(table) = fig1_table(records) {
+        let (period_blocks, _) = periodic(records, ChipConfigId::A, MigrationScheme::XYShift)
+            .next()
+            .expect("fig1_table read this record");
+        let _ = write!(text, "\n{}", fig1_ascii(&table));
+        fig1_notes(text, &table, period_blocks);
+        files.push(("fig1.csv".into(), fig1_csv(&table)));
+    }
+    if let Ok(table) = period_table(records, ChipConfigId::A, MigrationScheme::XYShift) {
+        let (first, base) = (table.rows[0].0, &table.rows[0].1);
+        if table.rows.iter().any(|&(blocks, _)| blocks != first) {
+            let _ = write!(text, "\n{}", period_ascii(&table));
+            for (blocks, m) in &table.rows[1..] {
+                let paper = match (first, *blocks) {
+                    (1, 4) => " (paper: < 0.1 C)",
+                    (1, 8) => " (paper: no significant impact)",
+                    _ => "",
+                };
+                let _ = writeln!(
+                    text,
+                    "Peak rise from {first}-block to {blocks}-block period: {:.3} C{paper}",
+                    m.peak - base.peak
+                );
+            }
+            files.push(("period_sweep.csv".into(), period_csv(&table)));
+        }
+    }
+    let mut costed = false;
+    for id in ChipConfigId::ALL {
+        let Ok(rows) = migration_cost_rows(records, id) else {
+            continue;
+        };
+        let side = ChipKind::Config(id).mesh_side();
+        let _ = writeln!(text, "\nMigration cost — {side}x{side} chip (config {id}):");
+        text.push_str(&migration_cost_ascii(&rows));
+        let max_other = rows[1..]
+            .iter()
+            .map(|(_, r)| r.energy_uj)
+            .fold(f64::MIN, f64::max);
+        let _ = writeln!(
+            text,
+            "Rotation energy {:.1} uJ vs best-of-others {max_other:.1} uJ (paper: rotation largest)",
+            rows[0].1.energy_uj
+        );
+        let csv = migration_cost_csv(&rows);
+        files.push((format!("migration_cost_{id}.csv"), csv));
+        costed = true;
+    }
+    if costed {
+        let table = table1();
+        let _ = write!(text, "\n{table}");
+        files.push(("table1.txt".into(), table));
+    }
+    if let Some(table) = render_latency_load(&latency_load_curves(records)) {
+        let _ = write!(text, "\n{table}");
+    }
+    out
+}
+
+/// Appends the §3 cross-checks of Figure 1 against the paper's numbers;
+/// `period_blocks` is the migration period the table ran at.
+fn fig1_notes(out: &mut String, table: &Fig1Table, period_blocks: u64) {
+    let avg = table.average_reductions();
+    let _ = writeln!(out, "\nSection 3 cross-checks:");
+    let _ = writeln!(
+        out,
+        "  X-Y Shift average reduction: {:.2} C (paper: 4.62 C, highest)",
+        avg[4]
+    );
+    let _ = writeln!(
+        out,
+        "  Rotation  average reduction: {:.2} C (paper: 4.15 C, second)",
+        avg[0]
+    );
+    let rot_e = &table.rows[4].1[0];
+    let _ = writeln!(
+        out,
+        "  Rotation on E: reduction {:.2} C (paper: negative), mean-temp increase {:.2} C (paper: ~0.3 C)",
+        rot_e.reduction,
+        rot_e.mean_temp - rot_e.base_mean_temp
+    );
+    let a = &table.rows[0].1;
+    let best_a = a.iter().map(|r| r.reduction).fold(f64::MIN, f64::max);
+    let _ = writeln!(
+        out,
+        "  Best reduction on A: {best_a:.2} C (paper: up to 8 C)"
+    );
+    let _ = writeln!(
+        out,
+        "  X-Y Shift throughput penalty at {period_blocks}-block period: {:.2}% (paper: 1.6%)",
+        a[4].throughput_penalty * 100.0
+    );
+}
+
+/// Renders **Table 1** of the paper, the transformation functions in
+/// {X, Y} form, with each Figure 1 scheme's group order, fixed points and
+/// mean move on the paper's 4x4 and 5x5 meshes, and the §2.3 migration
+/// unit's operand width.
+pub fn table1() -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "Table 1. Transformation Functions");
+    let _ = writeln!(
+        out,
+        "{:<16}{:<18}{:<18}",
+        "", "New X Coordinate", "New Y Coordinate"
+    );
+    for (name, scheme) in [
+        ("Rotation", MigrationScheme::Rotation),
+        ("X Mirroring", MigrationScheme::XMirror),
+        ("X Translation", MigrationScheme::XTranslation { offset: 1 }),
+    ] {
+        let (x, y) = scheme.table1_row();
+        let _ = writeln!(out, "{name:<16}{x:<18}{y:<18}");
+    }
+
+    let _ = writeln!(
+        out,
+        "\nVerification on the paper's meshes (group order, fixed points, mean move):"
+    );
+    for side in [4usize, 5] {
+        let mesh = Mesh::square(side).expect("valid mesh");
+        let _ = writeln!(out, "  {side}x{side}:");
+        for scheme in MigrationScheme::FIGURE1 {
+            let orbits = OrbitDecomposition::new(scheme, mesh);
+            let _ = writeln!(
+                out,
+                "    {:<12} order {}  fixed points {}  mean move {:.2} hops",
+                scheme.to_string(),
+                scheme.order(mesh),
+                orbits.fixed_points().len(),
+                orbits.mean_move_distance(scheme)
+            );
+        }
+    }
+
+    // §2.3: "only 3-bit operands are required to address up to 64 PEs".
+    let _ = writeln!(
+        out,
+        "\nMigration unit: {} -bit operands address {} PEs (paper: 3-bit operands, up to 64 PEs)",
+        operand_bits(Mesh::square(8).expect("valid")),
+        64
+    );
+    out
+}
 
 /// The regenerated Figure 1.
 #[derive(Debug, Clone, PartialEq)]

@@ -23,7 +23,8 @@
 //!   migration cost, adaptive comparison, the latency-vs-load saturation
 //!   curve) as ready-made campaigns; [`exhibits`] builds the exhibit
 //!   tables straight from campaign records and renders them (and the
-//!   latency-load curve) as ASCII and CSV.
+//!   latency-load curve) as ASCII and CSV, and [`exhibits::exhibits`]
+//!   renders every exhibit one campaign's records form.
 //! * [`stats`] collapses records across the seed axis into per-group
 //!   summary statistics (mean / std-dev / min / max / median / p95 /
 //!   t-based 95% CI) and serializes them as the

@@ -13,10 +13,11 @@ use hotnoc::reconfig::MigrationScheme;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Build configuration A: a 4x4 LDPC-decoder NoC (Quick fidelity
     //    keeps this example fast; use Fidelity::Full for paper-scale runs).
-    let spec = ChipSpec::of(ChipConfigId::A, Fidelity::Quick);
+    let id = ChipConfigId::A;
+    let spec = ChipSpec::of(id, Fidelity::Quick);
     println!(
-        "Building config {}: {}x{} mesh, {}-bit LDPC code, target base peak {:.2} C",
-        spec.id, spec.mesh_side, spec.mesh_side, spec.code_n, spec.base_peak_celsius
+        "Building config {id}: {}x{} mesh, {}-bit LDPC code, target base peak {:.2} C",
+        spec.mesh_side, spec.mesh_side, spec.code_n, spec.base_peak_celsius
     );
     let mut chip = Chip::build(spec)?;
 
