@@ -663,8 +663,9 @@ fn a_failed_scenario_still_writes_its_profile_sidecar() {
         doc.get("deterministic").and_then(Json::as_bool),
         Some(false)
     );
-    // The job built and calibrated its chip and entered the co-sim before
-    // it ran away, so every layer boundary on that path has been timed.
+    // The job built and calibrated its chip, priced its scheme and entered
+    // the co-sim before it ran away, so every layer boundary on that path
+    // has been timed.
     let phases = doc.get("phases").and_then(Json::as_array).expect("phases");
     let calls = |name: &str| {
         phases
@@ -679,6 +680,7 @@ fn a_failed_scenario_still_writes_its_profile_sidecar() {
         "core/calibrate/noc_block",
         "core/calibrate/bisect",
         "thermal/steady",
+        "reconfig/plan",
         "core/cosim",
     ] {
         assert!(calls(name) >= 1, "no {name} scope in {text}");

@@ -144,6 +144,7 @@ pub fn migration_cost(
     params: &CosimParams,
     chip_power: f64,
 ) -> MigrationCost {
+    let _t = hotnoc_obs::prof::scope("reconfig/plan");
     let mesh = chip.mesh();
     let plan = MigrationPlan::plan(
         mesh,
@@ -456,6 +457,7 @@ fn co_simulate<'c, const L: usize>(
                     continue;
                 }
                 // Temperature-coupled leakage from the previous frame's state.
+                let _t = hotnoc_obs::prof::scope("power/leakage");
                 let temps = sim.block_temps(l);
                 for ((p, &a), &t) in lane.power.iter_mut().zip(&areas).zip(temps) {
                     *p += leakage_power(a, t, tech);

@@ -10,12 +10,21 @@
 //! per-tile PE operations. The routers' switching activity stays on the
 //! network, in each router's own counters
 //! (`Network::router(id).activity()`).
+//!
+//! The decoder's fixed schedule sends the same messages every iteration,
+//! so the block does not step every cycle: once an iteration starts in
+//! the network state the previous one started in, the remaining
+//! iterations repeat the last one exactly, and
+//! [`LdpcNocApp::run_block`] applies them from its log with
+//! [`Network::repeat_period`] (cycles, statistics, buffer writes and link
+//! flits as logged; payload bit transitions recomputed for the later
+//! packets' ids). The network ends as stepping would have left it.
 
 use crate::code::LdpcCode;
 use crate::error::LdpcError;
 use crate::mapping::ClusterMapping;
 use crate::schedule::{phase_traffic, IterPhase, MessageParams, PhaseTraffic};
-use hotnoc_noc::{Network, NocError, NodeId, Packet, PacketClass};
+use hotnoc_noc::{Network, NocError, NodeId, Packet, PacketClass, Period};
 
 /// Compute-model parameters of a PE.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,9 +129,20 @@ impl LdpcNocApp {
         self.placement = placement;
     }
 
-    /// Simulates the decoding of one block taking `iterations`
-    /// message-passing iterations, driving `net` cycle by cycle. The
-    /// block's router events accumulate in `net`'s activity counters.
+    /// Decodes one block taking `iterations` message-passing iterations
+    /// on `net`. The block's router events accumulate in `net`'s activity
+    /// counters.
+    ///
+    /// Every iteration sends the same messages, so once an iteration
+    /// starts in the network state the previous one started in, every
+    /// later iteration repeats it exactly (see
+    /// [`Network::repeat_period`]): iterations are stepped cycle by cycle
+    /// until then, and the rest are applied from the last one's log, which
+    /// leaves `net` as stepping them would have. The first iteration is
+    /// never repeated (its log only counts departures, to size the next
+    /// one's), so a block steps at least two iterations. A network that
+    /// cannot log periods (one with a fault plan, a trace or a delivery
+    /// log, or with traffic in flight) steps every iteration.
     ///
     /// # Errors
     ///
@@ -150,9 +170,24 @@ impl LdpcNocApp {
         let var_ops = self.mapping.var_ops_per_cluster(&self.code);
         let chk_ops = self.mapping.chk_ops_per_cluster(&self.code);
 
-        for _ in 0..iterations {
-            self.run_phase(net, &v2c, &var_ops)?;
-            self.run_phase(net, &c2v, &chk_ops)?;
+        let mut last: Option<Period> = None;
+        for done in 0..iterations {
+            let left = (iterations - done) as u64;
+            if let Some(period) = &last {
+                if net.repeat_period(period, left) {
+                    self.next_packet_id += left * period.packets();
+                    break;
+                }
+            }
+            // The first iteration only counts its departures, which sizes
+            // the logs of the next; the last is not logged, since nothing
+            // could repeat it.
+            let logging = left > 1 && net.start_period(last.take());
+            let ran = self
+                .run_phase(net, &v2c, &var_ops)
+                .and_then(|()| self.run_phase(net, &c2v, &chk_ops));
+            last = if logging { net.end_period() } else { None };
+            ran?;
         }
 
         let mut ops_per_node = vec![0u64; net.mesh().len()];

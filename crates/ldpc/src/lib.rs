@@ -14,7 +14,9 @@
 //! * [`app`] — a timing/activity-accurate application model that drives the
 //!   `hotnoc-noc` cycle-accurate simulator with that traffic and reports the
 //!   block's cycles and per-tile PE operations; the switching activity it
-//!   causes is counted by the network's own routers.
+//!   causes is counted by the network's own routers. Iterations are
+//!   stepped until the network repeats itself, and the rest are applied
+//!   from the last one's log, exactly.
 //!
 //! ```
 //! use hotnoc_ldpc::app::{ComputeModel, LdpcNocApp};

@@ -85,9 +85,20 @@ impl Packet {
             dst,
             class,
             len_flits,
-            payload: id.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            payload: payload_seed(id),
         }
     }
+}
+
+/// The payload seed [`Packet::new`] gives packet `id`.
+pub(crate) fn payload_seed(id: u64) -> u64 {
+    id.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// The payload words of a packet's flits, in order, from its payload seed
+/// (the words [`packetize`] puts on them).
+pub(crate) fn flit_payloads(seed: u64) -> impl Iterator<Item = u64> {
+    std::iter::successors(Some(next_payload(seed)), |&p| Some(next_payload(p)))
 }
 
 /// Position of a flit inside its packet.

@@ -18,6 +18,10 @@
 //! * per-router switching-activity counters ([`RouterActivity`]), which
 //!   the `hotnoc-power` model prices directly, and latency histograms
 //!   ([`stats`]),
+//! * logging one period of a network at rest and repeating it without
+//!   stepping ([`Network::start_period`], [`Network::end_period`],
+//!   [`Network::repeat_period`]), exact for traffic that repeats with
+//!   shifted packet ids, such as the LDPC decoder's iterations,
 //! * synthetic traffic patterns ([`traffic`]) for validation and benchmarks,
 //! * a chip I/O boundary with transparent address transformation hooks
 //!   ([`io_interface`]), the mechanism §2.3 of the paper uses to hide
@@ -59,7 +63,7 @@ pub use error::NocError;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultState};
 pub use flit::{Flit, FlitKind, Packet, PacketClass, PacketId};
 pub use io_interface::{AddressMap, IdentityMap};
-pub use network::{DeliveredPacket, Network};
+pub use network::{DeliveredPacket, Network, Period};
 pub use stats::{NetworkStats, RouterActivity};
 pub use topology::{Coord, Direction, Mesh, NodeId};
 pub use traffic::{TrafficGenerator, TrafficPattern};

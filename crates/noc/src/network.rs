@@ -1,5 +1,7 @@
 //! The cycle-accurate network: routers, links and NICs stepped in lockstep.
 
+mod period;
+
 use crate::config::{NocConfig, BUFFER_DEPTH, LINK_LATENCY, NUM_VCS};
 use crate::error::NocError;
 use crate::fault::{FaultKind, FaultPlan, FaultState};
@@ -12,6 +14,8 @@ use crate::stats::NetworkStats;
 use crate::topology::{Coord, Direction, Mesh, NodeId};
 use hotnoc_obs::event::{CONGESTION_WINDOW, DETOUR_BURST_MIN};
 use hotnoc_obs::TraceEvent;
+pub use period::Period;
+use period::{Departures, PeriodLog};
 use std::collections::HashSet;
 
 /// A packet delivery record handed to the application.
@@ -105,6 +109,13 @@ struct FaultDriver {
 /// are identical to a dense serial 0..n sweep at every thread count
 /// (guarded by the golden-determinism suite and the parallel-equivalence
 /// property tests).
+///
+/// Traffic that repeats exactly need not be stepped at all: a period logged
+/// at rest ([`Network::start_period`], [`Network::end_period`]) can be
+/// applied again with [`Network::repeat_period`] once the network is back
+/// in the state the period started in. While no period is being logged,
+/// the allocation sweep pays one predictable branch per departing flit for
+/// this, like the trace flag.
 pub struct Network {
     cfg: NocConfig,
     mesh: Mesh,
@@ -150,6 +161,12 @@ pub struct Network {
     /// Deterministic trace recording; `None` (the default) keeps every hot
     /// path on a single never-taken branch.
     trace: Option<Box<TraceState>>,
+    /// The period being logged, between [`Network::start_period`] and
+    /// [`Network::end_period`]; `None` otherwise.
+    period: Option<Box<PeriodLog>>,
+    /// Per router, the logged period's departures; every log is empty
+    /// while no period is being logged.
+    departures: Vec<Departures>,
 }
 
 /// Trace recording state, live only between [`Network::start_trace`] and
@@ -205,6 +222,10 @@ struct SweepCtx<'a> {
     trace: bool,
     /// Whether delivered packets are logged for the drain calls.
     record_deliveries: bool,
+    /// While a period is logged: its first packet id and each of its
+    /// packets' first flit index, so a departing flit logs
+    /// `flit_base[id - first] + seq`.
+    period: Option<(u64, &'a [u32])>,
 }
 
 /// One stripe of the allocation sweep: a contiguous router-id range
@@ -219,6 +240,7 @@ struct Stripe<'a> {
     delivered: &'a mut [Vec<DeliveredPacket>],
     buffered: &'a mut [u32],
     work: &'a mut [u32],
+    departures: &'a mut [Departures],
 }
 
 /// Cross-stripe and network-global effects of one stripe's sweep, buffered
@@ -476,6 +498,10 @@ fn sweep_stripe(ctx: &SweepCtx<'_>, stripe: &mut Stripe<'_>, out: &mut SweepOut)
                 (out_port.last_payload ^ flit.payload).count_ones() as u64;
             out_port.last_payload = flit.payload;
             router.activity.link_flits[d] += 1;
+            if let Some((first, flit_base)) = ctx.period {
+                stripe.departures[i][d]
+                    .push(flit_base[(flit.packet.0 - first) as usize] + flit.seq);
+            }
             if port != Direction::Local.index() {
                 sent[port] = Some(flit.vc);
             }
@@ -601,6 +627,8 @@ impl Network {
             stripe_outs: Vec::new(),
             faults: None,
             trace: None,
+            period: None,
+            departures: vec![Departures::default(); n],
         })
     }
 
@@ -679,6 +707,9 @@ impl Network {
             }
         }
         self.nics[packet.src.index()].enqueue(&packet, self.cycle);
+        if let Some(log) = &mut self.period {
+            log.note(&packet);
+        }
         add_work(
             &mut self.work,
             &mut self.queued,
@@ -847,6 +878,7 @@ impl Network {
             },
             trace: self.trace.is_some(),
             record_deliveries: self.record_deliveries,
+            period: self.period.as_deref().and_then(PeriodLog::view),
         };
         if nstripes == 1 {
             let out = &mut self.stripe_outs[0];
@@ -860,6 +892,7 @@ impl Network {
                 delivered: &mut self.delivered,
                 buffered: &mut self.buffered,
                 work: &mut self.work,
+                departures: &mut self.departures,
             };
             f(&ctx, &mut stripe, out);
         } else {
@@ -881,8 +914,10 @@ impl Network {
                 .zip(split_at_cuts(&mut self.nics, &cuts))
                 .zip(split_at_cuts(&mut self.delivered, &cuts))
                 .zip(split_at_cuts(&mut self.buffered, &cuts))
-                .zip(split_at_cuts(&mut self.work, &cuts));
-            for (k, (((((routers, links), nics), delivered), buffered), work)) in pieces.enumerate()
+                .zip(split_at_cuts(&mut self.work, &cuts))
+                .zip(split_at_cuts(&mut self.departures, &cuts));
+            for (k, ((((((routers, links), nics), delivered), buffered), work), departures)) in
+                pieces.enumerate()
             {
                 stripes.push(Stripe {
                     base: if k == 0 { 0 } else { cuts[k - 1] },
@@ -893,6 +928,7 @@ impl Network {
                     delivered,
                     buffered,
                     work,
+                    departures,
                 });
             }
             let pool = minipool::global();
@@ -981,6 +1017,9 @@ impl Network {
                 }
             }
             self.stats.merge(&out.stats);
+            if let Some(log) = &mut self.period {
+                log.stats.merge(&out.stats);
+            }
             for ev in out.credits.drain(..) {
                 // Credits addressed to a disabled router vanish with it; its
                 // credit counters are rebuilt from neighbor buffer occupancy

@@ -78,11 +78,28 @@ pub(crate) struct OutputPort {
     pub last_payload: u64,
 }
 
+/// The part of a router's state that a later cycle reads, compared at
+/// period boundaries by [`crate::Network::repeat_period`]. It leaves out
+/// the activity counters and `last_payload` (no decision reads them) and
+/// the ring positions and contents (a ring is read only relative to its
+/// head, and only its `len` buffered flits).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct RouterTiming {
+    len: [u8; SLOTS],
+    route: [u8; SLOTS],
+    flits_left: [u32; SLOTS],
+    /// Per output port.
+    rr_ptr: [usize; 5],
+    credits: [[u32; NUM_VCS]; 5],
+    vc_owner: [[Option<(u8, u8)>; NUM_VCS]; 5],
+    credit_in: [Option<u8>; 5],
+}
+
 /// A mesh router.
 ///
 /// Routers are owned and stepped by [`crate::Network`]; the public surface is
 /// the activity counters and the coordinate.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Router {
     coord: Coord,
     /// Occupancy and route of every input VC.
@@ -93,6 +110,21 @@ pub struct Router {
     /// Output ports, indexed by [`Direction::index`].
     pub(crate) outputs: [OutputPort; 5],
     pub(crate) activity: RouterActivity,
+}
+
+/// Shows each input VC's buffered flits only: ring slots outside them hold
+/// stale flits that nothing reads.
+impl std::fmt::Debug for Router {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let buffered: Vec<Vec<&Flit>> = (0..SLOTS).map(|s| self.buffered(s).collect()).collect();
+        f.debug_struct("Router")
+            .field("coord", &self.coord)
+            .field("vcs", &self.vcs)
+            .field("buffered", &buffered)
+            .field("outputs", &self.outputs)
+            .field("activity", &self.activity)
+            .finish()
+    }
 }
 
 impl Router {
@@ -127,6 +159,36 @@ impl Router {
     /// Cumulative switching activity since the network was built.
     pub fn activity(&self) -> RouterActivity {
         self.activity
+    }
+
+    /// The state a later cycle reads (see [`RouterTiming`]).
+    pub(crate) fn timing(&self) -> RouterTiming {
+        RouterTiming {
+            len: self.vcs.len,
+            route: self.vcs.route,
+            flits_left: self.vcs.flits_left,
+            rr_ptr: self.outputs.each_ref().map(|o| o.rr_ptr),
+            credits: self.outputs.each_ref().map(|o| o.credits),
+            vc_owner: self.outputs.each_ref().map(|o| o.vc_owner),
+            credit_in: self.outputs.each_ref().map(|o| o.credit_in),
+        }
+    }
+
+    /// How far each ring's head has moved on since it stood at `since`,
+    /// modulo the ring size.
+    pub(crate) fn head_advance(&self, since: &[u8; SLOTS]) -> [u8; SLOTS] {
+        std::array::from_fn(|s| {
+            ((self.vcs.head[s] as usize + DEPTH - since[s] as usize) % DEPTH) as u8
+        })
+    }
+
+    /// Moves each ring's head on by `times` × `advance`, where `times`
+    /// more runs of a period that moved it by `advance` leave it.
+    pub(crate) fn advance_heads(&mut self, advance: &[u8; SLOTS], times: u64) {
+        let depth = DEPTH as u64;
+        for (head, &by) in self.vcs.head.iter_mut().zip(advance) {
+            *head = ((*head as u64 + (times % depth) * by as u64) % depth) as u8;
+        }
     }
 
     /// Number of flits currently buffered in this router.
