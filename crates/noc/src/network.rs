@@ -100,10 +100,11 @@ struct FaultDriver {
 /// boundary — credits to upstream routers in other stripes and the
 /// network-global counters — is buffered per stripe and committed in
 /// stripe (= ascending router-id) order afterwards. Stripes share no
-/// mutable state, so they run in parallel on the [`minipool`] pool when
-/// more than [`Network::threads`] == 1 workers are configured
-/// (`HOTNOC_THREADS`, default: available parallelism) and the worklist is
-/// large enough to amortize dispatch.
+/// mutable state, so they run in parallel when more than
+/// [`Network::threads`] == 1 workers are configured (`HOTNOC_THREADS`,
+/// default: available parallelism) and the worklist is large enough to
+/// amortize dispatch: the stepping thread runs stripe 0 and the
+/// [`minipool`] workers the rest.
 ///
 /// All of this is behaviourally invisible: the cycle-for-cycle semantics
 /// are identical to a dense serial 0..n sweep at every thread count
@@ -206,7 +207,16 @@ fn enroll(queued: &mut [bool], incoming: &mut Vec<u32>, r: usize) {
 }
 
 /// Dirty-router count below which the sweep always runs serially.
-const DEFAULT_PAR_THRESHOLD: usize = 64;
+///
+/// Measured at 1 and 2 threads on a 2-CPU host, with every phase of 64 or
+/// more dirty routers striped, on saturated uniform traffic (each phase
+/// about side² dirty routers) and on calibration blocks
+/// (`perf/PROFILE_noc.md`): the 8x8 mesh (64) ran 1.25-2.05x slower
+/// striped in every set and the 10x10 mesh (100) 0.98-1.09x, slower in two
+/// sets of three; every row from 12x12 (144) up, and the 14x14 to 24x24
+/// blocks, ran 0.62-0.97x. So the cut-off is the smallest count above
+/// every row that ran slower.
+const DEFAULT_PAR_THRESHOLD: usize = 101;
 
 /// Immutable per-cycle context shared by every stripe of the allocation
 /// sweep.
@@ -246,8 +256,11 @@ struct Stripe<'a> {
 /// Cross-stripe and network-global effects of one stripe's sweep, buffered
 /// during the (possibly parallel) compute phase and committed serially in
 /// stripe order, which keeps the cycle semantics identical to the dense
-/// serial sweep.
+/// serial sweep. Aligned so that no two stripes' outputs share a cache
+/// line (or an adjacent-line prefetch pair): the stripes bump their
+/// counters once per flit, from different threads.
 #[derive(Default)]
+#[repr(align(128))]
 struct SweepOut {
     /// Credits owed to upstream routers in other stripes (in-stripe ones
     /// are put in flight by the sweep itself).
@@ -272,7 +285,14 @@ struct SweepOut {
 impl SweepOut {
     fn reset(&mut self) {
         self.credits.clear();
-        self.stats = NetworkStats::default();
+        // Keep the latency histogram's buffer: a fresh one would allocate
+        // again on every cycle that delivers a packet.
+        let mut latency_histogram = std::mem::take(&mut self.stats.latency_histogram);
+        latency_histogram.clear();
+        self.stats = NetworkStats {
+            latency_histogram,
+            ..NetworkStats::default()
+        };
         self.arrivals.clear();
         self.activated.clear();
         self.peak_occ = 0;
@@ -849,11 +869,11 @@ impl Network {
 
     /// Runs `f` over the dirty `worklist`, either inline as one stripe (the
     /// serial path) or cut into contiguous router-id stripes with equal
-    /// dirty-router counts on the minipool workers. Each stripe gets
-    /// exclusive access to its id range's per-router state and defers every
-    /// cross-stripe effect into its `SweepOut`; the caller commits
-    /// `self.stripe_outs[..nstripes]` in ascending stripe order. Returns
-    /// the stripe count.
+    /// dirty-router counts: stripe 0 on the stepping thread, the others on
+    /// the minipool workers. Each stripe gets exclusive access to its id
+    /// range's per-router state and defers every cross-stripe effect into
+    /// its `SweepOut`; the caller commits `self.stripe_outs[..nstripes]` in
+    /// ascending stripe order. Returns the stripe count.
     fn run_striped(
         &mut self,
         worklist: &[u32],
@@ -931,16 +951,23 @@ impl Network {
                     departures,
                 });
             }
+            let _prof = hotnoc_obs::prof::scope("noc/dispatch");
             let pool = minipool::global();
             pool.ensure_workers(nstripes - 1);
             let ctx = &ctx;
             pool.scope(|s| {
-                for (stripe, out) in stripes.into_iter().zip(outs.iter_mut()) {
+                // Stripes 1.. go to the pool and the stepping thread runs
+                // stripe 0 itself, so with one worker each stripe's routers
+                // stay in one core's cache across both phases of a cycle.
+                let mut work = stripes.into_iter().zip(outs.iter_mut());
+                let (mut first, first_out) = work.next().expect("a striped phase has 2+ stripes");
+                for (stripe, out) in work {
                     s.spawn(move || {
                         let mut stripe = stripe;
                         f(ctx, &mut stripe, out);
                     });
                 }
+                f(ctx, &mut first, first_out);
             });
         }
         nstripes
@@ -1143,7 +1170,7 @@ impl Network {
     }
 
     /// Sets the minimum dirty-router count before the sweep is striped
-    /// across threads (default 64). Exposed so the parallel-equivalence
+    /// across threads (default 101). Exposed so the parallel-equivalence
     /// tests and benches can force the parallel path on small meshes.
     pub fn set_par_threshold(&mut self, n: usize) {
         self.par_threshold = n.max(1);

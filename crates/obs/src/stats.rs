@@ -23,6 +23,13 @@ impl Log2Histogram {
         self.count += 1;
     }
 
+    /// Forgets every sample but keeps the bucket buffer, so a histogram
+    /// reused per cycle does not allocate again. Equal to a new one.
+    pub fn clear(&mut self) {
+        self.buckets.clear();
+        self.count = 0;
+    }
+
     /// Samples recorded.
     pub fn count(&self) -> u64 {
         self.count
@@ -112,5 +119,18 @@ mod tests {
         }
         merged.merge(&part);
         assert_eq!(merged, reference);
+    }
+
+    #[test]
+    fn cleared_histogram_equals_a_new_one_and_keeps_its_buffer() {
+        let mut h = Log2Histogram::default();
+        h.record(1000);
+        let capacity = h.buckets.capacity();
+        h.clear();
+        assert_eq!(h, Log2Histogram::default());
+        assert_eq!(h.quantile_upper_bound(0.5), None);
+        assert_eq!(h.buckets.capacity(), capacity);
+        h.record(3);
+        assert_eq!((h.count(), h.buckets()), (1, &[0, 1][..]));
     }
 }

@@ -318,8 +318,7 @@ fn handle_connection(mut stream: Box<dyn Stream>, state: &State) {
             // so the answer is anonymous and the connection closes.
             let error = format!("request line longer than {MAX_LINE} bytes");
             let fields = error_fields(2, &error, false);
-            let _ =
-                writeln!(stream, "{}", response_line(None, &fields)).and_then(|()| stream.flush());
+            let _ = write_line(stream.as_mut(), None, &fields).and_then(|()| stream.flush());
             return;
         }
         match stream.read(&mut chunk) {
@@ -345,7 +344,7 @@ fn handle_line(line: &str, out: &mut dyn Write, state: &State) -> std::io::Resul
             // answer (anonymously — no id can be trusted out of a broken
             // line) and drop the connection. The daemon stays up.
             let fields = error_fields(2, &format!("malformed request line: {e}"), false);
-            writeln!(out, "{}", response_line(None, &fields))?;
+            write_line(out, None, &fields)?;
             return out.flush().map(|()| Flow::Close);
         }
     };
@@ -355,7 +354,7 @@ fn handle_line(line: &str, out: &mut dyn Write, state: &State) -> std::io::Resul
         Ok(r) => r,
         Err(e) => {
             let fields = error_fields(2, &e, false);
-            writeln!(out, "{}", response_line(id.as_deref(), &fields))?;
+            write_line(out, id.as_deref(), &fields)?;
             return out.flush().map(|()| Flow::Continue);
         }
     };
@@ -365,7 +364,7 @@ fn handle_line(line: &str, out: &mut dyn Write, state: &State) -> std::io::Resul
                 ("status".to_string(), Json::int(0)),
                 ("pong".to_string(), Json::Bool(true)),
             ];
-            writeln!(out, "{}", response_line(id.as_deref(), &fields))?;
+            write_line(out, id.as_deref(), &fields)?;
             out.flush().map(|()| Flow::Continue)
         }
         Request::Shutdown => {
@@ -380,7 +379,7 @@ fn handle_line(line: &str, out: &mut dyn Write, state: &State) -> std::io::Resul
                 ("status".to_string(), Json::int(0)),
                 ("draining".to_string(), Json::Bool(true)),
             ];
-            writeln!(out, "{}", response_line(id.as_deref(), &fields))?;
+            write_line(out, id.as_deref(), &fields)?;
             out.flush().map(|()| Flow::Continue)
         }
         Request::Submit { id, submission } => {
@@ -388,7 +387,7 @@ fn handle_line(line: &str, out: &mut dyn Write, state: &State) -> std::io::Resul
             if state.draining.load(Ordering::SeqCst) {
                 // Queued behind a drain: clean, retryable rejection.
                 let fields = error_fields(1, "draining", true);
-                writeln!(out, "{}", response_line(Some(&id), &fields))?;
+                write_line(out, Some(&id), &fields)?;
                 return out.flush().map(|()| Flow::Continue);
             }
             handle_submit(&id, *submission, out, state).map(|()| Flow::Continue)
@@ -422,7 +421,7 @@ fn handle_submit(
                 }
                 Err(e) => {
                     let fields = error_fields(1, &format!("scenario failed: {e}"), false);
-                    writeln!(out, "{}", response_line(Some(id), &fields))?;
+                    write_line(out, Some(id), &fields)?;
                     return out.flush();
                 }
             }
@@ -444,7 +443,7 @@ fn handle_submit(
                 Ok(run) => campaign_entry(&spec.name, &key.0, &run),
                 Err(e) => {
                     let fields = error_fields(1, &format!("campaign failed: {e}"), false);
-                    writeln!(out, "{}", response_line(Some(id), &fields))?;
+                    write_line(out, Some(id), &fields)?;
                     return out.flush();
                 }
             }
@@ -477,7 +476,9 @@ fn record_hit(state: &State, fingerprint: &str, name: &str) {
             state.hits.fetch_add(1, Ordering::SeqCst);
         }
     }
-    eprintln!("serve: cache hit {fingerprint} ({name})");
+    // One write(2): `eprintln!` issues one per literal piece and argument.
+    let line = format!("serve: cache hit {fingerprint} ({name})\n");
+    eprint!("{line}");
 }
 
 fn scenario_entry(name: &str, fingerprint: &str, outcome: Json) -> CacheEntry {
@@ -515,9 +516,21 @@ fn campaign_entry(name: &str, fingerprint: &str, run: &CampaignRun) -> CacheEntr
 
 fn write_entry(out: &mut dyn Write, id: &str, entry: &CacheEntry) -> std::io::Result<()> {
     for fields in &entry.lines {
-        writeln!(out, "{}", response_line(Some(id), fields))?;
+        write_line(out, Some(id), fields)?;
     }
     out.flush()
+}
+
+/// Writes one response line, newline included, with one call: one
+/// `send(2)` on the unbuffered socket, where `writeln!` would make two.
+fn write_line(
+    out: &mut dyn Write,
+    id: Option<&str>,
+    fields: &[(String, Json)],
+) -> std::io::Result<()> {
+    let mut line = response_line(id, fields);
+    line.push('\n');
+    out.write_all(line.as_bytes())
 }
 
 /// Appends one computed scenario result to the journal. A write failure
@@ -631,6 +644,37 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         panic!("daemon did not come up");
+    }
+
+    /// A `Write` that keeps every `write` call's bytes apart.
+    #[derive(Default)]
+    struct CallLog(Vec<Vec<u8>>);
+
+    impl Write for CallLog {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_entry_makes_one_call_per_line_with_the_same_bytes() {
+        let mut entry = scenario_entry("s", "fp", Json::int(7));
+        let job = vec![("job".to_string(), Json::int(0))];
+        entry.lines.insert(0, job);
+        let mut calls = CallLog::default();
+        write_entry(&mut calls, "r1", &entry).unwrap();
+        let mut expected = Vec::new();
+        for fields in &entry.lines {
+            writeln!(expected, "{}", response_line(Some("r1"), fields)).unwrap();
+        }
+        assert_eq!(calls.0.len(), entry.lines.len());
+        assert!(calls.0.iter().all(|call| call.ends_with(b"\n")));
+        assert_eq!(calls.0.concat(), expected);
     }
 
     #[test]

@@ -64,6 +64,14 @@ impl Lu {
             for i in (k + 1)..n {
                 let factor = a[i * n + k] / pivot;
                 a[i * n + k] = factor;
+                // A zero multiplier would subtract a signed zero from each
+                // entry, which leaves every finite entry but -0.0 as it is.
+                // The conductance matrix holds no -0.0, and the elimination
+                // makes none (x - y is -0.0 only when x is), so skipping the
+                // row changes no bit.
+                if factor == 0.0 {
+                    continue;
+                }
                 for j in (k + 1)..n {
                     a[i * n + j] -= factor * a[k * n + j];
                 }
@@ -181,6 +189,97 @@ mod tests {
             let b = m.matvec(&xs);
             let got = Lu::factor(&m).unwrap().solve(&b);
             assert_close(&got, &xs, 1e-9);
+        }
+    }
+
+    /// The dense elimination `Lu::factor` ran before it skipped zero
+    /// multipliers: every row below the pivot is updated.
+    fn dense_factor(m: &CsrMat) -> (Vec<f64>, Vec<usize>) {
+        let n = m.rows();
+        let mut a = vec![0.0; n * n];
+        for i in 0..n {
+            let (cols, vals) = m.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                a[i * n + j] = v;
+            }
+        }
+        let mut piv: Vec<usize> = (0..n).collect();
+        for k in 0..n {
+            let mut p = k;
+            let mut pmax = a[k * n + k].abs();
+            for i in (k + 1)..n {
+                if a[i * n + k].abs() > pmax {
+                    pmax = a[i * n + k].abs();
+                    p = i;
+                }
+            }
+            if p != k {
+                for j in 0..n {
+                    a.swap(k * n + j, p * n + j);
+                }
+                piv.swap(k, p);
+            }
+            let pivot = a[k * n + k];
+            for i in (k + 1)..n {
+                let factor = a[i * n + k] / pivot;
+                a[i * n + k] = factor;
+                for j in (k + 1)..n {
+                    a[i * n + j] -= factor * a[k * n + j];
+                }
+            }
+        }
+        (a, piv)
+    }
+
+    /// Asserts `Lu::factor(m)` holds the dense elimination's bits.
+    fn assert_factor_is_dense_bits(m: &CsrMat, what: &str) -> Vec<usize> {
+        let lu = Lu::factor(m).unwrap();
+        let (a, piv) = dense_factor(m);
+        assert_eq!(lu.piv, piv, "{what}: pivots");
+        let differ =
+            lu.a.iter()
+                .zip(&a)
+                .position(|(x, y)| x.to_bits() != y.to_bits());
+        assert_eq!(differ, None, "{what}: first differing entry");
+        lu.piv
+    }
+
+    #[test]
+    fn skipping_zero_multipliers_keeps_the_dense_factor_bits() {
+        use crate::{Floorplan, PackageConfig, RcNetwork};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let pkg = PackageConfig::date05_defaults();
+        let squares = (1..=12).map(|s| (s, s));
+        for (w, h) in squares.chain([(1, 7), (2, 5), (3, 9), (12, 4), (7, 11)]) {
+            let plan = Floorplan::mesh_grid(w, h, 4.36e-6).unwrap();
+            let net = RcNetwork::build(&plan, &pkg).unwrap();
+            assert_factor_is_dense_bits(net.conductance_sparse(), &format!("{w}x{h} grid"));
+        }
+        let mut rng = StdRng::seed_from_u64(5);
+        for (case, n) in [6usize, 17, 40, 64].into_iter().enumerate() {
+            let mut m = TripletBuilder::new(n, n);
+            for i in 0..n {
+                let mut off = 0.0;
+                for j in (0..n).filter(|&j| j != i) {
+                    if rng.gen_range(0.0..1.0) < 0.15 {
+                        let v: f64 = rng.gen_range(-1.0..1.0);
+                        m.add(i, j, v);
+                        off += v.abs();
+                    }
+                }
+                m.add(i, i, off + rng.gen_range(0.5..2.0));
+            }
+            if case == 0 {
+                // Row 1 sits below a smaller pivot in column 0 and must be
+                // swapped up: |a10| >= 8 beats a00 (at most 7).
+                m.add(1, 0, 9.0);
+                m.add(1, 1, 10.0);
+            }
+            let piv = assert_factor_is_dense_bits(&m.build(), &format!("random {n}x{n}"));
+            if case == 0 {
+                assert_ne!(piv, (0..n).collect::<Vec<_>>(), "no row swap happened");
+            }
         }
     }
 }
