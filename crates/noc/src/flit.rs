@@ -101,19 +101,6 @@ pub(crate) fn flit_payloads(seed: u64) -> impl Iterator<Item = u64> {
     std::iter::successors(Some(next_payload(seed)), |&p| Some(next_payload(p)))
 }
 
-/// Position of a flit inside its packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FlitKind {
-    /// First flit of a multi-flit packet; carries the route.
-    Head,
-    /// Interior flit.
-    Body,
-    /// Last flit; releases the wormhole.
-    Tail,
-    /// Only flit of a single-flit packet (head and tail at once).
-    Single,
-}
-
 /// A flow-control digit: the unit moved per link per cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
@@ -142,16 +129,6 @@ pub struct Flit {
 }
 
 impl Flit {
-    /// The kind of this flit, derived from its position in the packet.
-    pub fn kind(&self) -> FlitKind {
-        match (self.seq, self.len) {
-            (0, 1) => FlitKind::Single,
-            (0, _) => FlitKind::Head,
-            (s, l) if s + 1 == l => FlitKind::Tail,
-            _ => FlitKind::Body,
-        }
-    }
-
     /// `true` for head or single flits (the ones that allocate a route).
     pub fn is_head(&self) -> bool {
         self.seq == 0
@@ -224,22 +201,16 @@ mod tests {
     fn flit_kinds_single() {
         let flits = packetize(&mk_packet(1), 0);
         assert_eq!(flits.len(), 1);
-        assert_eq!(flits[0].kind(), FlitKind::Single);
         assert!(flits[0].is_head() && flits[0].is_tail());
     }
 
     #[test]
     fn flit_kinds_multi() {
         let flits = packetize(&mk_packet(4), 7);
-        let kinds: Vec<FlitKind> = flits.iter().map(Flit::kind).collect();
+        let kinds: Vec<(bool, bool)> = flits.iter().map(|f| (f.is_head(), f.is_tail())).collect();
         assert_eq!(
             kinds,
-            vec![
-                FlitKind::Head,
-                FlitKind::Body,
-                FlitKind::Body,
-                FlitKind::Tail
-            ]
+            [(true, false), (false, false), (false, false), (false, true)]
         );
         assert!(flits.iter().all(|f| f.inject_cycle == 7));
         assert!(flits.iter().all(|f| f.len == 4));

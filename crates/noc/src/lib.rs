@@ -22,10 +22,7 @@
 //!   stepping ([`Network::start_period`], [`Network::end_period`],
 //!   [`Network::repeat_period`]), exact for traffic that repeats with
 //!   shifted packet ids, such as the LDPC decoder's iterations,
-//! * synthetic traffic patterns ([`traffic`]) for validation and benchmarks,
-//! * a chip I/O boundary with transparent address transformation hooks
-//!   ([`io_interface`]), the mechanism §2.3 of the paper uses to hide
-//!   migration from the outside world.
+//! * synthetic traffic patterns ([`traffic`]) for validation and benchmarks.
 //!
 //! ## Quick example
 //!
@@ -49,7 +46,6 @@ pub mod config;
 pub mod error;
 pub mod fault;
 pub mod flit;
-pub mod io_interface;
 pub mod network;
 pub mod nic;
 pub mod router;
@@ -61,8 +57,7 @@ pub mod traffic;
 pub use config::NocConfig;
 pub use error::NocError;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultState};
-pub use flit::{Flit, FlitKind, Packet, PacketClass, PacketId};
-pub use io_interface::{AddressMap, IdentityMap};
+pub use flit::{Flit, Packet, PacketClass, PacketId};
 pub use network::{DeliveredPacket, Network, Period};
 pub use stats::{NetworkStats, RouterActivity};
 pub use topology::{Coord, Direction, Mesh, NodeId};

@@ -6,7 +6,6 @@ use crate::config::{NocConfig, BUFFER_DEPTH, LINK_LATENCY, NUM_VCS};
 use crate::error::NocError;
 use crate::fault::{FaultKind, FaultPlan, FaultState};
 use crate::flit::{Flit, Packet, PacketClass, PacketId};
-use crate::io_interface::AddressMap;
 use crate::nic::Nic;
 use crate::router::{Router, IDLE, SLOTS};
 use crate::routing;
@@ -131,7 +130,6 @@ pub struct Network {
     record_deliveries: bool,
     cycle: u64,
     stats: NetworkStats,
-    address_map: Option<Box<dyn AddressMap>>,
     /// Downstream router index per mesh direction (None at mesh edges);
     /// the reverse direction of entry `d` is `Direction::MESH[d].opposite()`.
     neighbors: Vec<[Option<u32>; 4]>,
@@ -634,7 +632,6 @@ impl Network {
             record_deliveries: false,
             cycle: 0,
             stats: NetworkStats::default(),
-            address_map: None,
             neighbors,
             work: vec![0; n],
             buffered: vec![0; n],
@@ -670,13 +667,6 @@ impl Network {
     /// Aggregate statistics so far.
     pub fn stats(&self) -> &NetworkStats {
         &self.stats
-    }
-
-    /// Installs the I/O-boundary address map used by
-    /// [`Network::inject_external`] (§2.3 of the paper). Passing the map by
-    /// box allows the reconfiguration controller to own a shared handle.
-    pub fn set_address_map(&mut self, map: Box<dyn AddressMap>) {
-        self.address_map = Some(map);
     }
 
     /// Injects a packet at its source NIC.
@@ -740,41 +730,6 @@ impl Network {
         self.stats.packets_injected += 1;
         self.stats.flits_injected += packet.len_flits as u64;
         Ok(())
-    }
-
-    /// Injects a packet arriving from outside the chip: the destination is
-    /// first translated from logical to physical coordinates by the
-    /// installed [`AddressMap`], making migration transparent to the sender.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Network::inject`].
-    pub fn inject_external(&mut self, mut packet: Packet) -> Result<(), NocError> {
-        if let Some(map) = &self.address_map {
-            let logical = self.mesh.coord(packet.dst);
-            let physical = map.logical_to_physical(logical);
-            packet.dst = self.mesh.node_id(physical)?;
-        }
-        self.inject(packet)
-    }
-
-    /// Translates a delivered packet's source back to logical coordinates,
-    /// as the I/O interface does for packets leaving the chip.
-    pub fn externalize(&self, delivered: DeliveredPacket) -> DeliveredPacket {
-        match &self.address_map {
-            None => delivered,
-            Some(map) => {
-                let physical = self.mesh.coord(delivered.src);
-                let logical = map.physical_to_logical(physical);
-                DeliveredPacket {
-                    src: self
-                        .mesh
-                        .node_id(logical)
-                        .expect("address map is a bijection"),
-                    ..delivered
-                }
-            }
-        }
     }
 
     /// Starts logging every delivered packet for [`Network::drain_delivered`]
@@ -1825,43 +1780,6 @@ mod tests {
             .unwrap();
         net.run_until_idle(1_000).unwrap();
         assert_eq!(net.stats().packets_delivered, 2);
-    }
-
-    #[test]
-    fn external_injection_respects_address_map() {
-        use crate::io_interface::AddressMap;
-
-        #[derive(Debug)]
-        struct SwapCorners;
-        impl AddressMap for SwapCorners {
-            fn logical_to_physical(&self, c: Coord) -> Coord {
-                match (c.x, c.y) {
-                    (0, 0) => Coord::new(3, 3),
-                    (3, 3) => Coord::new(0, 0),
-                    _ => c,
-                }
-            }
-            fn physical_to_logical(&self, c: Coord) -> Coord {
-                self.logical_to_physical(c)
-            }
-        }
-
-        let mut net = mk_net(4);
-        net.record_deliveries();
-        net.set_address_map(Box::new(SwapCorners));
-        let p = packet(0, &net, 1, 1, 0, 0, 2); // logical dst (0,0)
-        net.inject_external(p).unwrap();
-        net.run_until_idle(1_000).unwrap();
-        // Physically delivered to (3,3).
-        let at_swapped = net.drain_delivered(net.mesh().node_id_at(3, 3).unwrap());
-        assert_eq!(at_swapped.len(), 1);
-        // Outbound source translation.
-        let rec = at_swapped[0];
-        let rec_out = net.externalize(DeliveredPacket {
-            src: net.mesh().node_id_at(3, 3).unwrap(),
-            ..rec
-        });
-        assert_eq!(rec_out.src, net.mesh().node_id_at(0, 0).unwrap());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use super::Network;
 use crate::flit::{flit_payloads, payload_seed, Packet};
-use crate::router::{RouterTiming, SLOTS};
+use crate::router::RouterTiming;
 use crate::stats::NetworkStats;
 use crate::topology::Mesh;
 
@@ -45,8 +45,6 @@ pub(super) struct TimingState {
 pub(super) struct PeriodLog {
     start: TimingState,
     start_cycle: u64,
-    /// Every input VC's ring head at the start.
-    heads: Vec<[u8; SLOTS]>,
     /// Set when the period only counts its departures: every router's link
     /// flits at the start.
     counted_from: Option<Vec<[u64; 5]>>,
@@ -121,9 +119,6 @@ pub struct Period {
     flit_base: Vec<u32>,
     flits: u32,
     departures: Vec<Departures>,
-    /// Per router and input VC: how far the ring head moved on, modulo the
-    /// ring size.
-    head_advance: Vec<[u8; SLOTS]>,
 }
 
 impl Period {
@@ -186,7 +181,6 @@ impl Network {
         self.period = Some(Box::new(PeriodLog {
             start: self.timing_state(),
             start_cycle: self.cycle,
-            heads: self.routers.iter().map(|r| r.vcs.head).collect(),
             counted_from,
             first_packet: None,
             flit_base: Vec::new(),
@@ -226,9 +220,6 @@ impl Network {
         Some(Period {
             mesh: self.mesh,
             logged: log.counted_from.is_none(),
-            head_advance: (self.routers.iter().zip(&log.heads))
-                .map(|(r, heads)| r.head_advance(heads))
-                .collect(),
             start: log.start,
             cycles: self.cycle - log.start_cycle,
             stats: log.stats,
@@ -245,7 +236,7 @@ impl Network {
     /// cycles relative to its start, with ids shifted by `m` ×
     /// [`Period::packets`]. The network ends where stepping those periods
     /// would have left it: its cycle, statistics, every router's activity
-    /// counters, every output's last payload and every ring position.
+    /// counters and every output's last payload.
     ///
     /// Returns `false`, changing nothing, unless `period` logged its flit
     /// order, the network is in `period`'s start state on the same mesh,
@@ -292,8 +283,7 @@ impl Network {
                 }
             }
         }
-        let per_router = self.routers.iter_mut().zip(&period.departures);
-        for ((router, ports), advance) in per_router.zip(&period.head_advance) {
+        for (router, ports) in self.routers.iter_mut().zip(&period.departures) {
             for (d, log) in ports.iter().enumerate() {
                 let sent = times * log.len() as u64;
                 router.activity.link_flits[d] += sent;
@@ -301,7 +291,6 @@ impl Network {
                 // flit a router buffered in it also left it.
                 router.activity.buffer_writes += sent;
             }
-            router.advance_heads(advance, times);
         }
         true
     }
@@ -419,7 +408,6 @@ mod tests {
             assert_eq!(ra.activity(), rb.activity(), "router {}", ra.coord());
             let last = |r: &crate::router::Router| r.outputs.each_ref().map(|o| o.last_payload);
             assert_eq!(last(ra), last(rb), "router {}", ra.coord());
-            assert_eq!(ra.vcs.head, rb.vcs.head, "router {}", ra.coord());
         }
         assert_eq!(a.timing_state(), b.timing_state());
         assert_eq!(a.in_flight(), 0);

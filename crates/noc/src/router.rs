@@ -174,23 +174,6 @@ impl Router {
         }
     }
 
-    /// How far each ring's head has moved on since it stood at `since`,
-    /// modulo the ring size.
-    pub(crate) fn head_advance(&self, since: &[u8; SLOTS]) -> [u8; SLOTS] {
-        std::array::from_fn(|s| {
-            ((self.vcs.head[s] as usize + DEPTH - since[s] as usize) % DEPTH) as u8
-        })
-    }
-
-    /// Moves each ring's head on by `times` × `advance`, where `times`
-    /// more runs of a period that moved it by `advance` leave it.
-    pub(crate) fn advance_heads(&mut self, advance: &[u8; SLOTS], times: u64) {
-        let depth = DEPTH as u64;
-        for (head, &by) in self.vcs.head.iter_mut().zip(advance) {
-            *head = ((*head as u64 + (times % depth) * by as u64) % depth) as u8;
-        }
-    }
-
     /// Number of flits currently buffered in this router.
     pub fn buffered_flits(&self) -> usize {
         self.vcs.len.iter().map(|&n| n as usize).sum()

@@ -1,12 +1,15 @@
 //! The cumulative logical↔physical map maintained across migrations.
 //!
-//! Implements `hotnoc_noc::AddressMap`, the hook the NoC's I/O boundary uses
-//! to translate destination addresses of incoming packets and source
-//! addresses of outgoing packets — §2.3: "the migration operation is totally
-//! transparent to the outside world".
+//! §2.3 of the paper puts a migration unit at the chip's I/O boundary: it
+//! translates the destination of every incoming packet and the source of
+//! every outgoing one, so that "the migration operation is totally
+//! transparent to the outside world". [`CumulativeMap`] is that unit's
+//! state. The network carries physical node ids only; the boundary applies
+//! [`CumulativeMap::logical_to_physical`] to traffic entering the chip and
+//! [`CumulativeMap::physical_to_logical`] to traffic leaving it.
 
 use crate::transform::MigrationScheme;
-use hotnoc_noc::{AddressMap, Coord, Mesh};
+use hotnoc_noc::{Coord, Mesh};
 
 /// Composition of every migration applied so far: a bijection
 /// logical → physical.
@@ -73,16 +76,27 @@ impl CumulativeMap {
             .enumerate()
             .all(|(i, &p)| i == p as usize)
     }
-}
 
-impl AddressMap for CumulativeMap {
-    fn logical_to_physical(&self, logical: Coord) -> Coord {
+    /// Where the workload logically at `logical` currently physically
+    /// lives: the tile a packet addressed to `logical` from outside the
+    /// chip must be sent to.
+    ///
+    /// # Panics
+    ///
+    /// If `logical` is off the mesh.
+    pub fn logical_to_physical(&self, logical: Coord) -> Coord {
         let l = self.mesh.node_id(logical).expect("logical coord on mesh");
         self.mesh
             .coord(hotnoc_noc::NodeId::new(self.log2phys[l.index()]))
     }
 
-    fn physical_to_logical(&self, physical: Coord) -> Coord {
+    /// Which logical workload currently lives at physical tile `physical`:
+    /// the address a packet leaving the chip from `physical` carries.
+    ///
+    /// # Panics
+    ///
+    /// If `physical` is off the mesh.
+    pub fn physical_to_logical(&self, physical: Coord) -> Coord {
         let p = self.mesh.node_id(physical).expect("physical coord on mesh");
         self.mesh
             .coord(hotnoc_noc::NodeId::new(self.phys2log[p.index()]))
@@ -92,7 +106,6 @@ impl AddressMap for CumulativeMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hotnoc_noc::io_interface::check_bijection;
 
     #[test]
     fn identity_map_is_identity() {
@@ -141,7 +154,13 @@ mod tests {
             MigrationScheme::XYShift,
         ] {
             m.apply_scheme(s);
-            assert_eq!(check_bijection(&m, mesh), None, "broken after {s}");
+            // Every image on the mesh and inverted by `physical_to_logical`
+            // makes `logical_to_physical` one-to-one, and so a bijection.
+            for c in mesh.iter_coords() {
+                let p = m.logical_to_physical(c);
+                assert!(mesh.contains(p), "off the mesh after {s}");
+                assert_eq!(m.physical_to_logical(p), c, "broken after {s}");
+            }
         }
     }
 

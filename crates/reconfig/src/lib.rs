@@ -11,10 +11,10 @@
 //! * migration itself is congestion free and deterministic in time by
 //!   transforming groups of PEs in phases ([`phases::MigrationPlan`]),
 //! * the operation is transparent to the outside world thanks to address
-//!   transformation at the chip I/O boundary
-//!   ([`io_transform::CumulativeMap`] implements
-//!   `hotnoc_noc::AddressMap`; composing one scheme per period with
-//!   [`CumulativeMap::apply_scheme`] tracks where each workload lives),
+//!   transformation at the chip I/O boundary, which applies
+//!   [`io_transform::CumulativeMap`] to the traffic crossing it (composing
+//!   one scheme per period with [`CumulativeMap::apply_scheme`] tracks
+//!   where each workload lives),
 //! * the hardware cost is small: 3-bit operands address up to 64 PEs in the
 //!   migration unit ([`transform::operand_bits`]).
 //!

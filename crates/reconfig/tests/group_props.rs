@@ -79,7 +79,6 @@ proptest! {
         for s in &schemes {
             map.apply_scheme(*s);
         }
-        use hotnoc_noc::AddressMap;
         for c in mesh.iter_coords() {
             prop_assert_eq!(map.physical_to_logical(map.logical_to_physical(c)), c);
         }
@@ -100,7 +99,6 @@ proptest! {
         map.apply_scheme(b);
         for c in mesh.iter_coords() {
             let direct = b.apply(a.apply(c, mesh), mesh);
-            use hotnoc_noc::AddressMap;
             prop_assert_eq!(map.logical_to_physical(c), direct);
         }
     }

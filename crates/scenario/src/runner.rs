@@ -389,12 +389,13 @@ fn execute_journaled_on(
                     // Time-based check at the poll point: one long job past
                     // the cadence must not silence the heartbeat just
                     // because nothing *completed*.
-                    poll_heartbeat(
+                    heartbeat(
                         &started,
                         &last_beat,
                         finished.load(Ordering::Relaxed),
                         slice.work.len(),
                         resumed_jobs,
+                        false,
                     );
                 }
                 for (&index, result) in unit.iter().zip(run_unit(unit, slice, opts)) {
@@ -426,7 +427,14 @@ fn execute_journaled_on(
                             job.name,
                             outcome.summary()
                         );
-                        heartbeat(&started, &last_beat, n, slice.work.len(), resumed_jobs);
+                        heartbeat(
+                            &started,
+                            &last_beat,
+                            n,
+                            slice.work.len(),
+                            resumed_jobs,
+                            true,
+                        );
                     }
                     results.lock().expect("results lock")[index] = Some(Ok(outcome));
                 }
@@ -555,50 +563,27 @@ fn write_trace(
     .map_err(|e| format!("trace write failed: {e}"))
 }
 
-/// Emits the periodic progress/ETA heartbeat to stderr: due every
-/// [`HEARTBEAT_JOBS`] completions or [`HEARTBEAT_SECS`] of wall time,
-/// whichever comes first, and never on the final job (which has its own
-/// line). Wall-clock only — artifact bytes are untouched.
+/// Emits the periodic progress/ETA heartbeat to stderr: due
+/// [`HEARTBEAT_SECS`] of wall time after the last beat and, at a job's
+/// `completion`, every [`HEARTBEAT_JOBS`] completions; never once the slice
+/// is finished (the final job has its own line). Wall-clock only — artifact
+/// bytes are untouched.
 fn heartbeat(
     started: &Instant,
     last_beat: &Mutex<Instant>,
     done: usize,
     total: usize,
     resumed: usize,
+    completion: bool,
 ) {
     let mut last = last_beat.lock().unwrap_or_else(|p| p.into_inner());
-    let due = done.is_multiple_of(HEARTBEAT_JOBS)
+    let due = (completion && done.is_multiple_of(HEARTBEAT_JOBS))
         || last.elapsed() >= Duration::from_secs(HEARTBEAT_SECS);
     if !due || done >= total {
         return;
     }
     *last = Instant::now();
     drop(last);
-    emit_progress(started, done, total, resumed);
-}
-
-/// The time-only heartbeat checked where workers pull their next job: a
-/// single long-running job can keep every completion-boundary beat away for
-/// far longer than [`HEARTBEAT_SECS`], so the poll point beats on wall time
-/// alone.
-fn poll_heartbeat(
-    started: &Instant,
-    last_beat: &Mutex<Instant>,
-    done: usize,
-    total: usize,
-    resumed: usize,
-) {
-    let mut last = last_beat.lock().unwrap_or_else(|p| p.into_inner());
-    if last.elapsed() < Duration::from_secs(HEARTBEAT_SECS) || done >= total {
-        return;
-    }
-    *last = Instant::now();
-    drop(last);
-    emit_progress(started, done, total, resumed);
-}
-
-/// Prints one `progress:` line to stderr.
-fn emit_progress(started: &Instant, done: usize, total: usize, resumed: usize) {
     let fresh = done.saturating_sub(resumed);
     let elapsed = started.elapsed().as_secs_f64();
     let eta = eta_text(fresh, elapsed, total - done);
@@ -1308,19 +1293,19 @@ mod tests {
         let last = Mutex::new(backdated);
         // Due, with fresh == 0 (done == resumed): must print the "?" ETA
         // path without panicking and reset the cadence clock.
-        poll_heartbeat(&started, &last, 3, 10, 3);
+        heartbeat(&started, &last, 3, 10, 3, false);
         assert!(
             last.lock().unwrap().elapsed() < Duration::from_secs(HEARTBEAT_SECS),
             "a due beat must reset the cadence clock"
         );
         // Not due again immediately afterwards.
         let before = *last.lock().unwrap();
-        poll_heartbeat(&started, &last, 3, 10, 3);
+        heartbeat(&started, &last, 3, 10, 3, false);
         assert_eq!(*last.lock().unwrap(), before);
         // Never beats once the slice is finished (the final job has its
         // own completion line).
         *last.lock().unwrap() = backdated;
-        poll_heartbeat(&started, &last, 10, 10, 0);
+        heartbeat(&started, &last, 10, 10, 0, false);
         assert_eq!(*last.lock().unwrap(), backdated);
     }
 

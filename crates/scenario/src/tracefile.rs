@@ -717,6 +717,52 @@ mod tests {
         assert_eq!(back.to_jsonl(), text, "canonical round-trip");
     }
 
+    /// `event_to_json` binds each variant's fields with `..`, so a field
+    /// it forgets to write shows only as a failed round-trip of its kind.
+    #[test]
+    fn every_event_kind_roundtrips() {
+        let mut events = sample_events();
+        events.extend([
+            TraceEvent::ShardProgress {
+                cycle: 96,
+                shard: 1,
+                shard_count: 3,
+                position: 4,
+                stripe_len: 7,
+            },
+            TraceEvent::LinkFailed {
+                cycle: 97,
+                ax: 1,
+                ay: 2,
+                bx: 3,
+                by: 4,
+            },
+            TraceEvent::LinkRepaired {
+                cycle: 98,
+                ax: 5,
+                ay: 6,
+                bx: 7,
+                by: 8,
+            },
+            TraceEvent::CacheHit {
+                cycle: 99,
+                fingerprint: "00ff00ff00ff00ff".into(),
+                name: "one-traffic".into(),
+            },
+        ]);
+        let mut kinds: Vec<&str> = events.iter().map(TraceEvent::kind).collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        let mut every = TraceEvent::KINDS.to_vec();
+        every.sort_unstable();
+        assert_eq!(kinds, every, "the sample writes one event of each kind");
+        let doc = TraceDoc::new("every-kind", events);
+        let text = doc.to_jsonl();
+        let back = TraceDoc::parse(&text).expect("parses");
+        assert_eq!(back, doc);
+        assert_eq!(back.to_jsonl(), text, "canonical round-trip");
+    }
+
     #[test]
     fn cache_hit_event_roundtrips_and_exports() {
         let doc = TraceDoc::new(

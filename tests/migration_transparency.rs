@@ -1,8 +1,9 @@
-//! Integration of the reconfiguration engine with the NoC: §2.3's claim
-//! that "the migration operation is totally transparent to the outside
-//! world" thanks to address transformation at the I/O interface.
+//! §2.3's claim that "the migration operation is totally transparent to
+//! the outside world": the network carries physical node ids only, and the
+//! chip's I/O boundary applies the cumulative migration map to the traffic
+//! crossing it.
 
-use hotnoc::noc::{AddressMap, Mesh, Network, NocConfig, Packet, PacketClass};
+use hotnoc::noc::{Coord, Mesh, Network, NocConfig, Packet, PacketClass};
 use hotnoc::reconfig::{CumulativeMap, MigrationScheme};
 
 #[test]
@@ -10,46 +11,40 @@ fn external_traffic_follows_the_workload_across_migrations() {
     for side in [4, 5] {
         let mesh = Mesh::square(side).unwrap();
         // Logical destination the outside world always addresses.
-        let logical_dst = mesh.node_id_at(1, 2).unwrap();
+        let logical = Coord::new(1, 2);
         let src = mesh.node_id_at(0, 0).unwrap();
         for scheme in MigrationScheme::FIGURE1 {
             // One migration per period: the map composes the scheme once
-            // more each round, through a whole cycle of the group and back.
+            // more each round, through a whole cycle of the group and back,
+            // while `home` follows the workload one scheme step at a time.
             let mut map = CumulativeMap::identity(mesh);
+            let mut home = logical;
             for round in 0..=scheme.order(mesh) as u64 {
-                // A fresh network per round keeps the check simple; the
-                // address map reflects the cumulative migration state.
+                let case = format!("{side}x{side} {scheme} round {round}");
+                // Inbound: the boundary sends the packet to the tile the
+                // logical workload physically lives on right now.
+                let physical = map.logical_to_physical(logical);
+                assert_eq!(physical, home, "{case}: the map lost the workload");
+                let dst = mesh.node_id(physical).unwrap();
                 let mut net = Network::new(mesh, NocConfig::default());
                 net.record_deliveries();
-                net.set_address_map(Box::new(map.clone()));
-
-                let p = Packet::new(round, src, logical_dst, PacketClass::Data, 3);
-                net.inject_external(p).unwrap();
-                net.run_until_idle(10_000).unwrap();
-
-                // The packet must arrive wherever the logical workload
-                // physically lives right now.
-                let physical = mesh
-                    .node_id(map.logical_to_physical(mesh.coord(logical_dst)))
+                net.inject(Packet::new(round, src, dst, PacketClass::Data, 3))
                     .unwrap();
-                let delivered = net.drain_delivered(physical);
-                assert_eq!(
-                    delivered.len(),
-                    1,
-                    "{side}x{side} {scheme} round {round}: packet did not follow the workload"
-                );
+                net.run_until_idle(10_000).unwrap();
+                let delivered = net.drain_delivered(dst);
+                assert_eq!(delivered.len(), 1, "{case}: packet not delivered");
 
-                // Outbound traffic translates back to logical coordinates.
-                let out = net.externalize(hotnoc::noc::DeliveredPacket {
-                    src: physical,
-                    ..delivered[0]
-                });
+                // Outbound: the delivering tile maps back to the logical
+                // node the outside world addressed.
+                let from = mesh.coord(delivered[0].dst);
                 assert_eq!(
-                    out.src, logical_dst,
-                    "{side}x{side} {scheme} round {round}: outbound source not re-translated"
+                    map.physical_to_logical(from),
+                    logical,
+                    "{case}: the delivering tile does not map back"
                 );
 
                 map.apply_scheme(scheme);
+                home = scheme.apply(home, mesh);
             }
         }
     }

@@ -4,7 +4,6 @@
 
 use hotnoc::ldpc::{ClusterMapping, LdpcCode};
 use hotnoc::noc::flit::packetize;
-use hotnoc::noc::io_interface::check_bijection;
 use hotnoc::noc::{Mesh, NodeId, Packet, PacketClass};
 use hotnoc::reconfig::{CumulativeMap, MigrationScheme, OrbitDecomposition};
 use hotnoc::thermal::{Floorplan, PackageConfig, RcNetwork};
@@ -77,7 +76,13 @@ proptest! {
         let mut map = CumulativeMap::identity(mesh);
         for s in schemes {
             map.apply_scheme(s);
-            prop_assert_eq!(check_bijection(&map, mesh), None);
+            // Every image on the mesh and inverted by `physical_to_logical`
+            // makes `logical_to_physical` one-to-one, and so a bijection.
+            for c in mesh.iter_coords() {
+                let p = map.logical_to_physical(c);
+                prop_assert!(mesh.contains(p));
+                prop_assert_eq!(map.physical_to_logical(p), c);
+            }
         }
     }
 
