@@ -6,7 +6,10 @@
 //!   — if a runbook drifts from the CLI, this test fails;
 //! * every `hotnoc-*-vN` schema id named in `docs/ARTIFACTS.md` must
 //!   appear in the source tree — documenting a schema nothing emits (or
-//!   renaming one without updating the reference) fails.
+//!   renaming one without updating the reference) fails;
+//! * every CI step a `docs/*.md` file names as `step "…"` is a step of
+//!   `.github/workflows/ci.yml`, and every backticked `Type::fn` path it
+//!   names is a `fn` of an `impl Type` block in the source tree.
 
 use std::path::{Path, PathBuf};
 
@@ -198,4 +201,141 @@ fn artifacts_reference_matches_source_schemas() {
             "docs/ARTIFACTS.md documents {id}, but no source under crates/ or vendor/ mentions it"
         );
     }
+}
+
+/// Every CI step the docs name as `step "…"` (a name wrapped across
+/// lines included) is a `- name:` in the CI workflow, so a renamed or
+/// deleted step cannot stay cited.
+#[test]
+fn ci_steps_named_in_the_docs_exist() {
+    let root = repo_root();
+    let ci = std::fs::read_to_string(root.join(".github/workflows/ci.yml")).expect("read ci.yml");
+    let steps: Vec<&str> = ci
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("- name:"))
+        .map(str::trim)
+        .collect();
+    let mut cited = 0;
+    for (doc, text) in docs(&root) {
+        for quoted in text.split("step \"").skip(1) {
+            let quoted = quoted.split('"').next().expect("split yields one piece");
+            let name = quoted.split_whitespace().collect::<Vec<_>>().join(" ");
+            cited += 1;
+            assert!(
+                steps.contains(&name.as_str()),
+                "{doc} cites CI step \"{name}\", which .github/workflows/ci.yml does not have"
+            );
+        }
+    }
+    assert!(cited > 0, "no doc cites a CI step");
+}
+
+/// Every backticked `Type::function` path in the docs names a function
+/// that an `impl` block of that type in the source tree defines. Paths
+/// into the standard library (`Iterator::sum` today) are not checked.
+#[test]
+fn type_paths_named_in_the_docs_exist() {
+    const STD: &[&str] = &["Iterator"];
+    let root = repo_root();
+    let mut sources = Vec::new();
+    for dir in ["crates", "src", "vendor"] {
+        rust_sources(&root.join(dir), &mut sources);
+    }
+    // (type, function) for every `fn` inside an `impl` block of that type,
+    // which ends at the first `}` line indented as its header (rustfmt).
+    let mut defined = std::collections::HashSet::new();
+    for path in &sources {
+        let text = std::fs::read_to_string(path).expect("read source");
+        let mut block: Option<(&str, usize)> = None;
+        for line in text.lines() {
+            let code = line.trim_start();
+            let indent = line.len() - code.len();
+            match block {
+                None => block = impl_type(code).map(|ty| (ty, indent)),
+                Some((_, end)) if code == "}" && indent == end => block = None,
+                Some((ty, _)) => {
+                    if let Some(name) = fn_name(code) {
+                        defined.insert((ty.to_string(), name.to_string()));
+                    }
+                }
+            }
+        }
+    }
+    let mut cited = 0;
+    for (doc, text) in docs(&root) {
+        for span in text.split('`').skip(1).step_by(2) {
+            let Some((ty, name)) = span.split_once("::") else {
+                continue;
+            };
+            let is_ident = |s: &str| {
+                !s.is_empty() && s.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_')
+            };
+            if !(ty.starts_with(|c: char| c.is_ascii_uppercase())
+                && name.starts_with(|c: char| c.is_ascii_lowercase())
+                && is_ident(ty)
+                && is_ident(name))
+                || STD.contains(&ty)
+            {
+                continue;
+            }
+            cited += 1;
+            assert!(
+                defined.contains(&(ty.to_string(), name.to_string())),
+                "{doc} names `{ty}::{name}`, but no `impl {ty}` in the source tree defines `fn {name}`"
+            );
+        }
+    }
+    assert!(cited > 0, "no doc names a `Type::function` path");
+}
+
+/// Every `docs/*.md` file and its text, by file name.
+fn docs(root: &Path) -> Vec<(String, String)> {
+    let mut docs: Vec<(String, String)> = std::fs::read_dir(root.join("docs"))
+        .expect("read docs/")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "md"))
+        .map(|p| {
+            let text = std::fs::read_to_string(&p).expect("read doc");
+            (
+                format!("docs/{}", p.file_name().unwrap().to_string_lossy()),
+                text,
+            )
+        })
+        .collect();
+    docs.sort();
+    docs
+}
+
+/// The self type of an `impl` block's header line: `Network` for
+/// `impl Network {`, `impl<'a> Network<'a> {` and
+/// `impl fmt::Debug for Network {`.
+fn impl_type(line: &str) -> Option<&str> {
+    if !line.ends_with('{') {
+        return None;
+    }
+    let rest = line.strip_prefix("impl")?;
+    let rest = match rest.strip_prefix('<') {
+        Some(generic) => generic.split_once('>')?.1,
+        None => rest.strip_prefix(' ')?,
+    };
+    let rest = rest.rsplit(" for ").next()?.trim_start();
+    let end = rest
+        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == ':'))
+        .unwrap_or(rest.len());
+    rest[..end].rsplit("::").next()
+}
+
+/// The name of the function a line declares, if it declares one.
+fn fn_name(line: &str) -> Option<&str> {
+    let at = line.find("fn ")?;
+    let before = &line[..at];
+    if !before
+        .split_whitespace()
+        .all(|w| w.starts_with("pub") || ["const", "async", "unsafe"].contains(&w))
+    {
+        return None;
+    }
+    let rest = &line[at + 3..];
+    let end = rest.find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))?;
+    Some(&rest[..end])
 }

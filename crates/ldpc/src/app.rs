@@ -12,19 +12,18 @@
 //! (`Network::router(id).activity()`).
 //!
 //! The decoder's fixed schedule sends the same messages every iteration,
-//! so the block does not step every cycle: once an iteration starts in
-//! the network state the previous one started in, the remaining
-//! iterations repeat the last one exactly, and
-//! [`LdpcNocApp::run_block`] applies them from its log with
-//! [`Network::repeat_period`] (cycles, statistics, buffer writes and link
-//! flits as logged; payload bit transitions recomputed for the later
-//! packets' ids). The network ends as stepping would have left it.
+//! so the block does not step every cycle: [`LdpcNocApp::run_block`] runs
+//! its iterations as [`Network::run_periods`] periods, which steps them
+//! only until one starts in the network state the previous one started in
+//! and applies the rest from its log (cycles, statistics, buffer writes
+//! and link flits as logged; payload bit transitions recomputed for the
+//! later packets' ids). The network ends as stepping would have left it.
 
 use crate::code::LdpcCode;
 use crate::error::LdpcError;
 use crate::mapping::ClusterMapping;
 use crate::schedule::{phase_traffic, IterPhase, MessageParams, PhaseTraffic};
-use hotnoc_noc::{Network, NocError, NodeId, Packet, PacketClass, Period};
+use hotnoc_noc::{Network, NocError, NodeId, Packet, PacketClass};
 
 /// Compute-model parameters of a PE.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -115,34 +114,17 @@ impl LdpcNocApp {
         &self.placement
     }
 
-    /// Re-places the clusters (what a migration does).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length differs from the cluster count.
-    pub fn set_placement(&mut self, placement: Vec<NodeId>) {
-        assert_eq!(
-            placement.len(),
-            self.mapping.n_clusters(),
-            "placement length"
-        );
-        self.placement = placement;
-    }
-
     /// Decodes one block taking `iterations` message-passing iterations
     /// on `net`. The block's router events accumulate in `net`'s activity
     /// counters.
     ///
-    /// Every iteration sends the same messages, so once an iteration
-    /// starts in the network state the previous one started in, every
-    /// later iteration repeats it exactly (see
-    /// [`Network::repeat_period`]): iterations are stepped cycle by cycle
-    /// until then, and the rest are applied from the last one's log, which
-    /// leaves `net` as stepping them would have. The first iteration is
-    /// never repeated (its log only counts departures, to size the next
-    /// one's), so a block steps at least two iterations. A network that
-    /// cannot log periods (one with a fault plan, a trace or a delivery
-    /// log, or with traffic in flight) steps every iteration.
+    /// Every iteration sends the same messages, so the iterations are
+    /// [`Network::run_periods`] periods: they are stepped cycle by cycle
+    /// until one starts in the network state the previous one started in,
+    /// and the rest are applied from the last one's log, which leaves `net`
+    /// as stepping them would have. A block steps at least two iterations,
+    /// and a network with a fault plan, a trace or a delivery log, or with
+    /// traffic in flight, steps every iteration.
     ///
     /// # Errors
     ///
@@ -170,25 +152,11 @@ impl LdpcNocApp {
         let var_ops = self.mapping.var_ops_per_cluster(&self.code);
         let chk_ops = self.mapping.chk_ops_per_cluster(&self.code);
 
-        let mut last: Option<Period> = None;
-        for done in 0..iterations {
-            let left = (iterations - done) as u64;
-            if let Some(period) = &last {
-                if net.repeat_period(period, left) {
-                    self.next_packet_id += left * period.packets();
-                    break;
-                }
-            }
-            // The first iteration only counts its departures, which sizes
-            // the logs of the next; the last is not logged, since nothing
-            // could repeat it.
-            let logging = left > 1 && net.start_period(last.take());
-            let ran = self
-                .run_phase(net, &v2c, &var_ops)
-                .and_then(|()| self.run_phase(net, &c2v, &chk_ops));
-            last = if logging { net.end_period() } else { None };
-            ran?;
-        }
+        let repeated = net.run_periods(iterations, |net| {
+            self.run_phase(net, &v2c, &var_ops)?;
+            self.run_phase(net, &c2v, &chk_ops)
+        })?;
+        self.next_packet_id += repeated;
 
         let mut ops_per_node = vec![0u64; net.mesh().len()];
         for (cluster, node) in self.placement.iter().enumerate() {
@@ -286,7 +254,14 @@ mod tests {
         let base = app.run_block(&mut net, 2).unwrap();
         // Reverse the placement; the ops map should reverse too.
         let reversed: Vec<NodeId> = (0..16).rev().map(|i| NodeId::new(i as u16)).collect();
-        app.set_placement(reversed);
+        let mut app = LdpcNocApp::new(
+            app.code().clone(),
+            app.mapping().clone(),
+            reversed,
+            MessageParams::default(),
+            ComputeModel::default(),
+        )
+        .unwrap();
         let mut net2 = Network::new(Mesh::square(4).unwrap(), NocConfig::default());
         let moved = app.run_block(&mut net2, 2).unwrap();
         let rev_ops: Vec<u64> = base.ops_per_node.iter().rev().copied().collect();

@@ -50,13 +50,6 @@ pub struct Transfer {
     pub packet_lens: Vec<u32>,
 }
 
-impl Transfer {
-    /// Total flits in this transfer.
-    pub fn total_flits(&self) -> u64 {
-        self.packet_lens.iter().map(|&l| l as u64).sum()
-    }
-}
-
 /// All inter-cluster transfers of one phase.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseTraffic {
@@ -163,7 +156,8 @@ mod tests {
         for t in &tr.transfers {
             let bits = t.messages * 8;
             let expected = bits.div_ceil(64).max(1);
-            assert_eq!(t.total_flits(), expected);
+            let flits: u64 = t.packet_lens.iter().map(|&l| l as u64).sum();
+            assert_eq!(flits, expected);
         }
     }
 

@@ -18,10 +18,10 @@
 //! * per-router switching-activity counters ([`RouterActivity`]), which
 //!   the `hotnoc-power` model prices directly, and latency histograms
 //!   ([`stats`]),
-//! * logging one period of a network at rest and repeating it without
-//!   stepping ([`Network::start_period`], [`Network::end_period`],
-//!   [`Network::repeat_period`]), exact for traffic that repeats with
-//!   shifted packet ids, such as the LDPC decoder's iterations,
+//! * running periods of traffic that repeats with shifted packet ids, such
+//!   as the LDPC decoder's iterations, stepping them only until the network
+//!   repeats itself and applying the rest from a log, exactly
+//!   ([`Network::run_periods`]),
 //! * synthetic traffic patterns ([`traffic`]) for validation and benchmarks.
 //!
 //! ## Quick example
@@ -58,7 +58,7 @@ pub use config::NocConfig;
 pub use error::NocError;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultState};
 pub use flit::{Flit, Packet, PacketClass, PacketId};
-pub use network::{DeliveredPacket, Network, Period};
+pub use network::{DeliveredPacket, Network};
 pub use stats::{NetworkStats, RouterActivity};
 pub use topology::{Coord, Direction, Mesh, NodeId};
 pub use traffic::{TrafficGenerator, TrafficPattern};

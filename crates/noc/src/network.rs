@@ -13,7 +13,6 @@ use crate::stats::NetworkStats;
 use crate::topology::{Coord, Direction, Mesh, NodeId};
 use hotnoc_obs::event::{CONGESTION_WINDOW, DETOUR_BURST_MIN};
 use hotnoc_obs::TraceEvent;
-pub use period::Period;
 use period::{Departures, PeriodLog};
 use std::collections::HashSet;
 
@@ -110,14 +109,13 @@ struct FaultDriver {
 /// (guarded by the golden-determinism suite and the parallel-equivalence
 /// property tests).
 ///
-/// Traffic that repeats exactly need not be stepped at all: a period logged
-/// at rest ([`Network::start_period`], [`Network::end_period`]) can be
-/// applied again with [`Network::repeat_period`] once the network is back
-/// in the state the period started in. While no period is being logged,
-/// the allocation sweep pays one predictable branch per departing flit for
-/// this, like the trace flag.
+/// Traffic that repeats exactly need not be stepped at all:
+/// [`Network::run_periods`] steps periods of it only until one starts in
+/// the state the previous one started in, and applies the rest from that
+/// one's log. While no period is being logged, the allocation sweep pays
+/// one predictable branch per departing flit for this, like the trace
+/// flag.
 pub struct Network {
-    cfg: NocConfig,
     mesh: Mesh,
     routers: Vec<Router>,
     /// Outgoing links per router, indexed by mesh direction: the flit in
@@ -160,8 +158,7 @@ pub struct Network {
     /// Deterministic trace recording; `None` (the default) keeps every hot
     /// path on a single never-taken branch.
     trace: Option<Box<TraceState>>,
-    /// The period being logged, between [`Network::start_period`] and
-    /// [`Network::end_period`]; `None` otherwise.
+    /// The period [`Network::run_periods`] is logging, if any.
     period: Option<Box<PeriodLog>>,
     /// Per router, the logged period's departures; every log is empty
     /// while no period is being logged.
@@ -594,23 +591,15 @@ impl std::fmt::Debug for Network {
 }
 
 impl Network {
-    /// Creates an idle network over `mesh` with the given configuration.
+    /// Creates an idle network over `mesh`. The network counts cycles and
+    /// keeps no clock: `cfg` is only validated here, and callers convert
+    /// cycles to seconds with it.
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` fails [`NocConfig::validate`]; use
-    /// [`Network::try_new`] for fallible construction.
+    /// Panics if `cfg` fails [`NocConfig::validate`].
     pub fn new(mesh: Mesh, cfg: NocConfig) -> Self {
-        Network::try_new(mesh, cfg).expect("invalid NocConfig")
-    }
-
-    /// Fallible constructor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NocError::InvalidConfig`] if the configuration is invalid.
-    pub fn try_new(mesh: Mesh, cfg: NocConfig) -> Result<Self, NocError> {
-        cfg.validate()?;
+        cfg.validate().expect("invalid NocConfig");
         let n = mesh.len();
         let routers = mesh.iter_coords().map(Router::new).collect();
         let neighbors = mesh
@@ -622,8 +611,7 @@ impl Network {
                 })
             })
             .collect();
-        Ok(Network {
-            cfg,
+        Network {
             mesh,
             routers,
             links: vec![[None; 4]; n],
@@ -646,17 +634,12 @@ impl Network {
             trace: None,
             period: None,
             departures: vec![Departures::default(); n],
-        })
+        }
     }
 
     /// The mesh this network simulates.
     pub fn mesh(&self) -> Mesh {
         self.mesh
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &NocConfig {
-        &self.cfg
     }
 
     /// Current simulation cycle.

@@ -1,5 +1,5 @@
-//! Logging one period of a network at rest, and repeating it without
-//! stepping.
+//! Running periods of repeating traffic, stepping them only until the
+//! network repeats itself.
 //!
 //! Traffic that repeats — the same packets (sources, destinations, lengths,
 //! classes) injected at the same cycles relative to the period's start,
@@ -10,40 +10,37 @@
 //! credits, VC owners and round-robin pointers, NICs are FIFOs, and a
 //! latency is a difference of cycles. The network is deterministic, so
 //! such a period makes every move the previous one made and ends where it
-//! started. [`Network::repeat_period`] applies those periods without
+//! started. [`Network::run_periods`] applies the periods after it without
 //! stepping them: their cycles, statistics, buffer writes and link flits
 //! are the logged period's, and only the payload bit transitions are
 //! recomputed, by replaying each output port's logged flit order with the
 //! payloads of the shifted packet ids.
 
 use super::Network;
+use crate::error::NocError;
 use crate::flit::{flit_payloads, payload_seed, Packet};
-use crate::router::RouterTiming;
+use crate::router::Router;
 use crate::stats::NetworkStats;
-use crate::topology::Mesh;
 
 /// One router's departures during a period: per output port, the index of
 /// each flit it sent among the period's flits (packets in id order, flits
 /// in sequence order), in sending order.
 pub(super) type Departures = [Vec<u32>; 5];
 
-/// Everything of a network at rest that a later cycle reads. Compared with
-/// `==`; the cycle counter, statistics and activity counters are left out
-/// because no decision reads them.
-#[derive(Debug, PartialEq, Eq)]
-pub(super) struct TimingState {
-    routers: Vec<RouterTiming>,
-    work: Vec<u32>,
-    buffered: Vec<u32>,
-    worklist: Vec<u32>,
-    /// Routers enrolled since the last worklist merge, sorted: the merge
-    /// sorts them, so their order is not read.
-    incoming: Vec<u32>,
-}
+/// What a later cycle reads of a network at rest that can differ between
+/// two such networks: per router and output port, the round-robin pointer
+/// and the credit in flight back to the port. With no flit in buffers, on
+/// links or in NICs, the rest is fixed or follows from these pairs: every
+/// input VC is empty and idle (route `IDLE`, no flit left to send), no
+/// outbound VC has an owner, a port holds `BUFFER_DEPTH` credits per VC
+/// less the one in flight, and a router's work is its credits in flight
+/// (`every_period_boundary_is_at_rest` checks each of these). Nor is the
+/// worklist compared: a step first trims it to the routers with work.
+type RestState = Vec<[(usize, Option<u8>); 5]>;
 
 /// The bookkeeping of a period while it is logged.
 pub(super) struct PeriodLog {
-    start: TimingState,
+    start: RestState,
     start_cycle: u64,
     /// Set when the period only counts its departures: every router's link
     /// flits at the start.
@@ -58,7 +55,7 @@ pub(super) struct PeriodLog {
     /// The period's own statistics.
     pub(super) stats: NetworkStats,
     /// Set when a packet breaks the id or payload rule of
-    /// [`Network::start_period`]; the period then cannot be repeated.
+    /// [`Network::run_periods`]; the period then cannot be repeated.
     broken: bool,
 }
 
@@ -96,23 +93,20 @@ impl PeriodLog {
     }
 }
 
-/// One logged period of a network at rest: what
-/// [`Network::repeat_period`] needs to run more periods like it without
-/// stepping them. Built by [`Network::end_period`].
+/// One logged period of a network at rest: what a repeat needs to run
+/// more periods like it without stepping them.
 ///
-/// It holds the network's state at the period's start, the period's cycles
-/// and statistics, and four bytes per flit departure (each output port's
-/// flit order). A period that only counted its departures holds logs of
-/// that capacity, empty, for the next period to fill.
-#[derive(Debug)]
-pub struct Period {
-    mesh: Mesh,
+/// It holds the network's rest state at the period's start, the period's
+/// cycles and statistics, and four bytes per flit departure (each output
+/// port's flit order). A period that only counted its departures holds
+/// logs of that capacity, empty, for the next period to fill.
+struct Period {
     /// Whether the flit order was logged; a counted period cannot be
     /// repeated.
     logged: bool,
-    /// The state the period started in; a repeatable period also ends in
-    /// it.
-    start: TimingState,
+    /// The rest state the period started in; a repeatable period also
+    /// ends in it.
+    start: RestState,
     cycles: u64,
     stats: NetworkStats,
     first_packet: u64,
@@ -124,12 +118,61 @@ pub struct Period {
 impl Period {
     /// Packets injected during the period: the id shift from one
     /// repetition to the next.
-    pub fn packets(&self) -> u64 {
+    fn packets(&self) -> u64 {
         self.flit_base.len() as u64
     }
 }
 
 impl Network {
+    /// Runs `n` periods of traffic, each by calling `period`, stepping
+    /// them only until the network repeats itself. Returns how many
+    /// packets the periods it did not step would have injected: the
+    /// caller's next packet id moves on by that much.
+    ///
+    /// `period` must step one period of traffic that repeats: the same
+    /// packets (sources, destinations, lengths, classes) injected at the
+    /// same cycles relative to the period's start, numbered with
+    /// consecutive ids that carry on from the previous period's, each
+    /// with [`Packet::new`]'s payload seed for its id. Once a period
+    /// starts in the state the previous one started in, every later
+    /// period repeats that one, so the rest are applied from its log
+    /// instead: the network ends where stepping them would have left it
+    /// (its cycle, statistics, every router's activity counters and every
+    /// output's last payload). The first period only counts its
+    /// departures, to size the next one's log, so at least two periods
+    /// are stepped.
+    ///
+    /// Every period is stepped unless each boundary finds the network at
+    /// rest (no flit in buffers, on links or in NICs; credits may still be
+    /// in flight), with no fault plan installed, no trace recording and
+    /// delivered packets not recorded, and the packets keep the id and
+    /// payload rule.
+    ///
+    /// # Errors
+    ///
+    /// The first error `period` returns; no period runs after it.
+    pub fn run_periods(
+        &mut self,
+        n: usize,
+        mut period: impl FnMut(&mut Network) -> Result<(), NocError>,
+    ) -> Result<u64, NocError> {
+        let mut last: Option<Period> = None;
+        for done in 0..n {
+            let left = (n - done) as u64;
+            if let Some(previous) = &last {
+                if self.repeat_period(previous, left) {
+                    return Ok(left * previous.packets());
+                }
+            }
+            // The last period is not logged: nothing could repeat it.
+            let logging = left > 1 && self.start_period(last.take());
+            let ran = period(self);
+            last = if logging { self.end_period() } else { None };
+            ran?;
+        }
+        Ok(0)
+    }
+
     /// Whether no fault plan is installed, no trace is recording, no
     /// delivery is recorded and no flit is in flight (buffers, links and
     /// NICs are empty).
@@ -140,35 +183,24 @@ impl Network {
             && self.in_flight() == 0
     }
 
-    fn timing_state(&self) -> TimingState {
-        let mut incoming = self.incoming.clone();
-        incoming.sort_unstable();
-        TimingState {
-            routers: self.routers.iter().map(|r| r.timing()).collect(),
-            work: self.work.clone(),
-            buffered: self.buffered.clone(),
-            worklist: self.worklist.clone(),
-            incoming,
-        }
+    fn rest_state(&self) -> RestState {
+        let ports = |r: &Router| r.outputs.each_ref().map(|o| (o.rr_ptr, o.credit_in));
+        self.routers.iter().map(ports).collect()
     }
 
     /// Starts logging a period: the cycles until [`Network::end_period`].
-    /// Returns `false`, and logs nothing, unless the network is at rest (no
-    /// flit in buffers, on links or in NICs; credits may still be in
-    /// flight), no fault plan is installed, no trace is recording, delivered
-    /// packets are not recorded and no other period is being logged.
+    /// Returns `false`, and logs nothing, unless the network is at rest,
+    /// unobserved and not logging a period already.
     ///
     /// `previous` is the period before this one. Its logs, sized to its
     /// departures per port, take this period's flit order. Without one,
     /// the period only counts each port's departures: it sizes the next
-    /// period's logs, and cannot be repeated itself. A period can be
-    /// repeated only if its packets have consecutive ids in injection
-    /// order and each carries [`Packet::new`]'s payload seed for its id.
-    pub fn start_period(&mut self, previous: Option<Period>) -> bool {
+    /// period's logs, and cannot be repeated itself.
+    fn start_period(&mut self, previous: Option<Period>) -> bool {
         if self.period.is_some() || !self.at_rest_unobserved() {
             return false;
         }
-        let counted_from = match previous.filter(|p| p.mesh == self.mesh) {
+        let counted_from = match previous {
             Some(previous) => {
                 self.departures = previous.departures;
                 for log in self.departures.iter_mut().flatten() {
@@ -179,7 +211,7 @@ impl Network {
             None => Some(self.routers.iter().map(|r| r.activity.link_flits).collect()),
         };
         self.period = Some(Box::new(PeriodLog {
-            start: self.timing_state(),
+            start: self.rest_state(),
             start_cycle: self.cycle,
             counted_from,
             first_packet: None,
@@ -196,7 +228,7 @@ impl Network {
     /// being logged, or if the period is of no use to a repeat: the network
     /// is not at rest, a fault plan, a trace or the delivery log was
     /// switched on, or a packet broke the id or payload rule.
-    pub fn end_period(&mut self) -> Option<Period> {
+    fn end_period(&mut self) -> Option<Period> {
         let log = self.period.take()?;
         let mut departures = std::mem::replace(
             &mut self.departures,
@@ -218,7 +250,6 @@ impl Network {
             }
         }
         Some(Period {
-            mesh: self.mesh,
             logged: log.counted_from.is_none(),
             start: log.start,
             cycles: self.cycle - log.start_cycle,
@@ -230,26 +261,13 @@ impl Network {
         })
     }
 
-    /// Runs `times` more periods like `period` without stepping them, and
-    /// returns `true`. The caller vouches for the traffic: repetition `m`
-    /// (from 1) would have injected `period`'s packets again at the same
-    /// cycles relative to its start, with ids shifted by `m` ×
-    /// [`Period::packets`]. The network ends where stepping those periods
-    /// would have left it: its cycle, statistics, every router's activity
-    /// counters and every output's last payload.
-    ///
-    /// Returns `false`, changing nothing, unless `period` logged its flit
-    /// order, the network is in `period`'s start state on the same mesh,
-    /// no flit is in flight, no fault plan is installed, no trace is
-    /// recording, delivered packets are not recorded and no period is being
-    /// logged.
-    pub fn repeat_period(&mut self, period: &Period, times: u64) -> bool {
-        if !period.logged
-            || self.period.is_some()
-            || !self.at_rest_unobserved()
-            || period.mesh != self.mesh
-            || self.timing_state() != period.start
-        {
+    /// Runs `times` more periods like `period`, which
+    /// [`Network::end_period`] has just returned, without stepping them,
+    /// and returns `true`. Returns `false`, changing nothing, unless
+    /// `period` logged its flit order and the network is in the rest state
+    /// `period` started in.
+    fn repeat_period(&mut self, period: &Period, times: u64) -> bool {
+        if !period.logged || self.rest_state() != period.start {
             return false;
         }
         let _t = hotnoc_obs::prof::scope("noc/repeat");
@@ -299,10 +317,11 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::NocConfig;
+    use crate::config::{NocConfig, BUFFER_DEPTH, NUM_VCS};
     use crate::fault::FaultPlan;
     use crate::flit::PacketClass;
-    use crate::topology::{Coord, NodeId};
+    use crate::router::{IDLE, SLOTS};
+    use crate::topology::{Coord, Mesh, NodeId};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -375,29 +394,24 @@ mod tests {
         net.run(schedule.gap);
     }
 
-    /// Logs periods of `schedule` until one starts in the state the
-    /// previous one started in, then repeats that one `times` times.
-    /// Returns the periods stepped.
-    fn step_then_repeat(
+    /// Runs `n` periods of `schedule` with [`Network::run_periods`],
+    /// numbering packets from `*next_id`, and returns how many it stepped.
+    fn run_periods_of(
         net: &mut Network,
         schedule: &Schedule,
         next_id: &mut u64,
-        times: u64,
-    ) -> u64 {
-        let mut period: Option<Period> = None;
-        for stepped in 0..8 {
-            if let Some(p) = &period {
-                if net.repeat_period(p, times) {
-                    *next_id += times * p.packets();
-                    return stepped;
-                }
-            }
-            assert!(net.start_period(period.take()));
-            run_period(net, schedule, next_id);
-            period = net.end_period();
-            assert!(period.is_some(), "a period of Packet::new traffic at rest");
-        }
-        panic!("the state never repeated");
+        n: usize,
+    ) -> usize {
+        let mut stepped = 0;
+        let repeated = net
+            .run_periods(n, |net| {
+                run_period(net, schedule, next_id);
+                stepped += 1;
+                Ok(())
+            })
+            .unwrap();
+        *next_id += repeated;
+        stepped
     }
 
     /// Every observable of `a` equals `b`'s.
@@ -406,10 +420,10 @@ mod tests {
         assert_eq!(a.stats(), b.stats());
         for (ra, rb) in a.routers.iter().zip(&b.routers) {
             assert_eq!(ra.activity(), rb.activity(), "router {}", ra.coord());
-            let last = |r: &crate::router::Router| r.outputs.each_ref().map(|o| o.last_payload);
+            let last = |r: &Router| r.outputs.each_ref().map(|o| o.last_payload);
             assert_eq!(last(ra), last(rb), "router {}", ra.coord());
         }
-        assert_eq!(a.timing_state(), b.timing_state());
+        assert_eq!(a.rest_state(), b.rest_state());
         assert_eq!(a.in_flight(), 0);
     }
 
@@ -439,13 +453,14 @@ mod tests {
             for seed in 0..4u64 {
                 let mesh = mesh(w, h);
                 let schedule = schedule(mesh, 100 * case as u64 + seed);
-                let times = 1 + seed * 3;
+                let n = 9 + 3 * seed as usize;
                 let threads = 1 + (case + seed as usize) % 3;
                 let mut a = striped(Network::new(mesh, NocConfig::default()), threads);
                 let mut b = Network::new(mesh, NocConfig::default());
                 let (mut id_a, mut id_b) = (0, 0);
-                let stepped = step_then_repeat(&mut a, &schedule, &mut id_a, times);
-                for _ in 0..stepped + times {
+                let stepped = run_periods_of(&mut a, &schedule, &mut id_a, n);
+                assert!(stepped < n, "the state never repeated");
+                for _ in 0..n {
                     run_period(&mut b, &schedule, &mut id_b);
                 }
                 assert_eq!(id_a, id_b);
@@ -458,18 +473,92 @@ mod tests {
         }
     }
 
+    /// What makes [`RestState`] complete: at rest, everything else a cycle
+    /// reads is fixed or follows from each port's credit in flight.
+    fn assert_at_rest(net: &Network) {
+        assert_eq!(net.in_flight(), 0);
+        for (r, router) in net.routers.iter().enumerate() {
+            let at = router.coord();
+            assert_eq!(router.vcs.len, [0; SLOTS], "router {at}");
+            assert_eq!(router.vcs.route, [IDLE; SLOTS], "router {at}");
+            assert_eq!(router.vcs.flits_left, [0; SLOTS], "router {at}");
+            let mut in_flight = 0;
+            for out in &router.outputs {
+                assert_eq!(out.vc_owner, [None; NUM_VCS], "router {at}");
+                let credits: [u32; NUM_VCS] = std::array::from_fn(|vc| {
+                    BUFFER_DEPTH - u32::from(out.credit_in == Some(vc as u8))
+                });
+                assert_eq!(out.credits, credits, "router {at}");
+                in_flight += u32::from(out.credit_in.is_some());
+            }
+            assert_eq!(net.work[r], in_flight, "router {at}");
+            assert_eq!(net.buffered[r], 0, "router {at}");
+        }
+    }
+
     #[test]
-    fn repeating_zero_times_changes_nothing() {
+    fn every_period_boundary_is_at_rest() {
+        let mut credits_seen = 0;
+        for (case, &(w, h)) in [(3, 3), (4, 4), (2, 5), (6, 3), (5, 5)].iter().enumerate() {
+            for threads in [1, 2, 4] {
+                let mesh = mesh(w, h);
+                let schedule = schedule(mesh, 300 + case as u64);
+                let mut net = striped(Network::new(mesh, NocConfig::default()), threads);
+                let mut id = 0;
+                let mut stepped = 0;
+                net.run_periods(12, |net| {
+                    assert_at_rest(net);
+                    run_period(net, &schedule, &mut id);
+                    assert_at_rest(net);
+                    stepped += 1;
+                    credits_seen += net.work.iter().sum::<u32>();
+                    Ok(())
+                })
+                .unwrap();
+                assert_at_rest(&net);
+                assert!(stepped < 12, "case {case}: the state never repeated");
+            }
+        }
+        assert!(credits_seen > 0, "no boundary had a credit in flight");
+    }
+
+    #[test]
+    fn zero_or_one_period_is_stepped_and_never_repeated() {
         let mesh = mesh(3, 2);
         let schedule = schedule(mesh, 7);
-        let mut a = Network::new(mesh, NocConfig::default());
-        let mut b = Network::new(mesh, NocConfig::default());
-        let (mut id_a, mut id_b) = (0, 0);
-        let stepped = step_then_repeat(&mut a, &schedule, &mut id_a, 0);
-        for _ in 0..stepped {
-            run_period(&mut b, &schedule, &mut id_b);
+        for n in [0, 1] {
+            let mut a = Network::new(mesh, NocConfig::default());
+            let mut b = Network::new(mesh, NocConfig::default());
+            let (mut id_a, mut id_b) = (0, 0);
+            assert_eq!(run_periods_of(&mut a, &schedule, &mut id_a, n), n);
+            for _ in 0..n {
+                run_period(&mut b, &schedule, &mut id_b);
+            }
+            assert_eq!(id_a, id_b);
+            assert_same(&a, &b);
+            assert!(a.period.is_none(), "a period is still being logged");
         }
-        assert_same(&a, &b);
+    }
+
+    #[test]
+    fn an_error_ends_the_periods_and_their_log() {
+        let mesh = mesh(3, 3);
+        let schedule = schedule(mesh, 8);
+        let mut net = Network::new(mesh, NocConfig::default());
+        let (mut id, mut stepped) = (0, 0);
+        let err = net.run_periods(6, |net| {
+            stepped += 1;
+            run_period(net, &schedule, &mut id);
+            if stepped == 2 {
+                return Err(NocError::EmptyPacket);
+            }
+            Ok(())
+        });
+        assert_eq!(err, Err(NocError::EmptyPacket));
+        assert_eq!(stepped, 2);
+        assert!(net.period.is_none(), "a period is still being logged");
+        assert!(net.departures.iter().flatten().all(Vec::is_empty));
+        assert!(run_periods_of(&mut net, &schedule, &mut id, 8) < 8);
     }
 
     /// A network that has just logged a repeatable period, and that
@@ -484,7 +573,7 @@ mod tests {
             net.start_period(period.take());
             run_period(&mut net, &schedule, &mut id);
             let p = net.end_period().unwrap();
-            if p.logged && net.timing_state() == p.start {
+            if p.logged && net.rest_state() == p.start {
                 return (net, p);
             }
             period = Some(p);
@@ -515,95 +604,97 @@ mod tests {
         assert_refused(&mut net, &period);
         net.routers[5].outputs[1].rr_ptr -= 1;
 
-        let src = net.mesh().node_id_at(0, 0).unwrap();
-        net.inject(Packet::new(
-            1 << 40,
-            src,
-            NodeId::new(3),
-            PacketClass::Data,
-            2,
-        ))
-        .unwrap();
+        // A credit in flight back to a port that had none at the start.
+        let (r, d) = (0..net.routers.len())
+            .flat_map(|r| (0..5).map(move |d| (r, d)))
+            .find(|&(r, d)| period.start[r][d].1.is_none())
+            .unwrap();
+        let out = &mut net.routers[r].outputs[d];
+        out.credits[1] -= 1;
+        out.credit_in = Some(1);
         assert_refused(&mut net, &period);
-        net.run_until_idle(1_000).unwrap();
+        let out = &mut net.routers[r].outputs[d];
+        out.credits[1] += 1;
+        out.credit_in = None;
 
-        let mut other = Network::new(Mesh::new(2, 8).unwrap(), NocConfig::default());
-        assert_refused(&mut other, &period);
+        assert!(net.repeat_period(&period, 2), "back in the start state");
     }
 
     #[test]
     fn repeat_refuses_faults_traces_and_delivery_logs() {
-        let (mut net, period) = logged();
+        let mesh = mesh(4, 4);
+        let schedule = schedule(mesh, 12);
+        let n = 8;
+        let fresh = || Network::new(mesh, NocConfig::default());
+        assert!(run_periods_of(&mut fresh(), &schedule, &mut 0, n) < n);
+
+        let mut net = fresh();
         net.start_trace();
-        assert_refused(&mut net, &period);
-        assert!(!net.start_period(None));
+        let mut id = 0;
+        assert_eq!(run_periods_of(&mut net, &schedule, &mut id, n), n);
         net.take_trace();
-        assert!(net.repeat_period(&period, 0), "back in the start state");
+        assert!(run_periods_of(&mut net, &schedule, &mut id, n) < n);
 
-        let (mut net, period) = logged();
+        let mut net = fresh();
         net.record_deliveries();
-        assert_refused(&mut net, &period);
-        assert!(!net.start_period(None));
+        assert_eq!(run_periods_of(&mut net, &schedule, &mut 0, n), n);
 
-        let (mut net, period) = logged();
+        let mut net = fresh();
         let plan = FaultPlan::new().fail_router(1 << 30, Coord::new(1, 1));
         net.install_fault_plan(plan).unwrap();
-        assert_refused(&mut net, &period);
-        assert!(!net.start_period(None));
-    }
+        assert_eq!(run_periods_of(&mut net, &schedule, &mut 0, n), n);
 
-    #[test]
-    fn repeat_refuses_while_logging_and_logging_refuses_in_flight_flits() {
-        let (mut net, period) = logged();
-        assert!(net.start_period(None));
-        assert!(!net.start_period(None), "one period at a time");
-        assert_refused(&mut net, &period);
-        assert!(net.end_period().is_some());
-
-        let src = net.mesh().node_id_at(0, 0).unwrap();
-        net.inject(Packet::new(0, src, NodeId::new(3), PacketClass::Data, 2))
+        // Periods that each leave a flit in flight.
+        let mut net = fresh();
+        let (mut id, mut stepped) = (0, 0);
+        let (src, dst) = (NodeId::new(0), NodeId::new(15));
+        let repeated = net
+            .run_periods(n, |net| {
+                stepped += 1;
+                net.inject(Packet::new(id, src, dst, PacketClass::Data, 4))?;
+                id += 1;
+                net.run(3);
+                Ok(())
+            })
             .unwrap();
-        assert!(!net.start_period(None));
-        assert!(net.end_period().is_none(), "nothing was being logged");
+        assert_eq!((stepped, repeated), (n, 0));
+        net.run_until_idle(1_000).unwrap();
     }
 
     #[test]
     fn packets_off_the_id_or_payload_rule_make_a_period_unrepeatable() {
         let mesh = mesh(3, 3);
         let (src, dst) = (NodeId::new(0), NodeId::new(8));
-        let cases: [&[Packet]; 3] = [
-            // Consecutive ids with Packet::new seeds: repeatable.
-            &[
-                Packet::new(4, src, dst, PacketClass::Data, 3),
-                Packet::new(5, dst, src, PacketClass::State, 2),
-            ],
-            // A gap in the ids.
-            &[
-                Packet::new(4, src, dst, PacketClass::Data, 3),
-                Packet::new(6, dst, src, PacketClass::State, 2),
-            ],
-            // A payload seed of its own.
-            &[Packet {
-                payload: 99,
-                ..Packet::new(4, src, dst, PacketClass::Data, 3)
-            }],
-        ];
-        for (k, packets) in cases.iter().enumerate() {
+        let n = 6;
+        for k in 0..3 {
             let mut net = Network::new(mesh, NocConfig::default());
-            // An empty counted period, so that the next one is logged.
-            assert!(net.start_period(None));
-            let counted = net.end_period();
-            assert!(net.start_period(counted));
-            for &p in packets.iter() {
-                net.inject(p).unwrap();
-            }
-            net.run_until_idle(1_000).unwrap();
-            let period = net.end_period();
-            assert_eq!(period.is_some(), k == 0, "case {k}");
-            if let Some(p) = period {
-                assert!(p.logged);
-                assert_eq!(p.packets(), 2);
-                assert!(p.cycles > 0);
+            let (mut id, mut stepped) = (0, 0);
+            let repeated = net
+                .run_periods(n, |net| {
+                    stepped += 1;
+                    let second = match k {
+                        // Consecutive ids with Packet::new seeds: repeatable.
+                        0 => Packet::new(id + 1, dst, src, PacketClass::State, 2),
+                        // A gap in the ids.
+                        1 => Packet::new(id + 2, dst, src, PacketClass::State, 2),
+                        // A payload seed of its own.
+                        _ => Packet {
+                            payload: 99,
+                            ..Packet::new(id + 1, dst, src, PacketClass::State, 2)
+                        },
+                    };
+                    net.inject(Packet::new(id, src, dst, PacketClass::Data, 3))?;
+                    net.inject(second)?;
+                    id = second.id.0 + 1;
+                    net.run_until_idle(1_000)?;
+                    Ok(())
+                })
+                .unwrap();
+            if k == 0 {
+                assert!(stepped < n, "case {k}");
+                assert_eq!(repeated, 2 * (n - stepped) as u64);
+            } else {
+                assert_eq!((stepped, repeated), (n, 0), "case {k}");
             }
         }
     }
@@ -631,7 +722,7 @@ mod tests {
             .map(|r| r.activity().total_link_flits())
             .sum();
         assert_eq!(capacity.iter().sum::<usize>() as u64, sent);
-        if net.timing_state() == counted.start {
+        if net.rest_state() == counted.start {
             assert_refused(&mut net, &counted);
         }
         // The next period fills those logs to the departures it made.

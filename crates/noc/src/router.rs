@@ -78,23 +78,6 @@ pub(crate) struct OutputPort {
     pub last_payload: u64,
 }
 
-/// The part of a router's state that a later cycle reads, compared at
-/// period boundaries by [`crate::Network::repeat_period`]. It leaves out
-/// the activity counters and `last_payload` (no decision reads them) and
-/// the ring positions and contents (a ring is read only relative to its
-/// head, and only its `len` buffered flits).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct RouterTiming {
-    len: [u8; SLOTS],
-    route: [u8; SLOTS],
-    flits_left: [u32; SLOTS],
-    /// Per output port.
-    rr_ptr: [usize; 5],
-    credits: [[u32; NUM_VCS]; 5],
-    vc_owner: [[Option<(u8, u8)>; NUM_VCS]; 5],
-    credit_in: [Option<u8>; 5],
-}
-
 /// A mesh router.
 ///
 /// Routers are owned and stepped by [`crate::Network`]; the public surface is
@@ -159,19 +142,6 @@ impl Router {
     /// Cumulative switching activity since the network was built.
     pub fn activity(&self) -> RouterActivity {
         self.activity
-    }
-
-    /// The state a later cycle reads (see [`RouterTiming`]).
-    pub(crate) fn timing(&self) -> RouterTiming {
-        RouterTiming {
-            len: self.vcs.len,
-            route: self.vcs.route,
-            flits_left: self.vcs.flits_left,
-            rr_ptr: self.outputs.each_ref().map(|o| o.rr_ptr),
-            credits: self.outputs.each_ref().map(|o| o.credits),
-            vc_owner: self.outputs.each_ref().map(|o| o.vc_owner),
-            credit_in: self.outputs.each_ref().map(|o| o.credit_in),
-        }
     }
 
     /// Number of flits currently buffered in this router.

@@ -69,11 +69,6 @@ impl OrbitDecomposition {
             .collect()
     }
 
-    /// Length of the longest orbit.
-    pub fn max_orbit_len(&self) -> usize {
-        self.orbits.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
     /// The time-averaged power map under this scheme: every tile's power is
     /// replaced by the mean over its orbit. Total power is conserved.
     ///
@@ -157,7 +152,8 @@ mod tests {
         for mesh in [m4(), m5()] {
             let d = OrbitDecomposition::new(MigrationScheme::XYShift, mesh);
             assert!(d.fixed_points().is_empty());
-            assert_eq!(d.max_orbit_len(), mesh.width());
+            let longest = d.orbits().iter().map(Vec::len).max();
+            assert_eq!(longest, Some(mesh.width()));
         }
     }
 

@@ -112,12 +112,6 @@ impl<'a> TransientSim<'a> {
         crate::rc_model::peak(self.block_temps())
     }
 
-    /// Mean die-block temperature (°C).
-    pub fn mean_block_temp(&self) -> f64 {
-        let b = self.block_temps();
-        b.iter().sum::<f64>() / b.len() as f64
-    }
-
     /// Advances one step of `dt` under the given per-block power.
     ///
     /// # Errors
@@ -312,6 +306,8 @@ mod tests {
         p[5] = 5.0;
         let mut sim = TransientSim::new(&n, 1e-4, Integrator::BackwardEuler).unwrap();
         sim.init_from_steady(&p).unwrap();
-        assert!(sim.mean_block_temp() < sim.peak_block_temp());
+        let b = sim.block_temps();
+        let mean = b.iter().sum::<f64>() / b.len() as f64;
+        assert!(mean < sim.peak_block_temp());
     }
 }
