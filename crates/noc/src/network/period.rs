@@ -621,6 +621,28 @@ mod tests {
     }
 
     #[test]
+    fn repeat_refuses_while_logging_and_logging_refuses_in_flight_flits() {
+        let mesh = mesh(4, 4);
+        let schedule = schedule(mesh, 12);
+        let n = 8;
+        let mut net = Network::new(mesh, NocConfig::default());
+        assert!(net.start_period(None));
+        assert!(!net.start_period(None), "one period at a time");
+        // Inside a running log, `run_periods` logs none of its periods, so
+        // it repeats none of them.
+        let mut id = 0;
+        assert_eq!(run_periods_of(&mut net, &schedule, &mut id, n), n);
+        assert!(net.end_period().is_some());
+        assert!(run_periods_of(&mut net, &schedule, &mut id, n) < n);
+
+        let src = net.mesh().node_id_at(0, 0).unwrap();
+        net.inject(Packet::new(id, src, NodeId::new(3), PacketClass::Data, 2))
+            .unwrap();
+        assert!(!net.start_period(None));
+        assert!(net.end_period().is_none(), "nothing was being logged");
+    }
+
+    #[test]
     fn repeat_refuses_faults_traces_and_delivery_logs() {
         let mesh = mesh(4, 4);
         let schedule = schedule(mesh, 12);
